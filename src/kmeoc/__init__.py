@@ -38,10 +38,12 @@ from .errors import (
 )
 from .estimator import (
     EstimatedOperators,
+    LowRank,
     ModelScore,
     departure_from_normality,
     enforce_markov,
     fit_krr,
+    fit_residual,
     model_select,
     validation_score,
 )
@@ -99,8 +101,9 @@ __all__ = [
     "generate_dataset", "save_dataset_csv", "load_dataset_csv",
     "make_system", "SYSTEM_NAMES",
     # estimator
-    "EstimatedOperators", "ModelScore", "fit_krr", "enforce_markov",
-    "departure_from_normality", "validation_score", "model_select",
+    "EstimatedOperators", "LowRank", "ModelScore", "fit_krr",
+    "enforce_markov", "departure_from_normality", "fit_residual",
+    "validation_score", "model_select",
     # hjb
     "ControlPenalty", "ValueSolution", "fenchel_conjugate",
     "khjb_recursion", "value_functional", "policy_interpolate",

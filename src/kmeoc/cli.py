@@ -37,6 +37,7 @@ from .estimator import (
     departure_from_normality,
     enforce_markov,
     fit_krr,
+    fit_residual,
     model_select,
 )
 from .fpk import (
@@ -44,6 +45,7 @@ from .fpk import (
     export_forecast_csv,
     export_weights_csv,
     forecast_observable_path,
+    observable_forecast,
     propagate,
 )
 from .hjb import (
@@ -394,10 +396,7 @@ def cmd_identify(settings: _Settings) -> int:
     if settings.get("markov_enforce"):
         ops = enforce_markov(ops)
 
-    bundle = build_grams(ds.X, ds.U, ds.Y, cfg)
-    residual = float(
-        np.linalg.norm(ops.gram_matvec(ops.A_hat) - bundle.eK_XY, "fro")
-    )
+    residual = fit_residual(ops, build_grams(ds.X, ds.U, ds.Y, cfg))
     model_path = os.path.join(out, f"{_stem(ds_path)}_model.bin")
     store.save(ops, model_path)
 
@@ -413,7 +412,7 @@ def cmd_identify(settings: _Settings) -> int:
         "jitter": ops.jitter,
         "markov_enforced": bool(settings.get("markov_enforce")),
         "fit_residual_fro": residual,
-        "departure_from_normality": departure_from_normality(ops.A_hat),
+        "departure_from_normality": departure_from_normality(ops.A),
         "model_path": model_path,
     }
     if scores is not None:
@@ -470,7 +469,7 @@ def cmd_control(settings: _Settings) -> int:
         qpath = os.path.join(out, f"{stem}_queries.csv")
         with open(qpath, "w") as fh:
             n_x = ops.dataset_ref.n_x
-            n_u = len(ops.B_hat_blocks)
+            n_u = ops.n_u
             header = [f"x{d+1}" for d in range(n_x)]
             header += [f"u{m+1}" for m in range(n_u)]
             fh.write(",".join(header) + "\n")
@@ -500,7 +499,7 @@ def cmd_predict(settings: _Settings) -> int:
 
     policy_name = str(settings.get("policy")).lower()
     if policy_name == "zero":
-        table = np.zeros((len(ops.B_hat_blocks), ops.N))
+        table = np.zeros((ops.n_u, ops.N))
     elif policy_name == "training":
         table = ops.dataset_ref.U
     elif policy_name == "learned":
@@ -532,7 +531,15 @@ def cmd_predict(settings: _Settings) -> int:
         raise ConfigError(f"observable must be x2 or one, got {obs_name!r}")
 
     steps = int(settings.get("steps"))
-    values = forecast_observable_path(ops, z0, table, steps, psi)
+    if settings.get("dump_weights"):
+        # One pass keeps every step's weights for the dump.
+        zs = [z0]
+        for _ in range(steps):
+            zs.append(propagate(ops, zs[-1], table))
+        values = np.array([observable_forecast(z, psi) for z in zs])
+    else:
+        zs = None
+        values = forecast_observable_path(ops, z0, table, steps, psi)
     stem = _stem(settings.get("model"))
     fpath = os.path.join(out, f"{stem}_forecast.csv")
     export_forecast_csv(values, ops.kernel_cfg.dt, fpath)
@@ -540,10 +547,7 @@ def cmd_predict(settings: _Settings) -> int:
         f"forecast[0] = {values[0]:.6g}, forecast[{steps}] = {values[-1]:.6g}",
         f"wrote forecast to {fpath}",
     ]
-    if settings.get("dump_weights"):
-        zs = [z0]
-        for _ in range(steps):
-            zs.append(propagate(ops, zs[-1], table))
+    if zs is not None:
         wpath = os.path.join(out, f"{stem}_weights.csv")
         export_weights_csv(zs, wpath)
         lines.append(f"wrote weights to {wpath}")

@@ -8,18 +8,24 @@ operators solve one shared linear system,
 
 where U_m scales row i of the cross Gram matrix by the m-th control
 coordinate of sample i, and eK_XY is the diffused cross Gram matrix.
+The cross Gram matrix comes factored, eK_XY = L_X R^T with R = pref L_Y
+of rank r (see :func:`kmeoc.kernel.build_grams`), so each operator is
+fitted as thin factors: A_hat = P R^T with (K_U + gamma I) P = L_X,
+and B_hat_m = P_m R^T with (K_U + gamma I) P_m = U_m * L_X.  The fit
+solves (1 + n_u) r right-hand sides instead of (1 + n_u) N, and
+applying an operator costs O(N r) instead of O(N^2).
+
 The SPD factor of (K_U + gamma I) is computed once and retained; every
-later solve (fitting, validation scoring, policy interpolation) reuses
-it or the analogous state-only factor of (K_X + gamma I).
+later solve (validation scoring, policy interpolation) reuses it or the
+analogous state-only factor of (K_X + gamma I).
 """
 
 from __future__ import annotations
 
 import logging
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigvalsh
@@ -30,15 +36,23 @@ from .errors import (
     ScoringError,
     SelectionError,
 )
-from .kernel import KernelConfig, build_grams, cross_gram_diffused, gram
+from .kernel import (
+    GramBundle,
+    KernelConfig,
+    build_grams,
+    cross_gram_diffused,
+    gram,
+)
 from .systems import Dataset
 
 __all__ = [
+    "LowRank",
     "EstimatedOperators",
     "ModelScore",
     "fit_krr",
     "enforce_markov",
     "departure_from_normality",
+    "fit_residual",
     "validation_score",
     "model_select",
 ]
@@ -48,15 +62,92 @@ log = logging.getLogger(__name__)
 _JITTER_CAP = 1e-4
 
 
+@dataclass(frozen=True)
+class LowRank:
+    """The N x N operator ``left @ right.T + outer(ones(N), shift)``.
+
+    The rank-1 term adds ``shift[j]`` to every entry of column j: the
+    uniform column shift of the Markov projection.  ``M @ x`` and
+    ``v @ M`` cost O(N r) and never form the N x N matrix; a numpy
+    array on the left of ``@`` defers to :meth:`__rmatmul__`.
+
+    Attributes
+    ----------
+    left, right : ndarray, shape (N, r)
+    shift : ndarray, shape (N,)
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    shift: np.ndarray
+
+    __array_ufunc__ = None  # make ``ndarray @ LowRank`` use __rmatmul__
+
+    def __post_init__(self):
+        # C order throughout, so a fitted and a reloaded operator feed
+        # BLAS the same layout and give the same bits.
+        for name in ("left", "right", "shift"):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        N = self.left.shape[0]
+        return (N, N)
+
+    @property
+    def rank(self) -> int:
+        return self.left.shape[1]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """M x for x of shape (N,) or (N, k)."""
+        return self.left @ (self.right.T @ x) + self.shift @ x
+
+    def __rmatmul__(self, v: np.ndarray) -> np.ndarray:
+        """v M, i.e. M^T v, for v of shape (N,) or (k, N)."""
+        total = np.sum(v, axis=-1)[..., None]
+        return (v @ self.left) @ self.right.T + total * self.shift
+
+    def dense(self) -> np.ndarray:
+        """The N x N matrix."""
+        out = self.left @ self.right.T
+        out += self.shift
+        return out
+
+
+def _ridge_cholesky(K: np.ndarray, ridge: float) -> tuple:
+    """``cho_factor(K + ridge I)`` through one Fortran-ordered copy of K.
+
+    LAPACK factors that copy in place, so no identity matrix and no
+    second copy are allocated.
+    """
+    reg = np.array(K, order="F")
+    reg[np.diag_indices_from(reg)] += ridge
+    return cho_factor(reg, overwrite_a=True)
+
+
+#: An operator is a dense N x N array (the reference form hand-built
+#: operators use) or its factored form; both support ``M @ x`` and
+#: ``v @ M``.
+Operator = Union[np.ndarray, LowRank]
+
+
+def _view(op: Operator) -> np.ndarray:
+    out = op.dense() if isinstance(op, LowRank) else op.view()
+    out.flags.writeable = False
+    return out
+
+
 @dataclass
 class EstimatedOperators:
     """Fitted operators plus everything needed to reuse their solves.
 
     Attributes
     ----------
-    A_hat : ndarray, shape (N, N)
-    B_hat_blocks : list of ndarray, each (N, N)
-        One block per control coordinate.
+    A : LowRank or ndarray, shape (N, N)
+        The uncontrolled operator.
+    B : list of LowRank or ndarray
+        One control block per control coordinate.
     gram_factor : tuple or None
         Cholesky factor of (K_U + jitter I) as returned by
         ``scipy.linalg.cho_factor``; reusable via ``cho_solve``.  None
@@ -69,8 +160,8 @@ class EstimatedOperators:
         factorization had to escalate).
     """
 
-    A_hat: np.ndarray
-    B_hat_blocks: List[np.ndarray]
+    A: Operator
+    B: List[Operator]
     gram_factor: Optional[tuple]
     dataset_ref: Dataset
     kernel_cfg: KernelConfig
@@ -81,14 +172,57 @@ class EstimatedOperators:
     _x_factor: Optional[tuple] = field(
         default=None, repr=False, compare=False
     )
+    # Factors of all 1 + n_u operators stacked for apply_T; built on
+    # first use and never carried over by dataclasses.replace.
+    _stacked: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def N(self) -> int:
-        return self.A_hat.shape[0]
+        return self.A.shape[0]
 
     @property
     def n_u(self) -> int:
-        return len(self.B_hat_blocks)
+        return len(self.B)
+
+    @property
+    def A_hat(self) -> np.ndarray:
+        """A as a read-only N x N array; factored operators build it anew."""
+        return _view(self.A)
+
+    @property
+    def B_hat_blocks(self) -> List[np.ndarray]:
+        """The B blocks as read-only N x N arrays, built on each access."""
+        return [_view(Bm) for Bm in self.B]
+
+    def apply(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """(A + sum_m B_m diag(u_m)) z for weights z (N,) and controls u (n_u, N)."""
+        out = self.A @ z
+        for Bm, u_m in zip(self.B, u):
+            out += Bm @ (u_m * z)
+        return out
+
+    def apply_T(self, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(A^T v, the n_u x N stack of B_m^T v).
+
+        Factored operators take two batched products for all 1 + n_u
+        operators at once: the hot step of the backward recursion.
+        """
+        operators = [self.A, *self.B]
+        if not all(isinstance(op, LowRank) for op in operators):
+            out = np.stack([v @ op for op in operators])
+            return out[0], out[1:]
+        if self._stacked is None:
+            self._stacked = (
+                np.hstack([op.left for op in operators]),
+                np.stack([op.right.T for op in operators]),
+                np.stack([op.shift for op in operators]),
+            )
+        lefts, rights_T, shifts = self._stacked
+        t = (v @ lefts).reshape(len(operators), 1, -1)
+        out = np.matmul(t, rights_T)[:, 0, :] + np.sum(v) * shifts
+        return out[0], out[1:]
 
     def gram_matvec(self, v: np.ndarray) -> np.ndarray:
         """Apply (K_U + jitter I) to v through the retained factor."""
@@ -107,20 +241,32 @@ class EstimatedOperators:
         return self._x_gram
 
     def x_gram_factor(self) -> tuple:
-        """Cholesky factor of (K_X + gamma I), cached."""
+        """Cholesky factor of (K_X + gamma I), cached.
+
+        K_X itself is kept only if :meth:`x_gram` already cached it.
+        """
         if self._x_factor is None:
-            K = self.x_gram()
-            reg = K + self.kernel_cfg.gamma * np.eye(K.shape[0])
-            self._x_factor = cho_factor(reg)
+            K = self._x_gram
+            if K is None:
+                K = gram(self.dataset_ref.X, self.kernel_cfg.sigma)
+            self._x_factor = _ridge_cholesky(K, self.kernel_cfg.gamma)
         return self._x_factor
 
-    def closed_loop(self, u: np.ndarray) -> np.ndarray:
-        """A_hat + sum_m B_hat_m diag(u_m) for a control table u (n_u, N)."""
+    def closed_loop(self, u: np.ndarray) -> LowRank:
+        """A + sum_m B_m diag(u_m) for a control table u (n_u, N).
+
+        A LowRank of rank (1 + n_u) r, for factored operators.
+        """
         u = np.asarray(u, dtype=float).reshape(self.n_u, self.N)
-        M = self.A_hat.copy()
-        for m, Bm in enumerate(self.B_hat_blocks):
-            M += Bm * u[m][None, :]
-        return M
+        return LowRank(
+            left=np.hstack([self.A.left] + [Bm.left for Bm in self.B]),
+            right=np.hstack(
+                [self.A.right]
+                + [u_m[:, None] * Bm.right for Bm, u_m in zip(self.B, u)]
+            ),
+            shift=self.A.shift
+            + sum(u_m * Bm.shift for Bm, u_m in zip(self.B, u)),
+        )
 
 
 @dataclass(frozen=True)
@@ -148,8 +294,8 @@ def fit_krr(
         How the control coordinate scales the cross Gram matrix on the
         right-hand side of the B-blocks: "row" (default) scales sample
         rows, matching the algebra that makes the closed-loop operator
-        consistent with the control Gram matrix; "column" is kept for
-        comparison.
+        consistent with the control Gram matrix, and so scales the left
+        factor; "column" scales the columns, i.e. the right factor.
 
     Raises
     ------
@@ -166,13 +312,12 @@ def fit_krr(
         )
     bundle = build_grams(dataset.X, dataset.U, dataset.Y, cfg)
     N = bundle.N
-    eye = np.eye(N)
 
     jitter = cfg.gamma
     factor = None
     while True:
         try:
-            factor = cho_factor(bundle.K_U + jitter * eye)
+            factor = _ridge_cholesky(bundle.K_U, jitter)
             break
         except LinAlgError:
             # A literal zero ridge means the caller disabled regularization
@@ -192,19 +337,20 @@ def fit_krr(
             )
             jitter = nxt
 
-    A_hat = cho_solve(factor, bundle.eK_XY)
-    B_hat_blocks = []
-    for m in range(dataset.n_u):
-        u_m = dataset.U[m]
-        if b_block_orientation == "row":
-            rhs = u_m[:, None] * bundle.eK_XY
-        else:
-            rhs = bundle.eK_XY * u_m[None, :]
-        B_hat_blocks.append(cho_solve(factor, rhs))
+    L_X = bundle.L_X
+    R = bundle.pref * bundle.L_Y
+    zero = np.zeros(N)
+    if b_block_orientation == "row":
+        rhs = np.hstack([L_X] + [u_m[:, None] * L_X for u_m in dataset.U])
+        P, *P_m = np.hsplit(cho_solve(factor, rhs), 1 + dataset.n_u)
+        B = [LowRank(left, R, zero) for left in P_m]
+    else:
+        P = np.ascontiguousarray(cho_solve(factor, L_X))  # shared by all
+        B = [LowRank(P, u_m[:, None] * R, zero) for u_m in dataset.U]
 
     return EstimatedOperators(
-        A_hat=A_hat,
-        B_hat_blocks=B_hat_blocks,
+        A=LowRank(P, R, zero),
+        B=B,
         gram_factor=factor,
         dataset_ref=dataset,
         kernel_cfg=cfg,
@@ -212,38 +358,77 @@ def fit_krr(
     )
 
 
+def _shift_columns(op: Operator, target: float) -> Operator:
+    """op plus the uniform column shift that makes every column sum ``target``."""
+    N = op.shape[0]
+    if isinstance(op, LowRank):
+        sums = np.ones(N) @ op
+        return replace(op, shift=op.shift + (target - sums) / N)
+    return op + (target - op.sum(axis=0))[None, :] / N
+
+
 def enforce_markov(ops: EstimatedOperators) -> EstimatedOperators:
     """Project the operators onto the Markov constraint set.
 
     Every column of A_hat is shifted uniformly so it sums to 1, and
-    every column of each B-block so it sums to 0.  The input operators
-    are left untouched; the returned copies share the training data and
-    retained factorizations.
+    every column of each B-block so it sums to 0; on factored
+    operators this only updates the rank-1 shift.  The input operators
+    are left untouched; the returned copies share the training data,
+    the factors and the retained factorizations.
     """
-    N = ops.N
-    A = ops.A_hat + (1.0 - ops.A_hat.sum(axis=0))[None, :] / N
-    blocks = [Bm - Bm.sum(axis=0)[None, :] / N for Bm in ops.B_hat_blocks]
-    return replace(ops, A_hat=A, B_hat_blocks=blocks)
+    return replace(
+        ops,
+        A=_shift_columns(ops.A, 1.0),
+        B=[_shift_columns(Bm, 0.0) for Bm in ops.B],
+    )
 
 
-def departure_from_normality(A_hat: np.ndarray) -> float:
+def departure_from_normality(A: Operator) -> float:
     """Henrici's normalized departure from normality.
 
     sqrt(max(0, ||A||_F^2 - sum_i |lambda_i|^2)) / ||A||_F, with the
-    convention that the zero matrix departs by 0.
+    convention that the zero matrix departs by 0.  For a LowRank
+    A = L' R'^T (with L' = [left, 1] and R' = [right, shift]) the
+    nonzero eigenvalues are those of the (r+1) x (r+1) core R'^T L',
+    and ||A||_F^2 = sum((L'^T L') * (R'^T R')), so the N x N matrix is
+    never formed.
     """
-    A = np.asarray(A_hat, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {A.shape}")
-    fro = float(np.linalg.norm(A, "fro"))
+    if isinstance(A, LowRank):
+        N = A.shape[0]
+        left = np.column_stack([A.left, np.ones(N)])
+        right = np.column_stack([A.right, A.shift])
+        fro2 = float(np.sum((left.T @ left) * (right.T @ right)))
+        fro = float(np.sqrt(max(0.0, fro2)))
+        core = right.T @ left
+    else:
+        core = np.asarray(A, dtype=float)
+        if core.ndim != 2 or core.shape[0] != core.shape[1]:
+            raise InputError(f"expected a square matrix, got shape {core.shape}")
+        fro = float(np.linalg.norm(core, "fro"))
     if fro == 0.0:
         return 0.0
     try:
-        eig = np.linalg.eigvals(A)
+        eig = np.linalg.eigvals(core)
     except np.linalg.LinAlgError as exc:
         raise ScoringError(f"eigenvalue iteration failed: {exc}") from exc
     gap = max(0.0, fro**2 - float(np.sum(np.abs(eig) ** 2)))
     return float(np.sqrt(gap)) / fro
+
+
+def fit_residual(ops: EstimatedOperators, bundle: GramBundle) -> float:
+    """||(K_U + jitter I) A_hat - eK_XY||_F for factored operators.
+
+    ``bundle`` holds the Grams of the fit.  Only the r + 1 columns
+    [left, 1] of A pass through the Gram matrix: O(N^2 r) instead of
+    the O(N^3) dense product.
+    """
+
+    def reg(x):
+        return bundle.K_U @ x + ops.jitter * x
+
+    A = ops.A
+    product = reg(A.left) @ A.right.T + np.outer(reg(np.ones(ops.N)), A.shift)
+    return float(np.linalg.norm(product - bundle.eK_XY, "fro"))
 
 
 def validation_score(ops: EstimatedOperators, holdout: Dataset) -> float:
@@ -269,11 +454,12 @@ def validation_score(ops: EstimatedOperators, holdout: Dataset) -> float:
     # k(x_i_train, x_j_holdout): a zero-diffusion cross Gram matrix.
     zero_diff = replace(cfg, epsilon=0.0)
     K_xq = cross_gram_diffused(X, holdout.X, zero_diff)
+    K_X = ops.x_gram()  # cached first, so the factor below reuses it
     W = cho_solve(ops.x_gram_factor(), K_xq)  # (N, M)
-    C = ops.A_hat @ W
-    for m, Bm in enumerate(ops.B_hat_blocks):
-        C += Bm @ (W * holdout.U[m][None, :])
-    predicted = ops.x_gram() @ C
+    C = ops.A @ W
+    for Bm, u_m in zip(ops.B, holdout.U):
+        C += Bm @ (W * u_m[None, :])
+    predicted = K_X @ C
     target = cross_gram_diffused(X, holdout.Y, cfg)
     return float(np.mean((predicted - target) ** 2))
 
@@ -352,21 +538,20 @@ def model_select(
         return (
             sig,
             validation_score(ops, val),
-            departure_from_normality(ops.A_hat),
+            departure_from_normality(ops.A),
         )
 
+    # One sigma after another: each fit already keeps the BLAS threads
+    # busy, so a pool on top only makes them compete.
     results = []
-    with ThreadPoolExecutor(max_workers=min(4, len(sigmas))) as pool:
-        futures = {pool.submit(_one, s): s for s in sigmas}
-        for fut in futures:
-            try:
-                results.append(fut.result())
-            except (EstimationError, LinAlgError) as exc:
-                log.warning("fit failed for sigma=%g: %s", futures[fut], exc)
+    for sig in sigmas:
+        try:
+            results.append(_one(sig))
+        except (EstimationError, LinAlgError) as exc:
+            log.warning("fit failed for sigma=%g: %s", sig, exc)
 
     if not results:
         raise SelectionError("all candidate fits failed across the sigma grid")
-    results.sort(key=lambda t: t[0])
     val_norm = _minmax(np.array([r[1] for r in results]))
     dep_norm = _minmax(np.array([r[2] for r in results]))
     w1, w2 = weights

@@ -119,9 +119,7 @@ def propagate(
     # Blow-ups surface as a typed PropagationError via the isfinite
     # check; suppress numpy's raw overflow warnings on the way there.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = ops.A_hat @ z.z
-        for m, Bm in enumerate(ops.B_hat_blocks):
-            out += Bm @ (pol[m] * z.z)
+        out = ops.apply(z.z, pol)
     nxt = z.step + 1
     if not np.all(np.isfinite(out)):
         raise PropagationError(

@@ -14,7 +14,9 @@ matching training point and time step.  For diagonal quadratic
 penalties with an optional box the minimizer has a closed form: clip
 ``-lam_m / (2 R_m dt)`` to the box.  One vectorized code path computes
 both the conjugate values and the minimizers, so the recorded policy
-and the conjugate's argmin can never drift apart.
+and the conjugate's argmin can never drift apart.  The transposed
+products come from ``EstimatedOperators.apply_T``, O(N r) per operator
+for factored operators.
 """
 
 from __future__ import annotations
@@ -215,16 +217,13 @@ def khjb_recursion(
         scale sigma are the usual remedies.
     """
     cost = np.asarray(cost, dtype=float).ravel()
-    N = ops.A_hat.shape[0]
+    N = ops.N
     if cost.size != N:
         raise InputError(f"cost has length {cost.size}, expected N = {N}")
     if H < 1:
         raise InputError(f"H must be >= 1, got {H}")
     dt = ops.kernel_cfg.dt
-    n_u = len(ops.B_hat_blocks)
-
-    A_T = np.ascontiguousarray(ops.A_hat.T)
-    B_T = [np.ascontiguousarray(Bm.T) for Bm in ops.B_hat_blocks]
+    n_u = ops.n_u
     w = penalty.weights[:, None]
     if penalty.n_u != n_u:
         raise InputError(
@@ -240,34 +239,34 @@ def khjb_recursion(
     frozen: Optional[np.ndarray] = None
     converged_at: Optional[int] = None
 
-    for k in range(H - 1, -1, -1):
-        # Divergence is detected below via the isfinite check and raised
-        # as a typed error; keep numpy's own overflow chatter out of it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            lam = np.stack([Bm_T @ v for Bm_T in B_T], axis=0)
+    # Divergence is detected below via the isfinite check and raised as
+    # a typed error; keep numpy's own overflow chatter out of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(H - 1, -1, -1):
+            a, lam = ops.apply_T(v)
             if frozen is None:
                 d_val, u = _fenchel_batch(lam, penalty, dt)
-                v = A_T @ v + stage + d_val
             else:
                 u = frozen
-                v = A_T @ v + stage + np.sum(
-                    w * u**2 * dt + lam * u, axis=0
+                d_val = np.sum(w * u**2 * dt + lam * u, axis=0)
+            v = a + stage + d_val
+            if not np.all(np.isfinite(v)):
+                raise DivergenceError(
+                    f"value iterate became non-finite at step k={k}; the "
+                    "learned operator spectrum is likely unstable (try "
+                    "enforce_markov or a different sigma)",
+                    step=k,
                 )
-        if not np.all(np.isfinite(v)):
-            raise DivergenceError(
-                f"value iterate became non-finite at step k={k}; the learned "
-                "operator spectrum is likely unstable (try enforce_markov or "
-                "a different sigma)",
-                step=k,
-            )
-        policy[k] = u
-        values[k] = v
-        if frozen is None and stop_tol > 0 and prev_u is not None:
-            if np.max(np.abs(u - prev_u)) < stop_tol:
-                converged_at = k
-                frozen = u
-                log.debug("policy stationary at step %d (tol %.1e)", k, stop_tol)
-        prev_u = u
+            policy[k] = u
+            values[k] = v
+            if frozen is None and stop_tol > 0 and prev_u is not None:
+                if np.max(np.abs(u - prev_u)) < stop_tol:
+                    converged_at = k
+                    frozen = u
+                    log.debug(
+                        "policy stationary at step %d (tol %.1e)", k, stop_tol
+                    )
+            prev_u = u
 
     return ValueSolution(
         values=values,

@@ -11,6 +11,10 @@ variant ``diffused_rbf_eval`` additionally smooths one argument by the
 Gaussian increment of an Euler-Maruyama step, which shows up as an
 enlarged denominator and a normalizing prefactor; two conventions for
 the enlargement are supported, see :class:`KernelConfig`.
+
+The diffused cross-Gram of a fit is never formed: :func:`build_grams`
+returns it as ``pref * L_X @ L_Y.T``, thin factors from a pivoted
+Cholesky of the diffused kernel on the joint points ``[X Y]``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "cross_gram_diffused",
     "cross_vector",
     "build_grams",
+    "CHOLESKY_TOL",
 ]
 
 #: Supported smoothing conventions for the diffused kernel.  The name
@@ -44,6 +49,12 @@ __all__ = [
 #:     denominator sigma^2 + 4*eps*dt; this is the exact Gaussian
 #:     expectation E_w[k(x, y + sqrt(2*eps*dt)*w)], w ~ N(0, I).
 DIFFUSED_MODES = ("plus_2eps_dt", "plus_4eps_dt")
+
+#: The pivoted Cholesky of the diffused kernel stops once no residual
+#: diagonal entry exceeds this.  The residual is positive semidefinite,
+#: so every entry of the factored cross-Gram is then within
+#: ``pref * CHOLESKY_TOL`` of the exact one (plus rounding).
+CHOLESKY_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -94,15 +105,26 @@ class KernelConfig:
 
 @dataclass(frozen=True)
 class GramBundle:
-    """The three Gram matrices a fit needs, built in one pass."""
+    """The Gram matrices a fit needs, built in one pass.
+
+    The diffused cross-Gram is kept as ``pref * L_X @ L_Y.T`` with
+    ``L_X`` and ``L_Y`` of shape (N, r).
+    """
 
     K_X: np.ndarray
     K_U: np.ndarray
-    eK_XY: np.ndarray
+    L_X: np.ndarray
+    L_Y: np.ndarray
+    pref: float
     N: int = field(default=0)
 
     def __post_init__(self):
         object.__setattr__(self, "N", self.K_X.shape[0])
+
+    @property
+    def eK_XY(self) -> np.ndarray:
+        """The factored cross-Gram as an N x N matrix, built on each access."""
+        return self.pref * (self.L_X @ self.L_Y.T)
 
 
 def _as_states(X, name: str) -> np.ndarray:
@@ -202,14 +224,51 @@ def cross_vector(x, X, sigma: float) -> np.ndarray:
     return np.exp(-d2 / sigma**2)
 
 
+def _pivoted_cholesky(Z: np.ndarray, den: float) -> np.ndarray:
+    """Thin factor L, (M, r), with exp(-||z_i - z_j||^2 / den) ~ (L L^T)_ij.
+
+    Greedy on the largest residual diagonal; each step costs one kernel
+    column, so the M x M matrix is never formed.  Stops once every
+    residual diagonal entry is at most :data:`CHOLESKY_TOL`.
+    """
+    M = Z.shape[1]
+    d = np.ones(M)  # residual diagonal; the kernel's own diagonal is 1
+    rows = np.empty((min(M, 64), M))  # row k holds column k of L
+    r = 0
+    while r < M:
+        i = int(np.argmax(d))
+        if d[i] <= CHOLESKY_TOL:
+            break
+        if r == rows.shape[0]:
+            rows = np.concatenate([rows, np.empty_like(rows)])[:M]
+        col = np.exp(-np.sum((Z - Z[:, i : i + 1]) ** 2, axis=0) / den)
+        col -= rows[:r, i] @ rows[:r]
+        col /= np.sqrt(d[i])
+        rows[r] = col
+        d -= col**2
+        d[i] = 0.0
+        r += 1
+    return rows[:r].T
+
+
 def build_grams(X, U, Y, cfg: KernelConfig) -> GramBundle:
-    """Build K_X, K_U and the diffused cross-covariance in one call."""
+    """Build K_X, K_U and the factored diffused cross-Gram in one call."""
     X = _as_states(X, "X")
     U = _as_states(U, "U")
     Y = _as_states(Y, "Y")
     if not (X.shape[1] == U.shape[1] == Y.shape[1]):
         raise InputError("X, U, Y must have the same number of columns")
+    if X.shape[0] != Y.shape[0]:
+        raise InputError(f"shape mismatch: X {X.shape} vs Y {Y.shape}")
     K_X = gram(X, cfg.sigma)
     K_U = control_gram(K_X, U)
-    eK_XY = cross_gram_diffused(X, Y, cfg)
-    return GramBundle(K_X=K_X, K_U=K_U, eK_XY=eK_XY)
+    den = cfg.diffused_denominator
+    L = _pivoted_cholesky(np.hstack([X, Y]), den)
+    N = X.shape[1]
+    return GramBundle(
+        K_X=K_X,
+        K_U=K_U,
+        L_X=np.ascontiguousarray(L[:N]),
+        L_Y=np.ascontiguousarray(L[N:]),
+        pref=(cfg.sigma**2 / den) ** (X.shape[0] / 2.0),
+    )

@@ -2,7 +2,9 @@
 
 Every artifact shares one framing: a 16-byte header (8-byte magic tag,
 little-endian u32 version, little-endian u32 kind), an 8-byte BLAKE2b
-checksum of the payload, then the payload itself.  Numeric payloads are
+checksum of the payload, then the payload itself.  The version is kept
+per kind (:data:`VERSIONS`); a model is stored as the thin factors of
+its operators, each distinct factor array once.  Numeric payloads are
 little-endian float64 streams in row-major order, so files transfer
 between machines unchanged; reports are UTF-8 JSON.  Writes go to a
 temporary file in the destination directory and are renamed into place,
@@ -30,20 +32,28 @@ from .errors import (
     StorageError,
     VersionError,
 )
-from .estimator import EstimatedOperators
+from .estimator import EstimatedOperators, LowRank
 from .hjb import ValueSolution
 from .kernel import DIFFUSED_MODES, KernelConfig
 from .systems import Dataset
 
-__all__ = ["save", "load", "MAGIC", "VERSION"]
+__all__ = ["save", "load", "MAGIC", "VERSIONS"]
 
 MAGIC = b"KMEOCART"
-VERSION = 1
 
 _KIND_DATASET = 1
 _KIND_MODEL = 2
 _KIND_VALUE_SOLUTION = 3
 _KIND_REPORT = 4
+
+#: Format version per artifact kind.  Models are at 2: they hold
+#: factored operators; version 1 stored dense N x N matrices.
+VERSIONS = {
+    _KIND_DATASET: 1,
+    _KIND_MODEL: 2,
+    _KIND_VALUE_SOLUTION: 1,
+    _KIND_REPORT: 1,
+}
 
 Persistable = Union[Dataset, EstimatedOperators, ValueSolution, BenchReport]
 
@@ -105,21 +115,39 @@ def _decode_dataset(buf: bytes) -> Dataset:
 
 
 def _encode_model(ops: EstimatedOperators) -> bytes:
+    operators = [ops.A, *ops.B]
+    if not all(isinstance(op, LowRank) for op in operators):
+        raise InputError("only factored (LowRank) operators are persisted")
+    # Operators share factor arrays (the B blocks reuse A's right factor);
+    # each distinct array is written once and referenced by index.
+    factors: list = []
+    index = []
+    for op in operators:
+        for arr in (op.left, op.right):
+            pos = next((k for k, f in enumerate(factors) if f is arr), None)
+            if pos is None:
+                pos = len(factors)
+                factors.append(arr)
+            index.append(pos)
+    N, r = ops.N, ops.A.rank
+    if any(f.shape != (N, r) for f in factors):
+        raise InputError("every operator factor must have shape (N, r)")
     ds = ops.dataset_ref
     cfg = ops.kernel_cfg
     mode_code = DIFFUSED_MODES.index(cfg.diffused_mode)
     parts = [
         _f64(
-            ops.N, ds.n_x, ds.n_u,
+            N, ds.n_x, ds.n_u,
             cfg.sigma, cfg.epsilon, cfg.dt, cfg.gamma, mode_code,
-            ops.jitter, ds.dt, ds.epsilon, ds.seed,
+            ops.jitter, ds.dt, ds.epsilon, ds.seed, r, len(factors),
         ),
         _arr(ds.X),
         _arr(ds.U),
         _arr(ds.cost),
-        _arr(ops.A_hat),
     ]
-    parts.extend(_arr(Bm) for Bm in ops.B_hat_blocks)
+    parts.extend(_arr(f) for f in factors)
+    parts.append(_f64(*index))
+    parts.extend(_arr(op.shift) for op in operators)
     return b"".join(parts)
 
 
@@ -131,6 +159,7 @@ def _decode_model(buf: bytes) -> EstimatedOperators:
     jitter = r.scalar()
     ds_dt, ds_epsilon = r.scalar(), r.scalar()
     ds_seed = r.intval()
+    rank, n_factors = r.intval(), r.intval()
     if not 0 <= mode_code < len(DIFFUSED_MODES):
         raise InvariantError(
             f"unknown diffused-mode code {mode_code}",
@@ -139,13 +168,22 @@ def _decode_model(buf: bytes) -> EstimatedOperators:
     X = r.floats(n_x * N).reshape(n_x, N)
     U = r.floats(n_u * N).reshape(n_u, N)
     cost = r.floats(N)
-    A = r.floats(N * N).reshape(N, N)
-    blocks = [r.floats(N * N).reshape(N, N) for _ in range(n_u)]
-    if not (np.all(np.isfinite(A)) and all(np.all(np.isfinite(B)) for B in blocks)):
+    factors = [r.floats(N * rank).reshape(N, rank) for _ in range(n_factors)]
+    index = [r.intval() for _ in range(2 * (1 + n_u))]
+    shifts = [r.floats(N) for _ in range(1 + n_u)]
+    if not all(0 <= k < n_factors for k in index):
         raise InvariantError(
-            "operator matrices contain non-finite entries",
+            "operator refers to a missing factor", invariant="valid factor index"
+        )
+    if not all(np.all(np.isfinite(a)) for a in factors + shifts):
+        raise InvariantError(
+            "operator factors contain non-finite entries",
             invariant="finite operators",
         )
+    operators = [
+        LowRank(factors[index[2 * i]], factors[index[2 * i + 1]], shifts[i])
+        for i in range(1 + n_u)
+    ]
     # The successor snapshots are not persisted; the placeholder keeps
     # shapes honest while making any accidental use loudly non-finite.
     ds = Dataset(
@@ -165,8 +203,8 @@ def _decode_model(buf: bytes) -> EstimatedOperators:
         diffused_mode=DIFFUSED_MODES[mode_code],
     )
     return EstimatedOperators(
-        A_hat=A,
-        B_hat_blocks=blocks,
+        A=operators[0],
+        B=operators[1:],
         gram_factor=None,
         dataset_ref=ds,
         kernel_cfg=cfg,
@@ -275,7 +313,7 @@ def save(artifact: Persistable, path) -> None:
         ) from None
     payload = encode(artifact)
     checksum = hashlib.blake2b(payload, digest_size=8).digest()
-    header = MAGIC + struct.pack("<II", VERSION, kind)
+    header = MAGIC + struct.pack("<II", VERSIONS[kind], kind)
     path = os.fspath(path)
     dest_dir = os.path.dirname(os.path.abspath(path))
     try:
@@ -303,7 +341,7 @@ def load(path) -> Persistable:
     HeaderError
         Truncated file, wrong magic, or unknown kind.
     VersionError
-        Version other than the one this code writes.
+        Version other than the one this code writes for the kind.
     ChecksumError
         Payload bytes do not match the recorded checksum.
     InvariantError
@@ -324,12 +362,13 @@ def load(path) -> Persistable:
     if blob[:8] != MAGIC:
         raise HeaderError(f"{path!r}: bad magic tag {blob[:8]!r}")
     version, kind = struct.unpack("<II", blob[8:16])
-    if version != VERSION:
-        raise VersionError(
-            f"{path!r}: version {version} not supported (expected {VERSION})"
-        )
     if kind not in _DECODERS:
         raise HeaderError(f"{path!r}: unknown artifact kind {kind}")
+    if version != VERSIONS[kind]:
+        raise VersionError(
+            f"{path!r}: version {version} not supported "
+            f"(expected {VERSIONS[kind]})"
+        )
     checksum, payload = blob[16:24], blob[24:]
     if hashlib.blake2b(payload, digest_size=8).digest() != checksum:
         raise ChecksumError(f"{path!r}: payload checksum mismatch")

@@ -3,12 +3,22 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kmeoc import EstimatedOperators, load, save
+import kmeoc.cli
+import kmeoc.fpk
+from kmeoc import EstimatedOperators, LowRank, load, save
 from kmeoc.cli import main
+from kmeoc.fpk import (
+    embed_initial,
+    export_forecast_csv,
+    export_weights_csv,
+    forecast_observable_path,
+    propagate,
+)
 from kmeoc.systems import load_dataset_csv
 
 
@@ -178,8 +188,13 @@ class TestControl:
     def test_unstable_model_exits_3(self, model_path, tmp_path, capsys):
         ops = load(model_path)
         N = ops.N
+        # Only factored operators are persisted: A = 10 I and B = 0 as
+        # rank-N factor pairs.
+        eye, zero = np.eye(N), np.zeros(N)
         bad = dataclasses.replace(
-            ops, A_hat=10.0 * np.eye(N), B_hat_blocks=[np.zeros((N, N))]
+            ops,
+            A=LowRank(10.0 * eye, eye, zero),
+            B=[LowRank(0.0 * eye, eye, zero)],
         )
         bad_path = tmp_path / "unstable_model.bin"
         save(bad, bad_path)
@@ -222,6 +237,78 @@ class TestPredict:
         # Markov enforcement preserves total mass step to step.
         for v in vals:
             assert v == pytest.approx(vals[0], abs=1e-9)
+
+    def test_dump_weights_propagates_once(
+        self, model_path, tmp_path, monkeypatch
+    ):
+        # Reference files made the earlier way: the forecast path, then a
+        # second propagation pass for the weights.
+        ops = load(model_path)
+        z0 = embed_initial(ops, np.array([[1.0]]))
+        table = np.zeros((ops.n_u, ops.N))
+        psi = np.sum(ops.dataset_ref.X**2, axis=0)
+        steps = 20
+        ref_forecast = tmp_path / "ref_forecast.csv"
+        export_forecast_csv(
+            forecast_observable_path(ops, z0, table, steps, psi),
+            ops.kernel_cfg.dt, ref_forecast,
+        )
+        zs = [z0]
+        for _ in range(steps):
+            zs.append(propagate(ops, zs[-1], table))
+        ref_weights = tmp_path / "ref_weights.csv"
+        export_weights_csv(zs, ref_weights)
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(kmeoc.cli, "propagate", counting)
+        monkeypatch.setattr(kmeoc.fpk, "propagate", counting)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "predict", "--model", str(model_path), "--x0", "1.0",
+                "--steps", str(steps), "--dump-weights", "true",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        assert len(calls) == steps
+        stem = out / "s1_n400_seed3_model"
+        assert (
+            Path(f"{stem}_forecast.csv").read_bytes()
+            == ref_forecast.read_bytes()
+        )
+        assert (
+            Path(f"{stem}_weights.csv").read_bytes() == ref_weights.read_bytes()
+        )
+
+    def test_plain_predict_goes_through_the_forecast_path(
+        self, model_path, tmp_path, monkeypatch
+    ):
+        calls = {"forecast": 0, "propagate": 0}
+
+        def forecast(*args, **kwargs):
+            calls["forecast"] += 1
+            return forecast_observable_path(*args, **kwargs)
+
+        def counting(*args, **kwargs):
+            calls["propagate"] += 1
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(kmeoc.cli, "forecast_observable_path", forecast)
+        monkeypatch.setattr(kmeoc.fpk, "propagate", counting)
+        rc = main(
+            [
+                "predict", "--model", str(model_path), "--x0", "1.0",
+                "--steps", "12", "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        assert calls == {"forecast": 1, "propagate": 12}
 
     def test_learned_policy_needs_solution(self, model_path, tmp_path, capsys):
         rc = main(

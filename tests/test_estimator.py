@@ -12,10 +12,12 @@ from kmeoc import (
     EstimationError,
     InputError,
     KernelConfig,
+    build_grams,
     control_gram,
     departure_from_normality,
     enforce_markov,
     fit_krr,
+    fit_residual,
     gram,
     model_select,
     validation_score,
@@ -32,7 +34,7 @@ class TestFitKrr:
         ds = static_ops.dataset_ref
         K_U = control_gram(gram(ds.X, 1.0), ds.U)
         expected = solve(K_U + static_ops.jitter * np.eye(ds.N), K_U)
-        CL = static_ops.closed_loop(ds.U)
+        CL = static_ops.closed_loop(ds.U).dense()
         # cho_solve and scipy.solve agree only up to the 1e8 condition
         # number of (K_U + 1e-8 I).
         assert np.max(np.abs(CL - expected)) <= 1e-6
@@ -148,7 +150,7 @@ class TestEnforceMarkov:
         ops = fit_krr(base, KernelConfig(sigma=1.0, epsilon=0.0))
         A = np.eye(20)
         B = [np.zeros((20, 20))]
-        exact = dataclasses.replace(ops, A_hat=A, B_hat_blocks=B)
+        exact = dataclasses.replace(ops, A=A, B=B)
         proj = enforce_markov(exact)
         assert np.max(np.abs(proj.A_hat - A)) <= 1e-15
         assert np.max(np.abs(proj.B_hat_blocks[0])) <= 1e-15
@@ -176,6 +178,27 @@ class TestDeparture:
     def test_rejects_non_square(self):
         with pytest.raises(InputError):
             departure_from_normality(np.zeros((3, 4)))
+
+
+class TestFactoredDiagnostics:
+    """The identify diagnostics from the factors against dense algebra."""
+
+    @pytest.fixture(params=["static", "s1"])
+    def ops(self, request, static_ops, s1_fit):
+        return static_ops if request.param == "static" else s1_fit[0]
+
+    def test_departure_matches_dense_eigvals(self, ops):
+        dense = departure_from_normality(np.array(ops.A_hat))
+        assert departure_from_normality(ops.A) == pytest.approx(
+            dense, abs=1e-8
+        )
+
+    def test_fit_residual_matches_dense_product(self, ops):
+        ds, cfg = ops.dataset_ref, ops.kernel_cfg
+        target = cross_gram_diffused(ds.X, ds.Y, cfg)
+        dense = np.linalg.norm(ops.gram_matvec(ops.A_hat) - target, "fro")
+        got = fit_residual(ops, build_grams(ds.X, ds.U, ds.Y, cfg))
+        assert got == pytest.approx(dense, abs=1e-8)
 
 
 class TestValidationScore:

@@ -102,7 +102,8 @@ class TestPropagate:
         rng = np.random.default_rng(0)
         z = MeasureWeights(z=rng.normal(size=static_ops.N))
         out = propagate(static_ops, z, np.zeros((1, static_ops.N)))
-        np.testing.assert_array_equal(out.z, static_ops.A_hat @ z.z)
+        np.testing.assert_array_equal(out.z, static_ops.A @ z.z)
+        np.testing.assert_allclose(out.z, static_ops.A_hat @ z.z, atol=1e-12)
         assert out.step == 1
 
     def test_linear_in_weights(self, static_ops):

@@ -1,5 +1,7 @@
 """Kernel primitives: config validation, Gram structure, diffused modes."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,9 @@ from kmeoc import (
     gram,
     rbf_eval,
 )
+from kmeoc.bench import bench_config
+from kmeoc.kernel import CHOLESKY_TOL
+from kmeoc.systems import generate_dataset, make_system
 
 finite_floats = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
@@ -180,9 +185,34 @@ class TestBuildGrams:
         bundle = build_grams(X, U, Y, cfg)
         assert bundle.N == 12
         assert bundle.K_X.shape == bundle.K_U.shape == (12, 12)
+        r = bundle.L_X.shape[1]
+        assert bundle.L_Y.shape == (12, r)
         assert bundle.eK_XY.shape == (12, 12)
         assert np.array_equal(bundle.K_U, control_gram(bundle.K_X, U))
-        assert np.array_equal(bundle.eK_XY, cross_gram_diffused(X, Y, cfg))
+        err = np.abs(bundle.eK_XY - cross_gram_diffused(X, Y, cfg)).max()
+        assert err <= bundle.pref * (CHOLESKY_TOL + r * 2.2e-16)
+
+    @pytest.mark.parametrize("name", ["s1", "s2", "s4", "vdp"])
+    def test_factor_bound_on_benchmark_data(self, name):
+        # |pref L_X L_Y^T - eK_XY| <= pref (1e-14 + r eps) entrywise: the
+        # stopping rule bounds the PSD residual's diagonal, the rest is
+        # rounding.  The rank stays far below N.
+        cfg = bench_config(name)
+        ds = generate_dataset(
+            make_system(name), cfg["N"],
+            SimpleNamespace(dt=cfg["dt"], epsilon=0.0),
+            sampler=cfg["sampler"], seed=0,
+        )
+        kcfg = KernelConfig(
+            sigma=cfg["sigma"], epsilon=cfg["epsilon"], dt=cfg["dt"]
+        )
+        bundle = build_grams(ds.X, ds.U, ds.Y, kcfg)
+        r = bundle.L_X.shape[1]
+        assert r <= 60
+        err = np.abs(
+            bundle.eK_XY - cross_gram_diffused(ds.X, ds.Y, kcfg)
+        ).max()
+        assert err <= bundle.pref * (CHOLESKY_TOL + r * 2.2e-16)
 
     def test_sample_count_mismatch_rejected(self):
         cfg = KernelConfig(sigma=1.0)

@@ -85,6 +85,61 @@ class TestRoundTrips:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.policy, b.policy)
 
+    def test_model_factors_and_views_bit_identical(
+        self, tmp_path, static_ops_module
+    ):
+        from kmeoc import enforce_markov
+
+        ops = enforce_markov(static_ops_module)
+        path = tmp_path / "model_v2.bin"
+        save(ops, path)
+        back = load(path)
+        for a, b in zip([ops.A, *ops.B], [back.A, *back.B]):
+            for name in ("left", "right", "shift"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        # The B block keeps sharing A's right factor.
+        assert back.B[0].right is back.A.right
+        assert back.A_hat.tobytes() == ops.A_hat.tobytes()
+        assert back.B_hat_blocks[0].tobytes() == ops.B_hat_blocks[0].tobytes()
+
+    def test_version_1_model_is_refused(self, tmp_path, static_ops_module):
+        path = tmp_path / "model_v1.bin"
+        save(static_ops_module, path)
+        blob = bytearray(path.read_bytes())
+        assert struct.unpack("<II", blob[8:16]) == (2, 2)  # version, kind
+        blob[8:12] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(VersionError):
+            load(path)
+
+    def test_s1_model_is_under_one_megabyte(self, tmp_path):
+        from types import SimpleNamespace
+
+        from kmeoc import enforce_markov, fit_krr
+
+        ds = generate_dataset(
+            make_system("s1"), 1000, SimpleNamespace(dt=1e-2, epsilon=0.0),
+            seed=0,
+        )
+        ops = enforce_markov(
+            fit_krr(ds, KernelConfig(sigma=1.2, epsilon=0.02, dt=1e-2))
+        )
+        path = tmp_path / "s1.bin"
+        save(ops, path)
+        assert path.stat().st_size < 1_000_000
+
+    def test_dense_operators_are_not_persisted(
+        self, tmp_path, static_ops_module
+    ):
+        import dataclasses
+
+        N = static_ops_module.N
+        dense = dataclasses.replace(
+            static_ops_module, A=np.eye(N), B=[np.zeros((N, N))]
+        )
+        with pytest.raises(InputError, match="factored"):
+            save(dense, tmp_path / "dense.bin")
+
     def test_loaded_model_has_no_gram_factor(
         self, tmp_path, static_ops_module
     ):
