@@ -71,9 +71,7 @@ from .kernel import (
     control_gram,
     cross_gram_diffused,
     cross_vector,
-    diffused_rbf_eval,
     gram,
-    rbf_eval,
 )
 from .store import load, save
 from .systems import (
@@ -93,9 +91,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # kernel
-    "KernelConfig", "GramBundle", "DIFFUSED_MODES", "rbf_eval",
-    "diffused_rbf_eval", "gram", "control_gram", "cross_gram_diffused",
-    "cross_vector", "build_grams",
+    "KernelConfig", "GramBundle", "DIFFUSED_MODES", "gram", "control_gram",
+    "cross_gram_diffused", "cross_vector", "build_grams",
     # systems
     "Box", "ControlAffineSystem", "Dataset", "euler_maruyama_step",
     "generate_dataset", "save_dataset_csv", "load_dataset_csv",

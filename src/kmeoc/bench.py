@@ -21,7 +21,6 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -50,7 +49,9 @@ __all__ = [
     "BenchReport",
     "BENCH_DEFAULTS",
     "bench_config",
+    "policy_table",
     "rmse_policy",
+    "rmse_table",
     "run_benchmark",
     "fit_and_solve",
     "test_grid",
@@ -71,7 +72,6 @@ _SHARED_DEFAULTS = dict(
     markov_enforce=True,
     diffused_mode="plus_2eps_dt",
     b_block_orientation="row",
-    threads=1,
 )
 
 #: Per-system benchmark settings reproducing the reference experiments.
@@ -128,25 +128,42 @@ def bench_config(name: str, overrides: Optional[dict] = None) -> dict:
     return cfg
 
 
+def policy_table(policy: Callable, points: np.ndarray) -> np.ndarray:
+    """A feedback law evaluated at each column of ``points`` (n_u x M)."""
+    return np.stack(
+        [
+            np.asarray(policy(points[:, j]), dtype=float).ravel()
+            for j in range(points.shape[1])
+        ],
+        axis=1,
+    )
+
+
+def rmse_table(estimated: np.ndarray, truth: np.ndarray) -> float:
+    """Root mean squared Euclidean discrepancy of two n_u x M policy tables."""
+    est = np.asarray(estimated, dtype=float)
+    ref = np.asarray(truth, dtype=float)
+    if est.shape != ref.shape or est.ndim != 2 or est.shape[1] < 1:
+        raise InputError(
+            f"need two equal n_u x M tables with M >= 1, got {est.shape} "
+            f"and {ref.shape}"
+        )
+    diff = est - ref
+    return math.sqrt(float(np.mean(np.sum(diff**2, axis=0))))
+
+
 def rmse_policy(
     estimated: Callable,
     truth: Callable,
     test_points: np.ndarray,
 ) -> float:
-    """Root mean squared Euclidean policy discrepancy over test points."""
+    """:func:`rmse_table` of two feedback laws tabulated on the test points."""
     pts = np.asarray(test_points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-    M = pts.shape[1]
-    if M < 1:
+    if pts.shape[1] < 1:
         raise InputError("need at least one test point")
-    total = 0.0
-    for j in range(M):
-        d = np.asarray(estimated(pts[:, j]), dtype=float) - np.asarray(
-            truth(pts[:, j]), dtype=float
-        )
-        total += float(np.sum(d.ravel() ** 2))
-    return math.sqrt(total / M)
+    return rmse_table(policy_table(estimated, pts), policy_table(truth, pts))
 
 
 def test_grid(system: ControlAffineSystem) -> np.ndarray:
@@ -234,41 +251,18 @@ def run_benchmark(
         raise InputError(f"reps must be >= 1, got {reps}")
     system = make_system(name)
     pts = test_grid(system)
-    truth_table = np.stack(
-        [
-            np.asarray(system.ground_truth_policy(pts[:, j]), dtype=float).ravel()
-            for j in range(pts.shape[1])
-        ],
-        axis=1,
-    )
+    truth_table = policy_table(system.ground_truth_policy, pts)
 
     t0 = time.perf_counter()
-
-    def _one(rep: int) -> float:
-        ops, sol = fit_and_solve(system, cfg, _rep_seed(seed, rep))
-        est_table = policy_interpolate(pts, sol, ops)
-        diff = est_table - truth_table
-        return math.sqrt(float(np.mean(np.sum(diff**2, axis=0))))
-
     per_rep: List[float] = [math.nan] * reps
     flagged: List[int] = []
-    if cfg["threads"] > 1:
-        with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-            futs = {pool.submit(_one, r): r for r in range(reps)}
-            for fut, r in futs.items():
-                try:
-                    per_rep[r] = fut.result()
-                except DivergenceError as exc:
-                    flagged.append(r)
-                    log.warning("rep %d diverged: %s", r, exc)
-    else:
-        for r in range(reps):
-            try:
-                per_rep[r] = _one(r)
-            except DivergenceError as exc:
-                flagged.append(r)
-                log.warning("rep %d diverged: %s", r, exc)
-    flagged.sort()
+    for r in range(reps):
+        try:
+            ops, sol = fit_and_solve(system, cfg, _rep_seed(seed, r))
+            per_rep[r] = rmse_table(policy_interpolate(pts, sol, ops), truth_table)
+        except DivergenceError as exc:
+            flagged.append(r)
+            log.warning("rep %d diverged: %s", r, exc)
     ok = [v for v in per_rep if not math.isnan(v)]
     wall = time.perf_counter() - t0
 

@@ -50,6 +50,7 @@ from .fpk import (
 )
 from .hjb import (
     ControlPenalty,
+    ValueSolution,
     export_value_policy_csv,
     khjb_recursion,
     policy_interpolate,
@@ -105,7 +106,6 @@ _KEYS: Dict[str, tuple] = {
     "solution": (_identity, "path to a value-solution artifact"),
     "out": (_identity, "output directory (default: current directory)"),
     "seed": (int, "master RNG seed (default 0)"),
-    "threads": (int, "worker threads for repeated fits (default 1)"),
     "n": (int, "number of training samples"),
     "sampler": (_identity, "initial-state sampler: uniform_iid | grid"),
     "substeps": (int, "integrator substeps per transition (default 10)"),
@@ -170,13 +170,13 @@ _COMMAND_KEYS: Dict[str, tuple] = {
     "bench": (
         "system", "reps", "seed", "out", "n", "sigma", "dt", "horizon",
         "gamma", "epsilon", "data_epsilon", "substeps", "stop_tol",
-        "markov_enforce", "sampler", "threads", "diffused_mode",
+        "markov_enforce", "sampler", "diffused_mode",
         "b_block_orientation",
     ),
     "sweep": (
         "system", "n_grid", "reps", "seed", "out", "sigma", "dt", "horizon",
         "gamma", "epsilon", "data_epsilon", "substeps", "stop_tol",
-        "markov_enforce", "sampler", "threads", "diffused_mode",
+        "markov_enforce", "sampler", "diffused_mode",
         "b_block_orientation",
     ),
 }
@@ -184,7 +184,6 @@ _COMMAND_KEYS: Dict[str, tuple] = {
 _DEFAULTS: Dict[str, object] = {
     "out": ".",
     "seed": 0,
-    "threads": 1,
     "sampler": "uniform_iid",
     "substeps": 10,
     "epsilon": 0.02,
@@ -507,9 +506,10 @@ def cmd_predict(settings: _Settings) -> int:
         if not sol_path:
             raise ConfigError("predict: policy=learned needs --solution")
         sol = store.load(sol_path)
-        if not hasattr(sol, "stationary_policy"):
+        if not isinstance(sol, ValueSolution):
             raise ConfigError(
-                f"{sol_path!r} is not a value-solution artifact"
+                f"{sol_path!r} is a {type(sol).__name__} artifact, "
+                "not a value-solution"
             )
         table = sol.stationary_policy()
         if table.shape[1] != ops.N:
@@ -569,7 +569,6 @@ def _bench_overrides(settings: _Settings) -> dict:
         "stop_tol": "stop_tol",
         "markov_enforce": "markov_enforce",
         "sampler": "sampler",
-        "threads": "threads",
         "diffused_mode": "diffused_mode",
         "b_block_orientation": "b_block_orientation",
     }

@@ -541,8 +541,8 @@ def model_select(
             departure_from_normality(ops.A),
         )
 
-    # One sigma after another: each fit already keeps the BLAS threads
-    # busy, so a pool on top only makes them compete.
+    # One sigma after another: each fit already keeps every core busy
+    # through BLAS, so a pool on top only makes them compete.
     results = []
     for sig in sigmas:
         try:

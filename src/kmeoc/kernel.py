@@ -7,10 +7,10 @@ column.  The kernel is
     k(x, y) = exp(-||x - y||^2 / sigma^2),
 
 note the plain ``sigma**2`` denominator (no factor of 2).  The diffused
-variant ``diffused_rbf_eval`` additionally smooths one argument by the
-Gaussian increment of an Euler-Maruyama step, which shows up as an
-enlarged denominator and a normalizing prefactor; two conventions for
-the enlargement are supported, see :class:`KernelConfig`.
+variant (:func:`cross_gram_diffused`) additionally smooths one argument
+by the Gaussian increment of an Euler-Maruyama step, which shows up as
+an enlarged denominator and a normalizing prefactor; two conventions
+for the enlargement are supported, see :class:`KernelConfig`.
 
 The diffused cross-Gram of a fit is never formed: :func:`build_grams`
 returns it as ``pref * L_X @ L_Y.T``, thin factors from a pivoted
@@ -30,8 +30,6 @@ __all__ = [
     "DIFFUSED_MODES",
     "KernelConfig",
     "GramBundle",
-    "rbf_eval",
-    "diffused_rbf_eval",
     "gram",
     "control_gram",
     "cross_gram_diffused",
@@ -137,37 +135,6 @@ def _as_states(X, name: str) -> np.ndarray:
     return A
 
 
-def rbf_eval(x, y, sigma: float) -> float:
-    """Evaluate exp(-||x-y||^2 / sigma^2) for a single pair of states."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise InputError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if not sigma > 0:
-        raise InputError(f"sigma must be > 0, got {sigma}")
-    d2 = float(np.sum((x - y) ** 2))
-    return float(np.exp(-d2 / sigma**2))
-
-
-def diffused_rbf_eval(x, y, cfg: KernelConfig, n_x: int) -> float:
-    """Evaluate the diffused kernel for a single pair of states.
-
-    The value is ``(sigma^2/den)^(n_x/2) * exp(-||x-y||^2/den)`` with
-    ``den`` given by ``cfg.diffused_denominator``.  At ``epsilon == 0``
-    this is bit-for-bit equal to :func:`rbf_eval` in both modes.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise InputError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if x.shape[0] != n_x:
-        raise InputError(f"state dimension {x.shape[0]} != n_x = {n_x}")
-    den = cfg.diffused_denominator
-    pref = (cfg.sigma**2 / den) ** (n_x / 2.0)
-    d2 = float(np.sum((x - y) ** 2))
-    return float(pref * np.exp(-d2 / den))
-
-
 def gram(X, sigma: float) -> np.ndarray:
     """Pairwise RBF Gram matrix of the columns of ``X``.
 
@@ -202,7 +169,9 @@ def cross_gram_diffused(X, Y, cfg: KernelConfig) -> np.ndarray:
     """Cross-covariance matrix of the diffused kernel.
 
     Entry (i, j) is the diffused kernel between training input x^(i)
-    (row index) and successor state y^(j) (column index).
+    (row index) and successor state y^(j) (column index):
+    ``(sigma^2/den)^(n_x/2) * exp(-||x - y||^2/den)`` with ``den`` given
+    by ``cfg.diffused_denominator``.
     """
     X = _as_states(X, "X")
     Y = _as_states(Y, "Y")

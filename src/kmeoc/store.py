@@ -1,21 +1,21 @@
-"""Persistence of datasets, models, value solutions, and reports.
+"""Persistence of fitted models and value solutions.
 
-Every artifact shares one framing: a 16-byte header (8-byte magic tag,
-little-endian u32 version, little-endian u32 kind), an 8-byte BLAKE2b
-checksum of the payload, then the payload itself.  The version is kept
-per kind (:data:`VERSIONS`); a model is stored as the thin factors of
-its operators, each distinct factor array once.  Numeric payloads are
-little-endian float64 streams in row-major order, so files transfer
-between machines unchanged; reports are UTF-8 JSON.  Writes go to a
-temporary file in the destination directory and are renamed into place,
-so readers never observe a half-written artifact.
+These are the two binary artifact kinds; datasets are CSV files
+(:func:`kmeoc.systems.save_dataset_csv`) and bench reports are JSON or
+CSV (:mod:`kmeoc.bench`).  Both kinds share one framing: a 16-byte
+header (8-byte magic tag, little-endian u32 version, little-endian u32
+kind), an 8-byte BLAKE2b checksum of the payload, then the payload
+itself.  The version is kept per kind (:data:`VERSIONS`); a model is
+stored as the thin factors of its operators, each distinct factor array
+once.  Payloads are little-endian float64 streams in row-major order,
+so files transfer between machines unchanged.  Writes go to a temporary
+file in the destination directory and are renamed into place, so
+readers never observe a half-written artifact.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import math
 import os
 import struct
 import tempfile
@@ -23,7 +23,6 @@ from typing import Union
 
 import numpy as np
 
-from .bench import BenchReport
 from .errors import (
     ChecksumError,
     HeaderError,
@@ -41,21 +40,19 @@ __all__ = ["save", "load", "MAGIC", "VERSIONS"]
 
 MAGIC = b"KMEOCART"
 
-_KIND_DATASET = 1
+# Kinds 1 (datasets) and 4 (bench reports) are retired and not reused:
+# a file of either kind is refused as an unknown kind.
 _KIND_MODEL = 2
 _KIND_VALUE_SOLUTION = 3
-_KIND_REPORT = 4
 
 #: Format version per artifact kind.  Models are at 2: they hold
 #: factored operators; version 1 stored dense N x N matrices.
 VERSIONS = {
-    _KIND_DATASET: 1,
     _KIND_MODEL: 2,
     _KIND_VALUE_SOLUTION: 1,
-    _KIND_REPORT: 1,
 }
 
-Persistable = Union[Dataset, EstimatedOperators, ValueSolution, BenchReport]
+Persistable = Union[EstimatedOperators, ValueSolution]
 
 
 def _f64(*vals) -> bytes:
@@ -83,35 +80,6 @@ class _Reader:
 
     def intval(self) -> int:
         return int(round(self.scalar()))
-
-
-def _encode_dataset(ds: Dataset) -> bytes:
-    name = ds.system.encode("utf-8")
-    head = struct.pack(
-        "<QQQddqQ", ds.n_x, ds.n_u, ds.N, ds.dt, ds.epsilon, ds.seed,
-        len(name),
-    )
-    return head + name + _arr(ds.X) + _arr(ds.U) + _arr(ds.Y) + _arr(ds.cost)
-
-
-def _decode_dataset(buf: bytes) -> Dataset:
-    head_size = struct.calcsize("<QQQddqQ")
-    n_x, n_u, N, dt, epsilon, seed, name_len = struct.unpack(
-        "<QQQddqQ", buf[:head_size]
-    )
-    off = head_size
-    name = buf[off : off + name_len].decode("utf-8")
-    off += name_len
-    r = _Reader(buf)
-    r.off = off
-    X = r.floats(n_x * N).reshape(n_x, N)
-    U = r.floats(n_u * N).reshape(n_u, N)
-    Y = r.floats(n_x * N).reshape(n_x, N)
-    cost = r.floats(N)
-    return Dataset(
-        X=X, U=U, Y=Y, cost=cost, dt=dt, epsilon=epsilon, seed=seed,
-        system=name,
-    )
 
 
 def _encode_model(ops: EstimatedOperators) -> bytes:
@@ -256,42 +224,14 @@ def _decode_value_solution(buf: bytes) -> ValueSolution:
     )
 
 
-def _encode_report(report: BenchReport) -> bytes:
-    def safe(v):
-        if isinstance(v, float) and math.isnan(v):
-            return None
-        if isinstance(v, list):
-            return [safe(x) for x in v]
-        return v
-
-    payload = {k: safe(v) for k, v in vars(report).items()}
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
-
-
-def _decode_report(buf: bytes) -> BenchReport:
-    raw = json.loads(buf.decode("utf-8"))
-
-    def unsafe(v):
-        return math.nan if v is None else v
-
-    raw["rmse_mean"] = unsafe(raw["rmse_mean"])
-    raw["rmse_std"] = unsafe(raw["rmse_std"])
-    raw["per_rep_rmse"] = [unsafe(v) for v in raw["per_rep_rmse"]]
-    return BenchReport(**raw)
-
-
 _ENCODERS = {
-    Dataset: (_KIND_DATASET, _encode_dataset),
     EstimatedOperators: (_KIND_MODEL, _encode_model),
     ValueSolution: (_KIND_VALUE_SOLUTION, _encode_value_solution),
-    BenchReport: (_KIND_REPORT, _encode_report),
 }
 
 _DECODERS = {
-    _KIND_DATASET: _decode_dataset,
     _KIND_MODEL: _decode_model,
     _KIND_VALUE_SOLUTION: _decode_value_solution,
-    _KIND_REPORT: _decode_report,
 }
 
 

@@ -1,4 +1,4 @@
-"""Shared fixtures: small fitted models reused across test modules."""
+"""Shared fixtures and oracles: small fitted models, scalar kernels."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,47 @@ from kmeoc import (
     ControlAffineSystem,
     ControlPenalty,
     Dataset,
+    InputError,
     KernelConfig,
     fit_krr,
 )
 from kmeoc.bench import bench_config, fit_and_solve
 from kmeoc.systems import make_system
+
+
+# Scalar kernel oracles: one pair of states at a time, the formulas the
+# vectorized Gram builders of kmeoc.kernel are checked against.
+
+
+def rbf_eval(x, y, sigma: float) -> float:
+    """Evaluate exp(-||x-y||^2 / sigma^2) for a single pair of states."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if x.shape != y.shape:
+        raise InputError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    if not sigma > 0:
+        raise InputError(f"sigma must be > 0, got {sigma}")
+    d2 = float(np.sum((x - y) ** 2))
+    return float(np.exp(-d2 / sigma**2))
+
+
+def diffused_rbf_eval(x, y, cfg: KernelConfig, n_x: int) -> float:
+    """Evaluate the diffused kernel for a single pair of states.
+
+    The value is ``(sigma^2/den)^(n_x/2) * exp(-||x-y||^2/den)`` with
+    ``den`` given by ``cfg.diffused_denominator``.  At ``epsilon == 0``
+    this is bit-for-bit equal to :func:`rbf_eval` in both modes.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if x.shape != y.shape:
+        raise InputError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    if x.shape[0] != n_x:
+        raise InputError(f"state dimension {x.shape[0]} != n_x = {n_x}")
+    den = cfg.diffused_denominator
+    pref = (cfg.sigma**2 / den) ** (n_x / 2.0)
+    d2 = float(np.sum((x - y) ** 2))
+    return float(pref * np.exp(-d2 / den))
 
 
 def make_static_dataset(N=60, n_x=1, n_u=1, seed=0):
@@ -70,4 +106,9 @@ def tmp_out(tmp_path):
     return str(tmp_path)
 
 
-__all__ = ["make_static_dataset", "make_static_system"]
+__all__ = [
+    "diffused_rbf_eval",
+    "make_static_dataset",
+    "make_static_system",
+    "rbf_eval",
+]

@@ -18,7 +18,9 @@ from kmeoc.bench import (
     closed_loop_rollout,
     convergence_sweep,
     fit_and_solve,
+    policy_table,
     riccati_reference,
+    rmse_table,
     run_benchmark,
 )
 from kmeoc.bench import test_grid as policy_test_grid
@@ -31,8 +33,10 @@ from kmeoc.fpk import (
     propagate,
 )
 from kmeoc.hjb import fenchel_conjugate, policy_interpolate
-from kmeoc.kernel import control_gram, diffused_rbf_eval, gram, rbf_eval
+from kmeoc.kernel import control_gram, gram
 from kmeoc.systems import make_system
+
+from conftest import diffused_rbf_eval, rbf_eval
 
 
 def _line(tag: str, detail: str, ok: bool) -> None:
@@ -41,16 +45,10 @@ def _line(tag: str, detail: str, ok: bool) -> None:
 
 def _policy_rmse(system, ops, sol) -> float:
     pts = policy_test_grid(system)
-    truth = np.stack(
-        [
-            np.asarray(system.ground_truth_policy(pts[:, j]), dtype=float).ravel()
-            for j in range(pts.shape[1])
-        ],
-        axis=1,
+    return rmse_table(
+        policy_interpolate(pts, sol, ops),
+        policy_table(system.ground_truth_policy, pts),
     )
-    est = policy_interpolate(pts, sol, ops)
-    diff = est - truth
-    return math.sqrt(float(np.mean(np.sum(diff**2, axis=0))))
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,13 @@ from kmeoc import (
     run_benchmark,
 )
 from kmeoc import test_grid as policy_test_grid
-from kmeoc.bench import BENCH_DEFAULTS, bench_config, save_report_csv, save_report_json
+from kmeoc.bench import (
+    BENCH_DEFAULTS,
+    bench_config,
+    rmse_table,
+    save_report_csv,
+    save_report_json,
+)
 from kmeoc.systems import make_system
 
 from conftest import make_static_system
@@ -49,6 +55,11 @@ class TestRmsePolicy:
         f = lambda x: x  # noqa: E731
         with pytest.raises(InputError):
             rmse_policy(f, f, np.zeros((1, 0)))
+
+    def test_tables_of_different_shape_rejected(self):
+        # (1, M) against (M,) would broadcast to an M x M difference.
+        with pytest.raises(InputError, match="equal"):
+            rmse_table(np.zeros((1, 4)), np.zeros(4))
 
 
 class TestTestGrid:

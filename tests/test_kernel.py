@@ -16,13 +16,13 @@ from kmeoc import (
     control_gram,
     cross_gram_diffused,
     cross_vector,
-    diffused_rbf_eval,
     gram,
-    rbf_eval,
 )
 from kmeoc.bench import bench_config
 from kmeoc.kernel import CHOLESKY_TOL
 from kmeoc.systems import generate_dataset, make_system
+
+from conftest import diffused_rbf_eval, rbf_eval
 
 finite_floats = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 

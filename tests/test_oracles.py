@@ -15,18 +15,16 @@ from kmeoc import (
     ControlPenalty,
     KernelConfig,
     control_gram,
-    diffused_rbf_eval,
     euler_maruyama_step,
     fenchel_conjugate,
     gram,
-    rbf_eval,
     riccati_reference,
     rmse_policy,
 )
 from kmeoc.estimator import departure_from_normality
 from kmeoc.systems import make_system
 
-from conftest import make_static_system
+from conftest import diffused_rbf_eval, make_static_system, rbf_eval
 
 
 # ---------------------------------------------------------------- Fenchel

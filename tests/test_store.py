@@ -1,13 +1,13 @@
 """Binary artifact persistence: framing, checksums, round trips."""
 
 import hashlib
-import math
 import struct
 
 import numpy as np
 import pytest
 
 from kmeoc import (
+    BenchReport,
     ChecksumError,
     ControlPenalty,
     HeaderError,
@@ -17,20 +17,12 @@ from kmeoc import (
     VersionError,
     khjb_recursion,
     load,
-    run_benchmark,
     save,
 )
 from kmeoc.store import MAGIC
 from kmeoc.systems import generate_dataset, make_system
 
 from conftest import make_static_dataset
-
-
-@pytest.fixture(scope="module")
-def dataset():
-    return generate_dataset(
-        make_system("s3"), 24, KernelConfig(sigma=1.0, epsilon=0.01), seed=5
-    )
 
 
 @pytest.fixture(scope="module")
@@ -49,19 +41,6 @@ def static_ops_module():
 
 
 class TestRoundTrips:
-    def test_dataset_bit_identical(self, tmp_path, dataset):
-        path = tmp_path / "ds.bin"
-        save(dataset, path)
-        back = load(path)
-        assert np.array_equal(back.X, dataset.X)
-        assert np.array_equal(back.U, dataset.U)
-        assert np.array_equal(back.Y, dataset.Y)
-        assert np.array_equal(back.cost, dataset.cost)
-        assert back.dt == dataset.dt
-        assert back.epsilon == dataset.epsilon
-        assert back.seed == dataset.seed
-        assert back.system == "s3"
-
     def test_model_round_trip_reproduces_recursion(
         self, tmp_path, static_ops_module
     ):
@@ -173,27 +152,11 @@ class TestRoundTrips:
         save(sol, path)
         assert load(path).converged_at is None
 
-    def test_report_round_trip_with_nan(self, tmp_path):
-        rep = run_benchmark(
-            "s1",
-            reps=2,
-            overrides={"N": 300, "H": 500, "data_epsilon": 0.5},
-            seed=0,
-        )
-        assert rep.flagged_reps  # precondition: some rep diverged
-        path = tmp_path / "rep.bin"
-        save(rep, path)
-        back = load(path)
-        assert back.system == rep.system
-        assert back.flagged_reps == rep.flagged_reps
-        for a, b in zip(back.per_rep_rmse, rep.per_rep_rmse):
-            assert (math.isnan(a) and math.isnan(b)) or a == b
-
-    def test_atomic_overwrite(self, tmp_path, dataset):
+    def test_atomic_overwrite(self, tmp_path, solution):
         path = tmp_path / "same.bin"
-        save(dataset, path)
-        save(dataset, path)  # second write replaces, not appends
-        assert load(path).N == dataset.N
+        save(solution, path)
+        save(solution, path)  # second write replaces, not appends
+        assert np.array_equal(load(path).values, solution.values)
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 
@@ -202,6 +165,37 @@ class TestValidation:
     def test_unsupported_type(self, tmp_path):
         with pytest.raises(InputError):
             save({"not": "an artifact"}, tmp_path / "x.bin")
+
+    def test_dataset_is_not_persisted(self, tmp_path):
+        # Datasets persist as CSV only (systems.save_dataset_csv).
+        path = tmp_path / "ds.bin"
+        with pytest.raises(InputError, match="cannot persist"):
+            save(make_static_dataset(N=5), path)
+        assert not path.exists()
+
+    def test_bench_report_is_not_persisted(self, tmp_path):
+        # Reports persist as JSON or CSV only (bench.save_report_json/csv).
+        report = BenchReport(
+            system="s1", reps=1, rmse_mean=0.1, rmse_std=0.0,
+            per_rep_rmse=[0.1], sigma=1.2, N=5, H=3, dt=1e-2,
+            wall_time_s=0.0, seed=0,
+        )
+        path = tmp_path / "report.bin"
+        with pytest.raises(InputError, match="cannot persist"):
+            save(report, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind", [1, 4])
+    def test_retired_kind_header_is_refused(self, tmp_path, kind):
+        # A well-framed file of the retired dataset (1) or report (4) kind.
+        payload = struct.pack("<d", 0.0) * 4
+        checksum = hashlib.blake2b(payload, digest_size=8).digest()
+        path = tmp_path / "retired.bin"
+        path.write_bytes(
+            MAGIC + struct.pack("<II", 1, kind) + checksum + payload
+        )
+        with pytest.raises(HeaderError, match="unknown artifact kind"):
+            load(path)
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "short.bin"
@@ -215,27 +209,28 @@ class TestValidation:
         with pytest.raises(HeaderError):
             load(path)
 
-    def test_unknown_kind(self, tmp_path, dataset):
+    def test_unknown_kind(self, tmp_path, solution):
         path = tmp_path / "kind.bin"
-        save(dataset, path)
+        save(solution, path)
         blob = bytearray(path.read_bytes())
         blob[12:16] = struct.pack("<I", 99)
         path.write_bytes(bytes(blob))
         with pytest.raises(HeaderError, match="kind"):
             load(path)
 
-    def test_bad_version(self, tmp_path, dataset):
+    def test_bad_version(self, tmp_path, solution):
         path = tmp_path / "ver.bin"
-        save(dataset, path)
+        save(solution, path)
         blob = bytearray(path.read_bytes())
+        assert struct.unpack("<II", blob[8:16]) == (1, 3)  # version, kind
         blob[8:12] = struct.pack("<I", 2)
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionError):
             load(path)
 
-    def test_corrupt_payload_byte(self, tmp_path, dataset):
+    def test_corrupt_payload_byte(self, tmp_path, solution):
         path = tmp_path / "corrupt.bin"
-        save(dataset, path)
+        save(solution, path)
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -265,14 +260,15 @@ class TestValidation:
             load(path)
 
     def test_garbage_payload_is_invariant_error(self, tmp_path):
-        # Well-framed file whose payload is too short for its own
-        # declared shape: decoding must fail as a structural problem.
+        # Well-framed value-solution file whose payload is too short for
+        # its own declared shape: decoding must fail as a structural
+        # problem.
         payload = struct.pack("<d", 1e6) * 4
         checksum = hashlib.blake2b(payload, digest_size=8).digest()
-        blob = MAGIC + struct.pack("<II", 1, 1) + checksum + payload
+        blob = MAGIC + struct.pack("<II", 1, 3) + checksum + payload
         path = tmp_path / "garbage.bin"
         path.write_bytes(blob)
-        with pytest.raises((InvariantError, HeaderError)):
+        with pytest.raises(InvariantError, match="malformed"):
             load(path)
 
     def test_missing_file_is_storage_error(self, tmp_path):
@@ -281,8 +277,8 @@ class TestValidation:
         with pytest.raises(StorageError):
             load(tmp_path / "absent.bin")
 
-    def test_unwritable_destination_is_storage_error(self, dataset):
+    def test_unwritable_destination_is_storage_error(self, solution):
         from kmeoc import StorageError
 
         with pytest.raises(StorageError):
-            save(dataset, "/proc/definitely/not/writable/x.bin")
+            save(solution, "/proc/definitely/not/writable/x.bin")
