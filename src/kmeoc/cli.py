@@ -16,11 +16,17 @@ never silently ignored.
 Exit codes: 0 success, 2 configuration error (bad flags, unknown
 system, missing required setting), 3 runtime error (failed fit,
 diverging recursion, unreadable artifact).
+
+``--log-level`` (every command; default ``warning``) sends the
+package's log records at that level and above to standard error;
+``debug`` shows, for example, which path the backward recursion took
+and the step at which its policy became stationary.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -67,6 +73,26 @@ from .systems import (
 __all__ = ["main"]
 
 log = logging.getLogger(__name__)
+
+_LOG_LEVELS = ("debug", "info", "warning", "error")
+
+
+@contextlib.contextmanager
+def _log_to_stderr(level: str):
+    """Show the package's log records at ``level`` and up on stderr."""
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(
+        logging.Formatter("%(levelname)s %(name)s: %(message)s")
+    )
+    package_log = logging.getLogger("kmeoc")
+    saved = package_log.level
+    package_log.addHandler(handler)
+    package_log.setLevel(level.upper())
+    try:
+        yield
+    finally:
+        package_log.removeHandler(handler)
+        package_log.setLevel(saved)
 
 
 def _parse_bool(text: str) -> bool:
@@ -289,6 +315,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "--config",
             metavar="FILE",
             help="flat key=value settings file (flags take precedence)",
+        )
+        p.add_argument(
+            "--log-level",
+            choices=_LOG_LEVELS,
+            default="warning",
+            help="log records shown on stderr (default warning)",
         )
         for key in keys:
             parse, help_text = _KEYS[key]
@@ -663,18 +695,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        settings = _Settings(args, args.command)
-        return _COMMANDS[args.command](settings)
-    except (ConfigError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KmeocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    with _log_to_stderr(args.log_level):
+        try:
+            settings = _Settings(args, args.command)
+            return _COMMANDS[args.command](settings)
+        except (ConfigError, InputError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except KmeocError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

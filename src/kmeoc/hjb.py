@@ -14,9 +14,23 @@ matching training point and time step.  For diagonal quadratic
 penalties with an optional box the minimizer has a closed form: clip
 ``-lam_m / (2 R_m dt)`` to the box.  One vectorized code path computes
 both the conjugate values and the minimizers, so the recorded policy
-and the conjugate's argmin can never drift apart.  The transposed
-products come from ``EstimatedOperators.apply_T``, O(N r) per operator
-for factored operators.
+and the conjugate's argmin can never drift apart.
+
+:func:`khjb_recursion` takes one of two paths:
+
+* **coordinates** -- for factored operators under an unboxed penalty.
+  The value vector enters a step only through the D = sum_j (r_j + 1)
+  numbers y = P_bar^T v, which obey a closed quadratic recursion of
+  their own; the sequential loop runs on y at no cost in N, and blocks
+  of steps are then expanded into value and policy rows by GEMMs.
+* **per point** -- every step on all N training points through
+  ``EstimatedOperators.apply_T``: with a clipped box (the conjugate's
+  minimizer is piecewise), for dense operators, and wherever the rank
+  is so high that the coordinate step costs more (see
+  :func:`_use_coordinates`).
+
+Both fill the same tables, apply the same stop rule and raise the same
+error; on the same operators they agree to rounding.
 """
 
 from __future__ import annotations
@@ -46,6 +60,10 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+#: Steps the coordinate path turns into table rows with one set of
+#: GEMMs, and rows per block when building its quadratic maps.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -174,6 +192,214 @@ def fenchel_conjugate(lam, penalty: ControlPenalty, dt: float):
     return float(value[0]), u[:, 0]
 
 
+def _diverged(k: int) -> DivergenceError:
+    return DivergenceError(
+        f"value iterate became non-finite at step k={k}; the "
+        "learned operator spectrum is likely unstable (try "
+        "enforce_markov or a different sigma)",
+        step=k,
+    )
+
+
+def _use_coordinates(ops: "EstimatedOperators", penalty: ControlPenalty):
+    """Whether the recursion runs in rank-r coordinates.
+
+    Only factored operators under an unboxed penalty qualify: with a
+    box the conjugate's minimizer is piecewise and the coordinate
+    recursion does not close.  Then the cheaper step wins, counted in
+    multiply-adds.  Both paths spend N * D a step turning coordinates
+    into value and control rows, D = sum_j (r_j + 1).  The per-point
+    step also forms P_bar^T v, N * D more; the coordinate step instead
+    multiplies a D x F matrix by F = (r_0 + 1) + sum_m T(r_m + 1) + 1
+    pair products, T(s) = s (s + 1) / 2, D * F more.  So coordinates
+    win when F < N.
+    """
+    if penalty.box is not None:
+        return False
+    if any(isinstance(op, np.ndarray) for op in [ops.A, *ops.B]):
+        return False
+    pairs = sum((Bm.rank + 1) * (Bm.rank + 2) // 2 for Bm in ops.B)
+    return ops.A.rank + 1 + pairs + 1 < ops.N
+
+
+def _per_point_recursion(ops, stage, penalty, H, stop_tol, values, policy):
+    """Fill the tables step by step on all N points; return converged_at."""
+    dt = ops.kernel_cfg.dt
+    w = penalty.weights[:, None]
+    v = np.zeros(ops.N)
+    prev_u = None
+    frozen: Optional[np.ndarray] = None
+    converged_at: Optional[int] = None
+    for k in range(H - 1, -1, -1):
+        a, lam = ops.apply_T(v)
+        if frozen is None:
+            d_val, u = _fenchel_batch(lam, penalty, dt)
+        else:
+            u = frozen
+            d_val = np.sum(w * u**2 * dt + lam * u, axis=0)
+        v = a + stage + d_val
+        if not np.all(np.isfinite(v)):
+            raise _diverged(k)
+        policy[k] = u
+        values[k] = v
+        if frozen is None and stop_tol > 0 and prev_u is not None:
+            if np.max(np.abs(u - prev_u)) < stop_tol:
+                converged_at = k
+                frozen = u
+                log.debug(
+                    "policy stationary at step %d (tol %.1e)", k, stop_tol
+                )
+        prev_u = u
+    log.debug("per-point path: %d steps computed", H)
+    return converged_at
+
+
+def _quadratic_map(P_bar: np.ndarray, Z: np.ndarray, scale: float):
+    """Coefficients of ``scale * P_bar^T (Z y)**2`` on the products y_a y_b.
+
+    (Z y)_i^2 = sum_{a <= b} c_ab z_ia z_ib y_a y_b with c_ab = 1 on the
+    diagonal and 2 off it, so column (a, b) of the result, in
+    ``np.triu_indices`` order, is ``scale * c_ab * P_bar^T (z_a * z_b)``.
+    Built over blocks of rows, so no N x (r+1)(r+2)/2 array is formed.
+    """
+    ia, ib = np.triu_indices(Z.shape[1])
+    Q = np.zeros((P_bar.shape[1], ia.size))
+    for i in range(0, Z.shape[0], _BLOCK_ROWS):
+        Zb = Z[i : i + _BLOCK_ROWS]
+        Q += P_bar[i : i + _BLOCK_ROWS].T @ (Zb[:, ia] * Zb[:, ib])
+    Q *= scale * np.where(ia == ib, 1.0, 2.0)
+    return Q
+
+
+def _coordinate_recursion(ops, stage, penalty, H, stop_tol, values, policy):
+    """Fill the tables from the recursion in rank-r coordinates.
+
+    Every operator is O_j = P_j R_j^T + 1 s_j^T, so O_j^T v = Z_j y_j
+    with Z_j = [R_j s_j] and y_j = [P_j 1]^T v.  Stacked, the y_j form
+    y = P_bar^T v with P_bar = [P_0 1 | ... | P_{n_u} 1], and under an
+    unboxed quadratic penalty y obeys the closed recursion
+
+        y_k = L y_{0,k+1} + c + sum_m Q_m vec(y_{m,k+1} y_{m,k+1}^T),
+
+    L = P_bar^T Z_0, c = P_bar^T stage and
+    Q_m = -P_bar^T (Z_m * Z_m) / (4 w_m dt).  Each block of steps is
+    then turned into value and policy rows by GEMMs, and the stop rule
+    and the finite check run on those rows.  Once the rule fires at
+    step k, the steps below it are recomputed from y_k under the frozen
+    policy, whose map is linear.  Returns converged_at.
+    """
+    dt = ops.kernel_cfg.dt
+    w = penalty.weights
+    N = ops.N
+    operators = [ops.A, *ops.B]
+    channels = range(1, len(operators))
+    P_bar = np.hstack(
+        [np.column_stack([op.left, np.ones(N)]) for op in operators]
+    )
+    Z = [np.column_stack([op.right, op.shift]) for op in operators]
+    ends = np.cumsum([Zj.shape[1] for Zj in Z])
+    # y_j = y[part[j]]
+    part = [slice(e - Zj.shape[1], e) for e, Zj in zip(ends, Z)]
+    D = P_bar.shape[1]
+
+    # Each row of ys is [y_k; 1], and every term of a free step is a
+    # product of two of its entries: y_0 times the 1 (L), pairs a <= b
+    # within a y_m (Q_m), and 1 times 1 (c).  So a step is one GEMV,
+    # M @ (ys[k+1][pair_a] * ys[k+1][pair_b]).
+    first = np.arange(part[0].start, part[0].stop)
+    pair_a, pair_b = [first], [np.full(first.size, D)]
+    blocks = [P_bar.T @ Z[0]]
+    for m in channels:
+        ia, ib = np.triu_indices(Z[m].shape[1])
+        pair_a.append(part[m].start + ia)
+        pair_b.append(part[m].start + ib)
+        blocks.append(
+            _quadratic_map(P_bar, Z[m], -1.0 / (4.0 * w[m - 1] * dt))
+        )
+    pair_a = np.concatenate(pair_a + [[D]])
+    pair_b = np.concatenate(pair_b + [[D]])
+    M = np.hstack(blocks + [(P_bar.T @ stage)[:, None]])
+
+    ys = np.empty((H + 1, D + 1))
+    ys[:, D] = 1.0
+    ys[H, :D] = 0.0
+    # Scratch for one block, allocated once: fresh block-sized
+    # temporaries would page-fault on every block.
+    rows_max = min(H, _BLOCK_ROWS)
+    lam_buf = np.empty((rows_max, N))
+    finite_buf = np.empty((rows_max, N), dtype=bool)
+    change_buf = np.empty((rows_max, len(channels), N))
+    frozen: Optional[np.ndarray] = None
+    converged_at: Optional[int] = None
+    computed = 0
+    k_hi = H - 1
+    while k_hi >= 0:
+        k_lo = max(k_hi - _BLOCK_ROWS + 1, 0)
+        if frozen is None:
+            for k in range(k_hi, k_lo - 1, -1):
+                y = ys[k + 1]
+                np.dot(M, y.take(pair_a) * y.take(pair_b), out=ys[k, :D])
+        else:
+            for k in range(k_hi, k_lo - 1, -1):
+                np.dot(M_frozen, ys[k + 1], out=ys[k, :D])
+        computed += k_hi - k_lo + 1
+
+        # Rows k_lo..k_hi of the tables, from y_{k+1}.  Unboxed, the
+        # conjugate w u^2 dt + lam u at the minimizer u is lam u / 2.
+        Y = ys[k_lo + 1 : k_hi + 2]
+        n = len(Y)
+        V = values[k_lo : k_hi + 1]
+        np.matmul(Y[:, part[0]], Z[0].T, out=V)
+        V += stage
+        for m in channels:
+            lam = np.matmul(Y[:, part[m]], Z[m].T, out=lam_buf[:n])
+            u = policy[k_lo : k_hi + 1, m - 1]
+            if frozen is None:
+                np.divide(lam, -2.0 * w[m - 1] * dt, out=u)
+                lam *= u
+                lam *= 0.5
+            else:
+                u[...] = frozen[m - 1]
+                lam *= frozen[m - 1]
+                lam += w[m - 1] * frozen[m - 1] ** 2 * dt
+            V += lam
+
+        finite = np.isfinite(V, out=finite_buf[:n]).all(axis=1)
+        bad = np.flatnonzero(~finite)
+        k_bad = k_lo + int(bad[-1]) if bad.size else -1
+        k_stop = -1
+        if frozen is None and stop_tol > 0:
+            rows = policy[k_lo : min(k_hi + 2, H)]
+            change = np.subtract(
+                rows[:-1], rows[1:], out=change_buf[: len(rows) - 1]
+            )
+            np.abs(change, out=change)
+            still = np.flatnonzero(change.max(axis=(1, 2)) < stop_tol)
+            k_stop = k_lo + int(still[-1]) if still.size else -1
+        if k_stop > k_bad:
+            converged_at = k_stop
+            frozen = policy[k_stop].copy()
+            log.debug(
+                "policy stationary at step %d (tol %.1e)", k_stop, stop_tol
+            )
+            # Frozen, the step is linear in [y; 1]:
+            # y_k = sum_j P_bar^T (u_j * Z_j) y_{j,k+1} + c' with u_0 = 1
+            # and c' = P_bar^T (stage + sum_m w_m u_m^2 dt).
+            held = [Z[0]] + [frozen[m - 1][:, None] * Z[m] for m in channels]
+            accrued = np.sum(w[:, None] * frozen**2 * dt, axis=0)
+            M_frozen = P_bar.T @ np.column_stack(held + [stage + accrued])
+            k_hi = k_stop - 1
+        elif k_bad >= 0:
+            raise _diverged(k_bad)
+        else:
+            k_hi = k_lo - 1
+    log.debug(
+        "coordinate path: %d steps computed, %d recomputed after the "
+        "stop rule", computed, computed - H,
+    )
+    return converged_at
+
+
 def khjb_recursion(
     ops: "EstimatedOperators",
     cost,
@@ -182,6 +408,21 @@ def khjb_recursion(
     stop_tol: float = 1e-6,
 ) -> ValueSolution:
     """Run the backward value recursion over ``H`` steps.
+
+    Factored operators under an unboxed penalty run the recursion in
+    their rank-r coordinates whenever that step is the cheaper one
+    (:func:`_use_coordinates`): the sequential loop then costs
+    O(D r^2) a step, independent of N, and blocks of steps are
+    expanded into the value and policy tables by GEMMs.  A boxed
+    penalty, dense operators, or a rank too high for N (s4's 45 at
+    N = 400) take the per-point loop, O(N r) a step through
+    ``EstimatedOperators.apply_T``.  Both paths return the same tables
+    up to rounding and fire the stop rule at the same step.  They raise
+    :class:`DivergenceError` at the same step too, unless rounding is
+    amplified in the steps just before a blow-up (s2 data seed 57:
+    k = 4589 in coordinates, 4590 per point).  At debug level the
+    ``kmeoc.hjb`` logger names the path with r, n_u and N, the steps
+    computed and the step at which the policy became stationary.
 
     Parameters
     ----------
@@ -222,9 +463,7 @@ def khjb_recursion(
         raise InputError(f"cost has length {cost.size}, expected N = {N}")
     if H < 1:
         raise InputError(f"H must be >= 1, got {H}")
-    dt = ops.kernel_cfg.dt
     n_u = ops.n_u
-    w = penalty.weights[:, None]
     if penalty.n_u != n_u:
         raise InputError(
             f"penalty has n_u = {penalty.n_u}, operators have n_u = {n_u}"
@@ -233,40 +472,21 @@ def khjb_recursion(
     values = np.empty((H + 1, N))
     policy = np.empty((H, n_u, N))
     values[H] = 0.0
-    v = np.zeros(N)
+    dt = ops.kernel_cfg.dt
     stage = cost * dt
-    prev_u = None
-    frozen: Optional[np.ndarray] = None
-    converged_at: Optional[int] = None
-
-    # Divergence is detected below via the isfinite check and raised as
-    # a typed error; keep numpy's own overflow chatter out of it.
+    coordinates = _use_coordinates(ops, penalty)
+    log.debug(
+        "backward recursion on the %s path: r = %s, n_u = %d, N = %d",
+        "coordinate" if coordinates else "per-point",
+        "dense" if isinstance(ops.A, np.ndarray) else ops.A.rank, n_u, N,
+    )
+    recursion = _coordinate_recursion if coordinates else _per_point_recursion
+    # Divergence is detected via the isfinite checks and raised as a
+    # typed error; keep numpy's own overflow chatter out of it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(H - 1, -1, -1):
-            a, lam = ops.apply_T(v)
-            if frozen is None:
-                d_val, u = _fenchel_batch(lam, penalty, dt)
-            else:
-                u = frozen
-                d_val = np.sum(w * u**2 * dt + lam * u, axis=0)
-            v = a + stage + d_val
-            if not np.all(np.isfinite(v)):
-                raise DivergenceError(
-                    f"value iterate became non-finite at step k={k}; the "
-                    "learned operator spectrum is likely unstable (try "
-                    "enforce_markov or a different sigma)",
-                    step=k,
-                )
-            policy[k] = u
-            values[k] = v
-            if frozen is None and stop_tol > 0 and prev_u is not None:
-                if np.max(np.abs(u - prev_u)) < stop_tol:
-                    converged_at = k
-                    frozen = u
-                    log.debug(
-                        "policy stationary at step %d (tol %.1e)", k, stop_tol
-                    )
-            prev_u = u
+        converged_at = recursion(
+            ops, stage, penalty, H, stop_tol, values, policy
+        )
 
     return ValueSolution(
         values=values,

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InputError
 
@@ -53,6 +52,10 @@ DIFFUSED_MODES = ("plus_2eps_dt", "plus_4eps_dt")
 #: so every entry of the factored cross-Gram is then within
 #: ``pref * CHOLESKY_TOL`` of the exact one (plus rounding).
 CHOLESKY_TOL = 1e-14
+
+#: Rows of a kernel matrix built per block: the block's squared distances
+#: stay in cache while each coordinate is added to them.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -135,18 +138,38 @@ def _as_states(X, name: str) -> np.ndarray:
     return A
 
 
+def _exp_sq_dists(X: np.ndarray, Y: np.ndarray, den: float) -> np.ndarray:
+    """exp(-||x_i - y_j||^2 / den) for the columns of X and Y.
+
+    The squared distance is summed one coordinate at a time, in the
+    order ``scipy.spatial.distance.cdist(..., "sqeuclidean")`` uses, so
+    the result is bit-identical to exponentiating cdist's output; and
+    since (x - y)^2 == (y - x)^2 exactly, a Gram matrix comes out
+    symmetric.
+    """
+    out = np.empty((X.shape[1], Y.shape[1]))
+    for i in range(0, X.shape[1], _BLOCK_ROWS):
+        block = out[i : i + _BLOCK_ROWS]
+        for d in range(X.shape[0]):
+            diff = np.subtract.outer(X[d, i : i + _BLOCK_ROWS], Y[d])
+            if d == 0:
+                np.multiply(diff, diff, out=block)
+            else:
+                block += diff * diff
+        np.divide(block, -den, out=block)
+        np.exp(block, out=block)
+    return out
+
+
 def gram(X, sigma: float) -> np.ndarray:
     """Pairwise RBF Gram matrix of the columns of ``X``.
 
-    Symmetric by construction (distances are computed once and the
-    exponential preserves the symmetry of ``cdist``'s output); the
-    diagonal is exactly 1.
+    Symmetric by construction; the diagonal is exactly 1.
     """
     X = _as_states(X, "X")
     if not sigma > 0:
         raise InputError(f"sigma must be > 0, got {sigma}")
-    D2 = cdist(X.T, X.T, metric="sqeuclidean")
-    K = np.exp(-D2 / sigma**2)
+    K = _exp_sq_dists(X, X, sigma**2)
     np.fill_diagonal(K, 1.0)
     return K
 
@@ -179,8 +202,9 @@ def cross_gram_diffused(X, Y, cfg: KernelConfig) -> np.ndarray:
         raise InputError(f"shape mismatch: X {X.shape} vs Y {Y.shape}")
     den = cfg.diffused_denominator
     pref = (cfg.sigma**2 / den) ** (X.shape[0] / 2.0)
-    D2 = cdist(X.T, Y.T, metric="sqeuclidean")
-    return pref * np.exp(-D2 / den)
+    K = _exp_sq_dists(X, Y, den)
+    K *= pref
+    return K
 
 
 def cross_vector(x, X, sigma: float) -> np.ndarray:

@@ -24,7 +24,7 @@ from kmeoc.bench import (
     run_benchmark,
 )
 from kmeoc.bench import test_grid as policy_test_grid
-from kmeoc.errors import RolloutError
+from kmeoc.errors import DivergenceError, RolloutError
 from kmeoc.estimator import enforce_markov
 from kmeoc.fpk import (
     MeasureWeights,
@@ -181,6 +181,50 @@ class TestVanDerPol:
         )
         assert ok
 
+
+
+class TestSeedRobustness:
+    """The AC-2 and AC-4 settings on data seeds the gates do not draw.
+
+    They land red: on each seed below ``fit_and_solve`` raises
+    ``DivergenceError``.  Once a fix makes one pass, its strict xfail
+    fails, and the marker goes.
+    """
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=DivergenceError,
+        reason=(
+            "seed-fragile identification: at bench settings the backward"
+            " recursion blows up on these data seeds (s2 at k = 3962, 3773,"
+            " 4631, 4589; vdp at k = 1492, 1036).  After the uniform column"
+            " shift rho(A_hat) exceeds 1 on every seed, the converging seed 0"
+            " included (1.026 on s2, 1.052 on vdp), so whether the recursion"
+            " stays finite depends on the data draw; see ROADMAP item 3"
+        ),
+    )
+    @pytest.mark.parametrize(
+        "name, seed, bound",
+        [
+            ("s2", 16, 4e-1),
+            ("s2", 27, 4e-1),
+            ("s2", 30, 4e-1),
+            ("s2", 57, 4e-1),
+            ("vdp", 1, 0.15),
+            ("vdp", 2, 0.15),
+        ],
+    )
+    def test_bench_settings_hold_on_seed(self, name, seed, bound):
+        system = make_system(name)
+        ops, sol = fit_and_solve(system, bench_config(name), data_seed=seed)
+        rmse = _policy_rmse(system, ops, sol)
+        ok = rmse <= bound
+        _line(
+            f"seed {seed} ({name})",
+            f"policy RMSE {rmse:.4e} <= {bound}",
+            ok,
+        )
+        assert ok
 
 class TestOracles:
     def test_ac5_stationary_gain_matches_riccati(self, s1_full_fit):

@@ -137,6 +137,33 @@ class TestIdentify:
         assert "gamma" in capsys.readouterr().err
 
 
+class TestLogLevel:
+    def test_debug_reports_the_recursion(self, model_path, tmp_path, capsys):
+        args = [
+            "control", "--model", str(model_path), "--horizon", "500",
+            "--out", str(tmp_path),
+        ]
+        assert main(args + ["--log-level", "debug"]) == 0
+        err = capsys.readouterr().err
+        assert "DEBUG kmeoc.hjb: backward recursion on the " in err
+        assert "n_u = 1, N = 400" in err
+        assert "policy stationary at step" in err
+        assert "steps computed" in err
+
+    def test_default_level_hides_debug(self, model_path, tmp_path, capsys):
+        args = [
+            "control", "--model", str(model_path), "--horizon", "500",
+            "--out", str(tmp_path),
+        ]
+        assert main(args) == 0
+        assert "DEBUG" not in capsys.readouterr().err
+
+    def test_unknown_level_exits_2(self, model_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["control", "--model", str(model_path), "--log-level", "loud"])
+        assert exc_info.value.code == 2
+
+
 class TestControl:
     def test_policy_table_and_solution(self, work, model_path, capsys):
         rc = main(

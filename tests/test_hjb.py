@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kmeoc import (
+    Box,
+    ControlAffineSystem,
     ControlPenalty,
     DivergenceError,
     InputError,
@@ -23,6 +26,7 @@ from kmeoc import (
     policy_interpolate,
     value_functional,
 )
+from kmeoc import hjb
 from kmeoc.bench import bench_config, fit_and_solve
 from kmeoc.estimator import enforce_markov
 from kmeoc.hjb import _fenchel_batch, export_value_policy_csv
@@ -343,6 +347,166 @@ class TestFactoredMatchesDense:
         )
         assert sol.converged_at == converged_at
         assert np.max(np.abs(sol.policy - policy)) <= 1e-5
+
+
+@functools.lru_cache(maxsize=1)  # the cases sharing a fit are adjacent
+def _bench_ops(name, seed):
+    """Markov-projected operators of ``fit_and_solve`` at bench settings."""
+    cfg = bench_config(name)
+    ds = generate_dataset(
+        make_system(name), cfg["N"],
+        SimpleNamespace(dt=cfg["dt"], epsilon=cfg["data_epsilon"]),
+        substeps=cfg["substeps"], sampler=cfg["sampler"], seed=seed,
+    )
+    kcfg = KernelConfig(
+        sigma=cfg["sigma"], epsilon=cfg["epsilon"], dt=cfg["dt"],
+        gamma=cfg["gamma"],
+    )
+    return enforce_markov(fit_krr(ds, kcfg))
+
+
+def _two_input_system():
+    """x' = x - x^3 + u_1 + u_2 / 2: a bistable state with two channels."""
+    return ControlAffineSystem(
+        name="two-input",
+        n_x=1,
+        n_u=2,
+        drift=lambda x: np.array([x[0] - x[0] ** 3]),
+        input_map=lambda x: np.array([[1.0, 0.5]]),
+        state_cost=lambda x: float(x[0] ** 2),
+        penalty=ControlPenalty(weights=np.array([1.0, 0.5])),
+        domain=Box(np.array([-3.0]), np.array([3.0])),
+        control_box=Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
+    )
+
+
+def _both_paths(monkeypatch, ops, cost, penalty, H, stop_tol):
+    """khjb_recursion forced onto the coordinate, then the per-point path.
+
+    Each result is a ValueSolution or the DivergenceError raised.
+    """
+    out = []
+    for coordinates in (True, False):
+        monkeypatch.setattr(
+            hjb, "_use_coordinates", lambda ops, penalty, c=coordinates: c
+        )
+        try:
+            out.append(khjb_recursion(ops, cost, penalty, H, stop_tol=stop_tol))
+        except DivergenceError as exc:
+            out.append(exc)
+    return out
+
+
+def _assert_paths_agree(coord, point):
+    if isinstance(point, DivergenceError):
+        assert isinstance(coord, DivergenceError)
+        assert coord.step == point.step
+        return
+    assert not isinstance(coord, DivergenceError)
+    assert coord.converged_at == point.converged_at
+    assert np.max(np.abs(coord.policy - point.policy)) <= 1e-9
+    row_scale = np.max(np.abs(point.values), axis=1)
+    row_error = np.max(np.abs(coord.values - point.values), axis=1)
+    assert np.all(row_error <= 1e-9 * row_scale)
+
+
+class TestCoordinatesMatchPerPoint:
+    """The rank-r coordinate recursion against the per-point loop."""
+
+    @pytest.mark.parametrize(
+        "name, seed, overrides, outcome",
+        [
+            pytest.param("s1", 0, {}, "fires", id="s1-fires-at-75"),
+            pytest.param("s1", 0, {"H": 100}, "runs through", id="s1-H-below-block"),
+            pytest.param("s1", 0, {"stop_tol": 0.0}, "runs through", id="s1-stop-tol-0"),
+            pytest.param("s2", 0, {}, "runs through", id="s2-seed0"),
+            pytest.param("s2", 1, {}, "runs through", id="s2-seed1"),
+            pytest.param("s2", 16, {}, "diverges", id="s2-seed16-diverges-at-3962"),
+            pytest.param("s2", 27, {}, "diverges", id="s2-seed27-diverges-at-3773"),
+            pytest.param("s3", 0, {}, "runs through", id="s3-seed0"),
+            pytest.param("vdp", 0, {}, "fires", id="vdp-fires-at-494"),
+            pytest.param("vdp", 1, {}, "diverges", id="vdp-seed1-diverges-at-1492"),
+        ],
+    )
+    def test_bench_operators(self, monkeypatch, name, seed, overrides, outcome):
+        cfg = bench_config(name, overrides)
+        system = make_system(name)
+        ops = _bench_ops(name, seed)
+        assert hjb._use_coordinates(ops, system.penalty)
+        ds = ops.dataset_ref
+        coord, point = _both_paths(
+            monkeypatch, ops, ds.cost / ds.dt, system.penalty, cfg["H"],
+            cfg["stop_tol"],
+        )
+        _assert_paths_agree(coord, point)
+        if outcome == "diverges":
+            assert isinstance(point, DivergenceError)
+        else:
+            assert isinstance(point, ValueSolution)
+            assert (point.converged_at is not None) == (outcome == "fires")
+
+    def test_stop_rule_fires_at_a_block_boundary(self, monkeypatch):
+        # The first row of a block is compared with the last row of the
+        # block above: pick the tolerance that fires exactly there.  The
+        # third block's first row lies past s1's transient, where the
+        # policy change per step only shrinks.
+        ops = _bench_ops("s1", 0)
+        ds = ops.dataset_ref
+        penalty = make_system("s1").penalty
+        H = 2 * hjb._BLOCK_ROWS + 101
+        full = khjb_recursion(ops, ds.cost / ds.dt, penalty, H, stop_tol=0.0)
+        change = np.max(np.abs(np.diff(full.policy, axis=0)), axis=(1, 2))
+        k = H - 1 - 2 * hjb._BLOCK_ROWS
+        assert change[k] < np.min(change[k + 1 :])
+        tol = 0.5 * (change[k] + np.min(change[k + 1 :]))
+        coord, point = _both_paths(
+            monkeypatch, ops, ds.cost / ds.dt, penalty, H, tol
+        )
+        _assert_paths_agree(coord, point)
+        assert point.converged_at == k
+
+    def test_two_channels(self, monkeypatch):
+        system = _two_input_system()
+        ds = generate_dataset(
+            system, 400, SimpleNamespace(dt=1e-2, epsilon=0.0), seed=0
+        )
+        ops = enforce_markov(
+            fit_krr(ds, KernelConfig(sigma=1.2, epsilon=0.02, dt=1e-2))
+        )
+        coord, point = _both_paths(
+            monkeypatch, ops, ds.cost / ds.dt, system.penalty, 500, 1e-6
+        )
+        _assert_paths_agree(coord, point)
+        assert point.converged_at is not None
+
+    def test_debug_log_names_the_path(self, caplog):
+        cfg = bench_config("s1")
+        ops = _bench_ops("s1", 0)
+        ds = ops.dataset_ref
+        with caplog.at_level("DEBUG", logger="kmeoc.hjb"):
+            sol = khjb_recursion(
+                ops, ds.cost / ds.dt, make_system("s1").penalty, cfg["H"],
+                stop_tol=cfg["stop_tol"],
+            )
+        text = caplog.text
+        assert (
+            f"backward recursion on the coordinate path: r = {ops.A.rank}, "
+            f"n_u = 1, N = {ops.N}" in text
+        )
+        assert f"policy stationary at step {sol.converged_at} " in text
+        # Steps below the firing step were first run with a free policy.
+        assert "recomputed after the stop rule" in text
+
+    def test_path_choice(self, static_ops):
+        s2 = make_system("s2").penalty
+        assert hjb._use_coordinates(_bench_ops("s2", 0), s2)
+        # s4's rank 45 at N = 400: 46 * 47 / 2 pair products exceed N.
+        assert not hjb._use_coordinates(_bench_ops("s4", 0), s2)
+        boxed = ControlPenalty(weights=np.array([1.0]), box=(-1.0, 1.0))
+        assert not hjb._use_coordinates(_bench_ops("s2", 0), boxed)
+        N = static_ops.N
+        dense = _ops_with(static_ops, np.eye(N), [np.zeros((N, N))])
+        assert not hjb._use_coordinates(dense, s2)
 
 
 class TestValueFunctional:

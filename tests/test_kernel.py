@@ -1,5 +1,9 @@
 """Kernel primitives: config validation, Gram structure, diffused modes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
+import kmeoc
 from kmeoc import (
     DIFFUSED_MODES,
     InputError,
@@ -89,6 +95,47 @@ class TestGram:
             for j in range(5):
                 expected = 1.0 if i == j else rbf_eval(X[:, i], X[:, j], sigma)
                 assert K[i, j] == pytest.approx(expected, abs=1e-12)
+
+
+class TestSquaredDistances:
+    """The numpy distance sums against scipy's cdist, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["s1", "vdp"])
+    def test_gram_bits_equal_cdist(self, name):
+        cfg = bench_config(name)
+        ds = generate_dataset(
+            make_system(name), cfg["N"],
+            SimpleNamespace(dt=cfg["dt"], epsilon=0.0),
+            sampler=cfg["sampler"], seed=0,
+        )
+        expected = np.exp(
+            -cdist(ds.X.T, ds.X.T, "sqeuclidean") / cfg["sigma"] ** 2
+        )
+        np.fill_diagonal(expected, 1.0)
+        assert np.array_equal(gram(ds.X, cfg["sigma"]), expected)
+        kcfg = KernelConfig(
+            sigma=cfg["sigma"], epsilon=cfg["epsilon"], dt=cfg["dt"]
+        )
+        den = kcfg.diffused_denominator
+        pref = (kcfg.sigma**2 / den) ** (ds.n_x / 2.0)
+        expected = pref * np.exp(
+            -cdist(ds.X.T, ds.Y.T, "sqeuclidean") / den
+        )
+        assert np.array_equal(cross_gram_diffused(ds.X, ds.Y, kcfg), expected)
+
+    def test_cli_import_leaves_scipy_spatial_out(self):
+        # A fresh interpreter: this test module imports scipy.spatial itself.
+        code = (
+            "import sys, kmeoc.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.spatial', 'scipy.special'))))"
+        )
+        src = str(Path(kmeoc.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestRbf:
