@@ -17,10 +17,12 @@ Exit codes: 0 success, 2 configuration error (bad flags, unknown
 system, missing required setting), 3 runtime error (failed fit,
 diverging recursion, unreadable artifact).
 
-``--log-level`` (every command; default ``warning``) sends the
-package's log records at that level and above to standard error;
+``--log-level`` (every command) sends the package's log records at
+that level and above to standard error for the command's duration;
 ``debug`` shows, for example, which path the backward recursion took
-and the step at which its policy became stationary.
+and the step at which its policy became stationary.  Without the flag
+logging stays as the caller configured it, which in a fresh process
+prints warnings and errors only.
 """
 
 from __future__ import annotations
@@ -78,21 +80,32 @@ _LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 @contextlib.contextmanager
-def _log_to_stderr(level: str):
-    """Show the package's log records at ``level`` and up on stderr."""
+def _log_to_stderr(level: Optional[str]):
+    """Show the package's log records at ``level`` and up on stderr.
+
+    With ``level`` None, leave logging as the caller configured it.
+    Otherwise the records go to this handler only, not also up to the
+    root logger's handlers, so none prints twice; the logger's level
+    and propagation are restored afterwards.
+    """
+    if level is None:
+        yield
+        return
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(
         logging.Formatter("%(levelname)s %(name)s: %(message)s")
     )
     package_log = logging.getLogger("kmeoc")
-    saved = package_log.level
+    saved_level, saved_propagate = package_log.level, package_log.propagate
     package_log.addHandler(handler)
     package_log.setLevel(level.upper())
+    package_log.propagate = False
     try:
         yield
     finally:
         package_log.removeHandler(handler)
-        package_log.setLevel(saved)
+        package_log.setLevel(saved_level)
+        package_log.propagate = saved_propagate
 
 
 def _parse_bool(text: str) -> bool:
@@ -319,8 +332,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--log-level",
             choices=_LOG_LEVELS,
-            default="warning",
-            help="log records shown on stderr (default warning)",
+            help=(
+                "log records shown on stderr (default: logging as "
+                "configured; warnings and errors in a fresh process)"
+            ),
         )
         for key in keys:
             parse, help_text = _KEYS[key]

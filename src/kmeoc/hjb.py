@@ -12,9 +12,12 @@ penalty,
 and the minimizer of that inner problem *is* the feedback law at the
 matching training point and time step.  For diagonal quadratic
 penalties with an optional box the minimizer has a closed form: clip
-``-lam_m / (2 R_m dt)`` to the box.  One vectorized code path computes
-both the conjugate values and the minimizers, so the recorded policy
-and the conjugate's argmin can never drift apart.
+``-lam_m / (2 R_m dt)`` to the box.  On the per-point path one
+vectorized function, ``_fenchel_batch``, computes both the conjugate
+values and the minimizers.  The coordinate path instead builds the
+unboxed closed form into its maps (the scale ``-1 / (4 R_m dt)`` and
+the value ``lam u / 2`` at ``u = -lam / (2 R_m dt)``); the tests check
+that both paths give the same tables.
 
 :func:`khjb_recursion` takes one of two paths:
 
@@ -25,8 +28,9 @@ and the conjugate's argmin can never drift apart.
   of steps are then expanded into value and policy rows by GEMMs.
 * **per point** -- every step on all N training points through
   ``EstimatedOperators.apply_T``: with a clipped box (the conjugate's
-  minimizer is piecewise), for dense operators, and wherever the rank
-  is so high that the coordinate step costs more (see
+  minimizer is piecewise), for dense operators, for ranks high enough
+  that a coordinate step costs more than a per-point step, and for
+  horizons too short to repay building the coordinate maps (see
   :func:`_use_coordinates`).
 
 Both fill the same tables, apply the same stop rule and raise the same
@@ -201,25 +205,45 @@ def _diverged(k: int) -> DivergenceError:
     )
 
 
-def _use_coordinates(ops: "EstimatedOperators", penalty: ControlPenalty):
+def _use_coordinates(
+    ops: "EstimatedOperators", penalty: ControlPenalty, H: int
+) -> bool:
     """Whether the recursion runs in rank-r coordinates.
 
     Only factored operators under an unboxed penalty qualify: with a
     box the conjugate's minimizer is piecewise and the coordinate
-    recursion does not close.  Then the cheaper step wins, counted in
-    multiply-adds.  Both paths spend N * D a step turning coordinates
-    into value and control rows, D = sum_j (r_j + 1).  The per-point
-    step also forms P_bar^T v, N * D more; the coordinate step instead
-    multiplies a D x F matrix by F = (r_0 + 1) + sum_m T(r_m + 1) + 1
-    pair products, T(s) = s (s + 1) / 2, D * F more.  So coordinates
-    win when F < N.
+    recursion does not close.  A coordinate step multiplies a D x F map
+    by F = (r_0 + 1) + sum_m T(r_m + 1) + 1 pair products,
+    D = sum_j (r_j + 1) and T(s) = s (s + 1) / 2, where a per-point
+    step forms P_bar^T v, N * D multiply-adds.  Two bounds follow:
+
+    * F < N, so that a coordinate step does no more multiply-adds than
+      a per-point step.  The bound is conservative: the per-point step
+      is mostly call overhead (50-75 us at one BLAS thread), so
+      coordinates measured faster up to F of about 2-3 N (1.7 times at
+      r = 45, N = 400, H = 2000), but the D x F map outgrows the cache
+      beyond that and the coordinate step then loses without bound
+      (10 times slower at r = 120, N = 400), while the per-point step
+      grows only with N * D.
+    * D * F <= H * N: the map is no larger than the policy table the
+      recursion fills, so the coordinate path never more than doubles
+      its memory.  Building the map costs N * D * F multiply-adds,
+      which a short horizon does not repay: at r = 26, N = 1000 the
+      coordinate path took 2.7 ms against 1.2 ms per point at H = 20,
+      broke even near H = 50, and won 2.7 times at H = 500.
+
+    s4 (r = 45, N = 400) fails the first bound; at its benchmark
+    horizon H = 500 the two paths measured within 10 % of each other.
     """
     if penalty.box is not None:
         return False
     if any(isinstance(op, np.ndarray) for op in [ops.A, *ops.B]):
         return False
-    pairs = sum((Bm.rank + 1) * (Bm.rank + 2) // 2 for Bm in ops.B)
-    return ops.A.rank + 1 + pairs + 1 < ops.N
+    D = sum(op.rank + 1 for op in [ops.A, *ops.B])
+    F = ops.A.rank + 1 + sum(
+        (Bm.rank + 1) * (Bm.rank + 2) // 2 for Bm in ops.B
+    ) + 1
+    return F < ops.N and D * F <= H * ops.N
 
 
 def _per_point_recursion(ops, stage, penalty, H, stop_tol, values, policy):
@@ -410,13 +434,14 @@ def khjb_recursion(
     """Run the backward value recursion over ``H`` steps.
 
     Factored operators under an unboxed penalty run the recursion in
-    their rank-r coordinates whenever that step is the cheaper one
+    their rank-r coordinates when the rank is low enough for N and the
+    horizon long enough to repay building the coordinate maps
     (:func:`_use_coordinates`): the sequential loop then costs
     O(D r^2) a step, independent of N, and blocks of steps are
     expanded into the value and policy tables by GEMMs.  A boxed
-    penalty, dense operators, or a rank too high for N (s4's 45 at
-    N = 400) take the per-point loop, O(N r) a step through
-    ``EstimatedOperators.apply_T``.  Both paths return the same tables
+    penalty, dense operators, a rank too high for N (s4's 45 at
+    N = 400) or a short horizon take the per-point loop, O(N r) a step
+    through ``EstimatedOperators.apply_T``.  Both paths return the same tables
     up to rounding and fire the stop rule at the same step.  They raise
     :class:`DivergenceError` at the same step too, unless rounding is
     amplified in the steps just before a blow-up (s2 data seed 57:
@@ -474,7 +499,7 @@ def khjb_recursion(
     values[H] = 0.0
     dt = ops.kernel_cfg.dt
     stage = cost * dt
-    coordinates = _use_coordinates(ops, penalty)
+    coordinates = _use_coordinates(ops, penalty, H)
     log.debug(
         "backward recursion on the %s path: r = %s, n_u = %d, N = %d",
         "coordinate" if coordinates else "per-point",

@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import json
+import logging
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +159,37 @@ class TestLogLevel:
         ]
         assert main(args) == 0
         assert "DEBUG" not in capsys.readouterr().err
+
+    def test_no_flag_keeps_the_callers_logging(
+        self, model_path, tmp_path, caplog
+    ):
+        args = [
+            "control", "--model", str(model_path), "--horizon", "500",
+            "--out", str(tmp_path),
+        ]
+        with caplog.at_level("DEBUG", logger="kmeoc"):
+            assert main(args) == 0
+        assert "policy stationary at step" in caplog.text
+
+    def test_flag_prints_each_record_once(self, model_path, tmp_path, capsys):
+        # An application that logs to stderr through the root logger.
+        root_handler = logging.StreamHandler(sys.stderr)
+        logging.getLogger().addHandler(root_handler)
+        package_log = logging.getLogger("kmeoc")
+        level = package_log.level
+        try:
+            rc = main(
+                [
+                    "control", "--model", str(model_path), "--horizon",
+                    "500", "--out", str(tmp_path), "--log-level", "debug",
+                ]
+            )
+        finally:
+            logging.getLogger().removeHandler(root_handler)
+        assert rc == 0
+        assert capsys.readouterr().err.count("policy stationary at step") == 1
+        assert package_log.level == level
+        assert package_log.propagate
 
     def test_unknown_level_exits_2(self, model_path, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -388,7 +388,7 @@ def _both_paths(monkeypatch, ops, cost, penalty, H, stop_tol):
     out = []
     for coordinates in (True, False):
         monkeypatch.setattr(
-            hjb, "_use_coordinates", lambda ops, penalty, c=coordinates: c
+            hjb, "_use_coordinates", lambda ops, penalty, H, c=coordinates: c
         )
         try:
             out.append(khjb_recursion(ops, cost, penalty, H, stop_tol=stop_tol))
@@ -432,7 +432,7 @@ class TestCoordinatesMatchPerPoint:
         cfg = bench_config(name, overrides)
         system = make_system(name)
         ops = _bench_ops(name, seed)
-        assert hjb._use_coordinates(ops, system.penalty)
+        assert hjb._use_coordinates(ops, system.penalty, cfg["H"])
         ds = ops.dataset_ref
         coord, point = _both_paths(
             monkeypatch, ops, ds.cost / ds.dt, system.penalty, cfg["H"],
@@ -499,14 +499,22 @@ class TestCoordinatesMatchPerPoint:
 
     def test_path_choice(self, static_ops):
         s2 = make_system("s2").penalty
-        assert hjb._use_coordinates(_bench_ops("s2", 0), s2)
+        ops = _bench_ops("s2", 0)
+        assert hjb._use_coordinates(ops, s2, 5000)
         # s4's rank 45 at N = 400: 46 * 47 / 2 pair products exceed N.
-        assert not hjb._use_coordinates(_bench_ops("s4", 0), s2)
+        assert not hjb._use_coordinates(_bench_ops("s4", 0), s2, 5000)
+        # Too short a horizon to repay the D x F map.
+        r0, r1 = ops.A.rank, ops.B[0].rank
+        D = r0 + 1 + r1 + 1
+        F = r0 + 1 + (r1 + 1) * (r1 + 2) // 2 + 1
+        H_min = -(-D * F // ops.N)
+        assert hjb._use_coordinates(ops, s2, H_min)
+        assert not hjb._use_coordinates(ops, s2, H_min - 1)
         boxed = ControlPenalty(weights=np.array([1.0]), box=(-1.0, 1.0))
-        assert not hjb._use_coordinates(_bench_ops("s2", 0), boxed)
+        assert not hjb._use_coordinates(ops, boxed, 5000)
         N = static_ops.N
         dense = _ops_with(static_ops, np.eye(N), [np.zeros((N, N))])
-        assert not hjb._use_coordinates(dense, s2)
+        assert not hjb._use_coordinates(dense, s2, 5000)
 
 
 class TestValueFunctional:
