@@ -15,9 +15,9 @@ and B_hat_m = P_m R^T with (K_U + gamma I) P_m = U_m * L_X.  The fit
 solves (1 + n_u) r right-hand sides instead of (1 + n_u) N, and
 applying an operator costs O(N r) instead of O(N^2).
 
-The SPD factor of (K_U + gamma I) is computed once and retained; every
-later solve (validation scoring, policy interpolation) reuses it or the
-analogous state-only factor of (K_X + gamma I).
+The SPD factor of (K_U + gamma I) is retained for
+:meth:`EstimatedOperators.gram_matvec`; validation scoring and policy
+interpolation solve against the state-only factor of (K_X + gamma I).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigvalsh
@@ -109,9 +109,10 @@ class LowRank:
         return (v @ self.left) @ self.right.T + total * self.shift
 
     def dense(self) -> np.ndarray:
-        """The N x N matrix."""
+        """The N x N matrix, built anew and read-only."""
         out = self.left @ self.right.T
         out += self.shift
+        out.flags.writeable = False
         return out
 
 
@@ -126,27 +127,15 @@ def _ridge_cholesky(K: np.ndarray, ridge: float) -> tuple:
     return cho_factor(reg, overwrite_a=True)
 
 
-#: An operator is a dense N x N array (the reference form hand-built
-#: operators use) or its factored form; both support ``M @ x`` and
-#: ``v @ M``.
-Operator = Union[np.ndarray, LowRank]
-
-
-def _view(op: Operator) -> np.ndarray:
-    out = op.dense() if isinstance(op, LowRank) else op.view()
-    out.flags.writeable = False
-    return out
-
-
 @dataclass
 class EstimatedOperators:
     """Fitted operators plus everything needed to reuse their solves.
 
     Attributes
     ----------
-    A : LowRank or ndarray, shape (N, N)
-        The uncontrolled operator.
-    B : list of LowRank or ndarray
+    A : LowRank, shape (N, N)
+        The uncontrolled operator; a dense array M becomes LowRank(M, I, 0).
+    B : list of LowRank
         One control block per control coordinate.
     gram_factor : tuple or None
         Cholesky factor of (K_U + jitter I) as returned by
@@ -160,8 +149,8 @@ class EstimatedOperators:
         factorization had to escalate).
     """
 
-    A: Operator
-    B: List[Operator]
+    A: LowRank
+    B: List[LowRank]
     gram_factor: Optional[tuple]
     dataset_ref: Dataset
     kernel_cfg: KernelConfig
@@ -172,11 +161,15 @@ class EstimatedOperators:
     _x_factor: Optional[tuple] = field(
         default=None, repr=False, compare=False
     )
-    # Factors of all 1 + n_u operators stacked for apply_T; built on
-    # first use and never carried over by dataclasses.replace.
-    _stacked: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    def __post_init__(self):
+        # A hand-built dense N x N matrix M becomes LowRank(M, I, 0).
+        if not all(isinstance(op, LowRank) for op in [self.A, *self.B]):
+            eye, zero = np.eye(self.N), np.zeros(self.N)
+            self.A, *self.B = [
+                op if isinstance(op, LowRank) else LowRank(op, eye, zero)
+                for op in [self.A, *self.B]
+            ]
 
     @property
     def N(self) -> int:
@@ -188,13 +181,13 @@ class EstimatedOperators:
 
     @property
     def A_hat(self) -> np.ndarray:
-        """A as a read-only N x N array; factored operators build it anew."""
-        return _view(self.A)
+        """A as a read-only N x N array, built anew on each access."""
+        return self.A.dense()
 
     @property
     def B_hat_blocks(self) -> List[np.ndarray]:
         """The B blocks as read-only N x N arrays, built on each access."""
-        return [_view(Bm) for Bm in self.B]
+        return [Bm.dense() for Bm in self.B]
 
     def apply(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         """(A + sum_m B_m diag(u_m)) z for weights z (N,) and controls u (n_u, N)."""
@@ -202,27 +195,6 @@ class EstimatedOperators:
         for Bm, u_m in zip(self.B, u):
             out += Bm @ (u_m * z)
         return out
-
-    def apply_T(self, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(A^T v, the n_u x N stack of B_m^T v).
-
-        Factored operators take two batched products for all 1 + n_u
-        operators at once: the hot step of the backward recursion.
-        """
-        operators = [self.A, *self.B]
-        if not all(isinstance(op, LowRank) for op in operators):
-            out = np.stack([v @ op for op in operators])
-            return out[0], out[1:]
-        if self._stacked is None:
-            self._stacked = (
-                np.hstack([op.left for op in operators]),
-                np.stack([op.right.T for op in operators]),
-                np.stack([op.shift for op in operators]),
-            )
-        lefts, rights_T, shifts = self._stacked
-        t = (v @ lefts).reshape(len(operators), 1, -1)
-        out = np.matmul(t, rights_T)[:, 0, :] + np.sum(v) * shifts
-        return out[0], out[1:]
 
     def gram_matvec(self, v: np.ndarray) -> np.ndarray:
         """Apply (K_U + jitter I) to v through the retained factor."""
@@ -255,7 +227,7 @@ class EstimatedOperators:
     def closed_loop(self, u: np.ndarray) -> LowRank:
         """A + sum_m B_m diag(u_m) for a control table u (n_u, N).
 
-        A LowRank of rank (1 + n_u) r, for factored operators.
+        A LowRank of rank (1 + n_u) r.
         """
         u = np.asarray(u, dtype=float).reshape(self.n_u, self.N)
         return LowRank(
@@ -358,21 +330,19 @@ def fit_krr(
     )
 
 
-def _shift_columns(op: Operator, target: float) -> Operator:
+def _shift_columns(op: LowRank, target: float) -> LowRank:
     """op plus the uniform column shift that makes every column sum ``target``."""
     N = op.shape[0]
-    if isinstance(op, LowRank):
-        sums = np.ones(N) @ op
-        return replace(op, shift=op.shift + (target - sums) / N)
-    return op + (target - op.sum(axis=0))[None, :] / N
+    sums = np.ones(N) @ op
+    return replace(op, shift=op.shift + (target - sums) / N)
 
 
 def enforce_markov(ops: EstimatedOperators) -> EstimatedOperators:
     """Project the operators onto the Markov constraint set.
 
     Every column of A_hat is shifted uniformly so it sums to 1, and
-    every column of each B-block so it sums to 0; on factored
-    operators this only updates the rank-1 shift.  The input operators
+    every column of each B-block so it sums to 0; this only updates
+    each operator's rank-1 shift.  The input operators
     are left untouched; the returned copies share the training data,
     the factors and the retained factorizations.
     """
@@ -383,22 +353,29 @@ def enforce_markov(ops: EstimatedOperators) -> EstimatedOperators:
     )
 
 
-def departure_from_normality(A: Operator) -> float:
+def _fro_norm(left: np.ndarray, right: np.ndarray) -> float:
+    """||left @ right.T||_F from the two small Gram products.
+
+    ||L R^T||_F^2 = sum((L^T L) * (R^T R)), so the N x N product is
+    never formed.
+    """
+    fro2 = float(np.sum((left.T @ left) * (right.T @ right)))
+    return float(np.sqrt(max(0.0, fro2)))
+
+
+def departure_from_normality(A) -> float:
     """Henrici's normalized departure from normality.
 
     sqrt(max(0, ||A||_F^2 - sum_i |lambda_i|^2)) / ||A||_F, with the
-    convention that the zero matrix departs by 0.  For a LowRank
-    A = L' R'^T (with L' = [left, 1] and R' = [right, shift]) the
-    nonzero eigenvalues are those of the (r+1) x (r+1) core R'^T L',
-    and ||A||_F^2 = sum((L'^T L') * (R'^T R')), so the N x N matrix is
-    never formed.
+    convention that the zero matrix departs by 0.  ``A`` is a LowRank or
+    a square array.  For a LowRank A = L' R'^T (with L' = [left, 1] and
+    R' = [right, shift]) the nonzero eigenvalues are those of the
+    (r+1) x (r+1) core R'^T L', so the N x N matrix is never formed.
     """
     if isinstance(A, LowRank):
-        N = A.shape[0]
-        left = np.column_stack([A.left, np.ones(N)])
+        left = np.column_stack([A.left, np.ones(A.shape[0])])
         right = np.column_stack([A.right, A.shift])
-        fro2 = float(np.sum((left.T @ left) * (right.T @ right)))
-        fro = float(np.sqrt(max(0.0, fro2)))
+        fro = _fro_norm(left, right)
         core = right.T @ left
     else:
         core = np.asarray(A, dtype=float)
@@ -416,19 +393,22 @@ def departure_from_normality(A: Operator) -> float:
 
 
 def fit_residual(ops: EstimatedOperators, bundle: GramBundle) -> float:
-    """||(K_U + jitter I) A_hat - eK_XY||_F for factored operators.
+    """||(K_U + jitter I) A_hat - eK_XY||_F for operators fitted from bundle.
 
-    ``bundle`` holds the Grams of the fit.  Only the r + 1 columns
-    [left, 1] of A pass through the Gram matrix: O(N^2 r) instead of
-    the O(N^3) dense product.
+    A fitted A_hat = P R^T + 1 s^T shares R = pref L_Y with
+    eK_XY = L_X R^T, so the residual is [reg(P) - L_X, reg(1)] [R, s]^T,
+    reg = (K_U + jitter I): O(N^2 r), and no N x N array.  Raises
+    InputError for operators whose right factor is not the bundle's R.
     """
+    A = ops.A
+    if not np.array_equal(A.right, bundle.pref * bundle.L_Y):
+        raise InputError("the operators were not fitted from this GramBundle")
 
     def reg(x):
         return bundle.K_U @ x + ops.jitter * x
 
-    A = ops.A
-    product = reg(A.left) @ A.right.T + np.outer(reg(np.ones(ops.N)), A.shift)
-    return float(np.linalg.norm(product - bundle.eK_XY, "fro"))
+    left = np.column_stack([reg(A.left) - bundle.L_X, reg(np.ones(ops.N))])
+    return _fro_norm(left, np.column_stack([A.right, A.shift]))
 
 
 def validation_score(ops: EstimatedOperators, holdout: Dataset) -> float:

@@ -19,18 +19,20 @@ unboxed closed form into its maps (the scale ``-1 / (4 R_m dt)`` and
 the value ``lam u / 2`` at ``u = -lam / (2 R_m dt)``); the tests check
 that both paths give the same tables.
 
-:func:`khjb_recursion` takes one of two paths:
+:func:`khjb_recursion` takes one of two paths.  Both write each
+operator as O_j = P_j R_j^T + 1 s_j^T, so that O_j^T v = Z_j y_j with
+Z_j = [R_j s_j] and y = [P_0 1 | ... | P_{n_u} 1]^T v
+(:func:`_factor_layout`):
 
-* **coordinates** -- for factored operators under an unboxed penalty.
-  The value vector enters a step only through the D = sum_j (r_j + 1)
-  numbers y = P_bar^T v, which obey a closed quadratic recursion of
-  their own; the sequential loop runs on y at no cost in N, and blocks
-  of steps are then expanded into value and policy rows by GEMMs.
-* **per point** -- every step on all N training points through
-  ``EstimatedOperators.apply_T``: with a clipped box (the conjugate's
-  minimizer is piecewise), for dense operators, for ranks high enough
-  that a coordinate step costs more than a per-point step, and for
-  horizons too short to repay building the coordinate maps (see
+* **coordinates** -- under an unboxed penalty.  The D = sum_j (r_j + 1)
+  numbers y obey a closed quadratic recursion of their own; the
+  sequential loop runs on y at no cost in N, and blocks of steps are
+  then expanded into value and policy rows by GEMMs.
+* **per point** -- every step forms y from the values on all N points:
+  with a clipped box (the conjugate's minimizer is piecewise), for
+  ranks high enough that a coordinate step costs more than a per-point
+  step (a hand-built dense operator has rank N), and for horizons too
+  short to repay building the coordinate maps (see
   :func:`_use_coordinates`).
 
 Both fill the same tables, apply the same stop rule and raise the same
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -210,10 +213,10 @@ def _use_coordinates(
 ) -> bool:
     """Whether the recursion runs in rank-r coordinates.
 
-    Only factored operators under an unboxed penalty qualify: with a
-    box the conjugate's minimizer is piecewise and the coordinate
-    recursion does not close.  A coordinate step multiplies a D x F map
-    by F = (r_0 + 1) + sum_m T(r_m + 1) + 1 pair products,
+    Only an unboxed penalty qualifies: with a box the conjugate's
+    minimizer is piecewise and the recursion in y does not close.  A
+    coordinate step multiplies a D x F map by
+    F = (r_0 + 1) + sum_m T(r_m + 1) + 1 pair products,
     D = sum_j (r_j + 1) and T(s) = s (s + 1) / 2, where a per-point
     step forms P_bar^T v, N * D multiply-adds.  Two bounds follow:
 
@@ -237,8 +240,6 @@ def _use_coordinates(
     """
     if penalty.box is not None:
         return False
-    if any(isinstance(op, np.ndarray) for op in [ops.A, *ops.B]):
-        return False
     D = sum(op.rank + 1 for op in [ops.A, *ops.B])
     F = ops.A.rank + 1 + sum(
         (Bm.rank + 1) * (Bm.rank + 2) // 2 for Bm in ops.B
@@ -246,16 +247,33 @@ def _use_coordinates(
     return F < ops.N and D * F <= H * ops.N
 
 
+def _factor_layout(ops):
+    """P_bar = [P_0 1 | ... | P_{n_u} 1], the Z_j = [R_j s_j], and the
+    slices of y = P_bar^T v that hold each y_j."""
+    ones = np.ones(ops.N)
+    operators = [ops.A, *ops.B]
+    P_bar = np.hstack([np.column_stack([op.left, ones]) for op in operators])
+    Z = [np.column_stack([op.right, op.shift]) for op in operators]
+    ends = np.cumsum([Zj.shape[1] for Zj in Z])
+    part = [slice(e - Zj.shape[1], e) for e, Zj in zip(ends, Z)]
+    return P_bar, Z, part
+
+
 def _per_point_recursion(ops, stage, penalty, H, stop_tol, values, policy):
     """Fill the tables step by step on all N points; return converged_at."""
     dt = ops.kernel_cfg.dt
     w = penalty.weights[:, None]
+    P_bar, Z, part = _factor_layout(ops)
     v = np.zeros(ops.N)
+    lam = np.empty((ops.n_u, ops.N))
     prev_u = None
     frozen: Optional[np.ndarray] = None
     converged_at: Optional[int] = None
     for k in range(H - 1, -1, -1):
-        a, lam = ops.apply_T(v)
+        y = v @ P_bar
+        a = Z[0] @ y[part[0]]
+        for m in range(1, len(Z)):
+            np.dot(Z[m], y[part[m]], out=lam[m - 1])
         if frozen is None:
             d_val, u = _fenchel_batch(lam, penalty, dt)
         else:
@@ -298,10 +316,8 @@ def _quadratic_map(P_bar: np.ndarray, Z: np.ndarray, scale: float):
 def _coordinate_recursion(ops, stage, penalty, H, stop_tol, values, policy):
     """Fill the tables from the recursion in rank-r coordinates.
 
-    Every operator is O_j = P_j R_j^T + 1 s_j^T, so O_j^T v = Z_j y_j
-    with Z_j = [R_j s_j] and y_j = [P_j 1]^T v.  Stacked, the y_j form
-    y = P_bar^T v with P_bar = [P_0 1 | ... | P_{n_u} 1], and under an
-    unboxed quadratic penalty y obeys the closed recursion
+    With O_j^T v = Z_j y_j and y = P_bar^T v (:func:`_factor_layout`),
+    under an unboxed quadratic penalty y obeys the closed recursion
 
         y_k = L y_{0,k+1} + c + sum_m Q_m vec(y_{m,k+1} y_{m,k+1}^T),
 
@@ -315,15 +331,8 @@ def _coordinate_recursion(ops, stage, penalty, H, stop_tol, values, policy):
     dt = ops.kernel_cfg.dt
     w = penalty.weights
     N = ops.N
-    operators = [ops.A, *ops.B]
-    channels = range(1, len(operators))
-    P_bar = np.hstack(
-        [np.column_stack([op.left, np.ones(N)]) for op in operators]
-    )
-    Z = [np.column_stack([op.right, op.shift]) for op in operators]
-    ends = np.cumsum([Zj.shape[1] for Zj in Z])
-    # y_j = y[part[j]]
-    part = [slice(e - Zj.shape[1], e) for e, Zj in zip(ends, Z)]
+    P_bar, Z, part = _factor_layout(ops)
+    channels = range(1, len(Z))
     D = P_bar.shape[1]
 
     # Each row of ys is [y_k; 1], and every term of a free step is a
@@ -433,16 +442,16 @@ def khjb_recursion(
 ) -> ValueSolution:
     """Run the backward value recursion over ``H`` steps.
 
-    Factored operators under an unboxed penalty run the recursion in
-    their rank-r coordinates when the rank is low enough for N and the
+    Under an unboxed penalty the recursion runs in the operators'
+    rank-r coordinates when the rank is low enough for N and the
     horizon long enough to repay building the coordinate maps
     (:func:`_use_coordinates`): the sequential loop then costs
     O(D r^2) a step, independent of N, and blocks of steps are
     expanded into the value and policy tables by GEMMs.  A boxed
-    penalty, dense operators, a rank too high for N (s4's 45 at
-    N = 400) or a short horizon take the per-point loop, O(N r) a step
-    through ``EstimatedOperators.apply_T``.  Both paths return the same tables
-    up to rounding and fire the stop rule at the same step.  They raise
+    penalty, a rank too high for N (s4's 45 at N = 400, or a hand-built
+    dense operator's N) or a short horizon take the per-point loop,
+    O(N r) a step through the same factors.  Both paths return the
+    same tables up to rounding and fire the stop rule at the same step.  They raise
     :class:`DivergenceError` at the same step too, unless rounding is
     amplified in the steps just before a blow-up (s2 data seed 57:
     k = 4589 in coordinates, 4590 per point).  At debug level the
@@ -501,9 +510,9 @@ def khjb_recursion(
     stage = cost * dt
     coordinates = _use_coordinates(ops, penalty, H)
     log.debug(
-        "backward recursion on the %s path: r = %s, n_u = %d, N = %d",
+        "backward recursion on the %s path: r = %d, n_u = %d, N = %d",
         "coordinate" if coordinates else "per-point",
-        "dense" if isinstance(ops.A, np.ndarray) else ops.A.rank, n_u, N,
+        ops.A.rank, n_u, N,
     )
     recursion = _coordinate_recursion if coordinates else _per_point_recursion
     # Divergence is detected via the isfinite checks and raised as a
@@ -541,13 +550,14 @@ def value_functional(v0, z0) -> float:
 def _coefficients_for_step(
     sol: ValueSolution, ops: "EstimatedOperators", k: int
 ) -> np.ndarray:
-    """(K_X + gamma I)^{-1} @ policy-row-k, cached per step on first use."""
-    C = sol._interp_cache.get(k)
-    if C is None:
-        table = sol.policy[k]  # (n_u, N)
-        C = cho_solve(ops.x_gram_factor(), table.T)  # (N, n_u)
-        sol._interp_cache[k] = C
-    return C
+    """(K_X + gamma I)^{-1} @ policy-row-k, cached per step together with
+    a weak reference to the operators it was solved for."""
+    cached = sol._interp_cache.get(k)
+    if cached is None or cached[0]() is not ops:
+        C = cho_solve(ops.x_gram_factor(), sol.policy[k].T)  # (N, n_u)
+        cached = (weakref.ref(ops), C)
+        sol._interp_cache[k] = cached
+    return cached[1]
 
 
 def policy_interpolate(
@@ -559,7 +569,7 @@ def policy_interpolate(
     basis over the training states: the returned control is
     ``k_xX (K_X + gamma I)^{-1} table``, clipped to the control box when
     one is configured.  The linear solve against the regularized Gram
-    matrix is performed once per step and cached.
+    matrix is performed once per step and set of operators, and cached.
 
     Parameters
     ----------
@@ -567,7 +577,8 @@ def policy_interpolate(
         A single state (length n_x) or a batch of M states as an
         ``n_x x M`` array.
     sol, ops :
-        The recursion output and the operators it was computed from.
+        The recursion output and the operators it was computed from;
+        an ``InputError`` is raised when their N differ.
     k : int, optional
         Step index, < horizon.  Defaults to the stationary step (where
         the stopping rule fired, else 0 = the longest-horizon row).
@@ -582,6 +593,11 @@ def policy_interpolate(
         k = sol.stationary_step
     if not 0 <= k < sol.horizon:
         raise InputError(f"step {k} outside [0, {sol.horizon})")
+    if sol.policy.shape[2] != ops.N:
+        raise InputError(
+            f"the solution has {sol.policy.shape[2]} training points, "
+            f"the operators N = {ops.N}"
+        )
     X = ops.dataset_ref.X
     sigma = ops.kernel_cfg.sigma
     q = np.asarray(query, dtype=float)

@@ -213,8 +213,7 @@ def cross_vector(x, X, sigma: float) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[0] != X.shape[0]:
         raise InputError(f"query dimension {x.shape[0]} != n_x = {X.shape[0]}")
-    d2 = np.sum((X - x[:, None]) ** 2, axis=0)
-    return np.exp(-d2 / sigma**2)
+    return _exp_sq_dists(x[:, None], X, sigma**2)[0]
 
 
 def _pivoted_cholesky(Z: np.ndarray, den: float) -> np.ndarray:
@@ -234,7 +233,7 @@ def _pivoted_cholesky(Z: np.ndarray, den: float) -> np.ndarray:
             break
         if r == rows.shape[0]:
             rows = np.concatenate([rows, np.empty_like(rows)])[:M]
-        col = np.exp(-np.sum((Z - Z[:, i : i + 1]) ** 2, axis=0) / den)
+        col = _exp_sq_dists(Z[:, i : i + 1], Z, den)[0]
         col -= rows[:r, i] @ rows[:r]
         col /= np.sqrt(d[i])
         rows[r] = col

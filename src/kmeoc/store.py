@@ -84,10 +84,9 @@ class _Reader:
 
 def _encode_model(ops: EstimatedOperators) -> bytes:
     operators = [ops.A, *ops.B]
-    if not all(isinstance(op, LowRank) for op in operators):
-        raise InputError("only factored (LowRank) operators are persisted")
-    # Operators share factor arrays (the B blocks reuse A's right factor);
-    # each distinct array is written once and referenced by index.
+    # Operators share factor arrays (fitted B blocks reuse A's right
+    # factor, hand-built dense ones one identity); each distinct array
+    # is written once and referenced by index.
     factors: list = []
     index = []
     for op in operators:

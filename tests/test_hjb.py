@@ -348,6 +348,26 @@ class TestFactoredMatchesDense:
         assert sol.converged_at == converged_at
         assert np.max(np.abs(sol.policy - policy)) <= 1e-5
 
+    def test_s1_boxed_per_point_path(self):
+        # A box keeps the recursion on the per-point path, which steps
+        # through y = P_bar^T v and the Z_j of the factors.
+        cfg = bench_config("s1")
+        ops = _bench_ops("s1", 0)
+        ds = ops.dataset_ref
+        penalty = ControlPenalty(
+            weights=make_system("s1").penalty.weights, box=(-0.8, 0.8)
+        )
+        assert not hjb._use_coordinates(ops, penalty, cfg["H"])
+        args = (ds.cost / ds.dt, penalty, cfg["H"])
+        sol = khjb_recursion(ops, *args, stop_tol=cfg["stop_tol"])
+        policy, converged_at = _dense_recursion(
+            ops.A_hat, ops.B_hat_blocks, *args, ops.kernel_cfg.dt,
+            cfg["stop_tol"],
+        )
+        assert np.any(np.abs(sol.policy) == 0.8)  # the box binds
+        assert sol.converged_at == converged_at
+        assert np.max(np.abs(sol.policy - policy)) <= 1e-5
+
 
 @functools.lru_cache(maxsize=1)  # the cases sharing a fit are adjacent
 def _bench_ops(name, seed):
@@ -604,6 +624,27 @@ class TestPolicyInterpolate:
         cached = sol._interp_cache[sol.stationary_step]
         policy_interpolate(np.array([0.2]), sol, ops)
         assert sol._interp_cache[sol.stationary_step] is cached
+
+    def test_cache_follows_the_operators(self, s1_fit):
+        # One solution interpolated with two models of the same N: the
+        # second must not reuse the coefficients solved for the first.
+        ops_a, sol = s1_fit
+        ops_b, _ = fit_and_solve(
+            make_system("s1"), bench_config("s1", {"N": 400, "H": 300}),
+            data_seed=5,
+        )
+        pts = np.array([[-1.3, 0.2, 2.4]])
+        policy_interpolate(pts, sol, ops_a)
+        got = policy_interpolate(pts, sol, ops_b)
+        fresh = dataclasses.replace(sol, _interp_cache={})
+        alone = policy_interpolate(pts, fresh, ops_b)
+        np.testing.assert_array_equal(got, alone)
+
+    def test_operators_of_another_size_rejected(self, s1_fit, static_ops):
+        _, sol = s1_fit
+        fresh = dataclasses.replace(sol, _interp_cache={})
+        with pytest.raises(InputError, match="training points"):
+            policy_interpolate(np.array([0.0]), fresh, static_ops)
 
 
 class TestCsvExport:

@@ -107,17 +107,18 @@ class TestRoundTrips:
         save(ops, path)
         assert path.stat().st_size < 1_000_000
 
-    def test_dense_operators_are_not_persisted(
-        self, tmp_path, static_ops_module
-    ):
+    def test_dense_operators_round_trip(self, tmp_path, static_ops_module):
         import dataclasses
 
         N = static_ops_module.N
+        M = np.random.default_rng(4).normal(size=(N, N))
         dense = dataclasses.replace(
-            static_ops_module, A=np.eye(N), B=[np.zeros((N, N))]
+            static_ops_module, A=M, B=[np.zeros((N, N))]
         )
-        with pytest.raises(InputError, match="factored"):
-            save(dense, tmp_path / "dense.bin")
+        save(dense, tmp_path / "dense.bin")
+        back = load(tmp_path / "dense.bin")
+        assert np.array_equal(back.A_hat, M)
+        assert np.array_equal(back.B_hat_blocks[0], np.zeros((N, N)))
 
     def test_loaded_model_has_no_gram_factor(
         self, tmp_path, static_ops_module
