@@ -436,13 +436,15 @@ def cmd_identify(settings: _Settings) -> int:
     cfg = KernelConfig(
         sigma=sigma, epsilon=epsilon, dt=dt, gamma=gamma, diffused_mode=mode
     )
+    grams = build_grams(ds.X, ds.U, ds.Y, cfg)
     ops = fit_krr(
-        ds, cfg, b_block_orientation=str(settings.get("b_block_orientation"))
+        ds, cfg, b_block_orientation=str(settings.get("b_block_orientation")),
+        grams=grams,
     )
     if settings.get("markov_enforce"):
         ops = enforce_markov(ops)
 
-    residual = fit_residual(ops, build_grams(ds.X, ds.U, ds.Y, cfg))
+    residual = fit_residual(ops, grams)
     model_path = os.path.join(out, f"{_stem(ds_path)}_model.bin")
     store.save(ops, model_path)
 

@@ -82,13 +82,34 @@ class DivergenceError(KmeocError):
 
     This usually signals an unstable learned operator spectrum; enforcing
     the Markov constraints or choosing a different kernel scale tends to
-    help.  ``step`` is the backward time index k at which the blow-up was
-    detected.
+    help.
+
+    Attributes
+    ----------
+    step : int
+        The backward time index k at which the blow-up was detected.
+    spectral_radius : float
+        Spectral radius of the closed-loop operator under the last
+        finite policy row (NaN when not computed).
+    max_control : float
+        Largest |u| in that policy row.
+    max_training_control : float
+        Largest |U| among the training controls, for comparison.
     """
 
-    def __init__(self, message: str, step: int):
+    def __init__(
+        self,
+        message: str,
+        step: int,
+        spectral_radius: float = float("nan"),
+        max_control: float = float("nan"),
+        max_training_control: float = float("nan"),
+    ):
         super().__init__(message)
         self.step = step
+        self.spectral_radius = spectral_radius
+        self.max_control = max_control
+        self.max_training_control = max_training_control
 
 
 class PropagationError(KmeocError):

@@ -108,6 +108,18 @@ class LowRank:
         total = np.sum(v, axis=-1)[..., None]
         return (v @ self.left) @ self.right.T + total * self.shift
 
+    def augmented(self) -> Tuple[np.ndarray, np.ndarray]:
+        """([left 1], [right shift]): the operator as one product L R^T.
+
+        The nonzero eigenvalues of the operator are those of the
+        (r+1)-square core R^T L.
+        """
+        ones = np.ones(self.left.shape[0])
+        return (
+            np.column_stack([self.left, ones]),
+            np.column_stack([self.right, self.shift]),
+        )
+
     def dense(self) -> np.ndarray:
         """The N x N matrix, built anew and read-only."""
         out = self.left @ self.right.T
@@ -116,15 +128,19 @@ class LowRank:
         return out
 
 
-def _ridge_cholesky(K: np.ndarray, ridge: float) -> tuple:
-    """``cho_factor(K + ridge I)`` through one Fortran-ordered copy of K.
+def _ridge_cholesky(
+    K: np.ndarray, ridge: float, overwrite: bool = False
+) -> tuple:
+    """``cho_factor(K + ridge I)`` for a symmetric K, in place.
 
-    LAPACK factors that copy in place, so no identity matrix and no
-    second copy are allocated.
+    K is factored in a straight copy, or in its own memory when
+    ``overwrite`` is set.  Being symmetric, the C-ordered array's
+    transpose is the same matrix in the Fortran order LAPACK factors in
+    place, so no identity matrix and no transposing copy are formed.
     """
-    reg = np.array(K, order="F")
+    reg = K if overwrite else K.copy()
     reg[np.diag_indices_from(reg)] += ridge
-    return cho_factor(reg, overwrite_a=True)
+    return cho_factor(reg.T, overwrite_a=True)
 
 
 @dataclass
@@ -215,13 +231,16 @@ class EstimatedOperators:
     def x_gram_factor(self) -> tuple:
         """Cholesky factor of (K_X + gamma I), cached.
 
-        K_X itself is kept only if :meth:`x_gram` already cached it.
+        K_X itself is kept only if :meth:`x_gram` already cached it;
+        otherwise a fresh K_X is factored in its own memory.
         """
         if self._x_factor is None:
-            K = self._x_gram
-            if K is None:
+            gamma = self.kernel_cfg.gamma
+            if self._x_gram is None:
                 K = gram(self.dataset_ref.X, self.kernel_cfg.sigma)
-            self._x_factor = _ridge_cholesky(K, self.kernel_cfg.gamma)
+                self._x_factor = _ridge_cholesky(K, gamma, overwrite=True)
+            else:
+                self._x_factor = _ridge_cholesky(self._x_gram, gamma)
         return self._x_factor
 
     def closed_loop(self, u: np.ndarray) -> LowRank:
@@ -255,6 +274,7 @@ def fit_krr(
     dataset: Dataset,
     cfg: KernelConfig,
     b_block_orientation: str = "row",
+    grams: Optional[GramBundle] = None,
 ) -> EstimatedOperators:
     """Fit the transition operators by kernel ridge regression.
 
@@ -282,7 +302,14 @@ def fit_krr(
             f"b_block_orientation must be 'row' or 'column', "
             f"got {b_block_orientation!r}"
         )
-    bundle = build_grams(dataset.X, dataset.U, dataset.Y, cfg)
+    if grams is None:
+        bundle = build_grams(dataset.X, dataset.U, dataset.Y, cfg)
+    elif grams.N != dataset.N:
+        raise InputError(
+            f"the Grams are for N = {grams.N}, the dataset has N = {dataset.N}"
+        )
+    else:
+        bundle = grams
     N = bundle.N
 
     jitter = cfg.gamma
@@ -373,8 +400,7 @@ def departure_from_normality(A) -> float:
     (r+1) x (r+1) core R'^T L', so the N x N matrix is never formed.
     """
     if isinstance(A, LowRank):
-        left = np.column_stack([A.left, np.ones(A.shape[0])])
-        right = np.column_stack([A.right, A.shift])
+        left, right = A.augmented()
         fro = _fro_norm(left, right)
         core = right.T @ left
     else:

@@ -12,31 +12,35 @@ penalty,
 and the minimizer of that inner problem *is* the feedback law at the
 matching training point and time step.  For diagonal quadratic
 penalties with an optional box the minimizer has a closed form: clip
-``-lam_m / (2 R_m dt)`` to the box.  On the per-point path one
-vectorized function, ``_fenchel_batch``, computes both the conjugate
-values and the minimizers.  The coordinate path instead builds the
-unboxed closed form into its maps (the scale ``-1 / (4 R_m dt)`` and
-the value ``lam u / 2`` at ``u = -lam / (2 R_m dt)``); the tests check
-that both paths give the same tables.
+``-lam_m / (2 R_m dt)`` to the box.  One vectorized function,
+``_fenchel_batch``, computes both the conjugate values and the
+minimizers wherever a row is formed.  The coordinate path instead
+builds the unboxed closed form into its maps (the scale
+``-1 / (4 R_m dt)`` and the value ``lam u / 2`` at
+``u = -lam / (2 R_m dt)``); the tests check that both paths give the
+same rows.
 
-:func:`khjb_recursion` takes one of two paths.  Both write each
-operator as O_j = P_j R_j^T + 1 s_j^T, so that O_j^T v = Z_j y_j with
+Every operator is O_j = P_j R_j^T + 1 s_j^T, so O_j^T v = Z_j y_j with
 Z_j = [R_j s_j] and y = [P_0 1 | ... | P_{n_u} 1]^T v
-(:func:`_factor_layout`):
+(:func:`_factor_layout`).  A value iterate enters the next step only
+through its D = sum_j (r_j + 1) coordinates y, and
+:class:`ValueSolution` keeps just those, expanding value and policy
+rows on demand.  :func:`khjb_recursion` computes them on one of two
+paths:
 
-* **coordinates** -- under an unboxed penalty.  The D = sum_j (r_j + 1)
-  numbers y obey a closed quadratic recursion of their own; the
-  sequential loop runs on y at no cost in N, and blocks of steps are
-  then expanded into value and policy rows by GEMMs.
-* **per point** -- every step forms y from the values on all N points:
+* **coordinates** -- under an unboxed penalty.  y obeys a closed
+  quadratic recursion of its own; the sequential loop runs on y at no
+  cost in N, and blocks of steps are expanded into value and policy
+  rows in scratch buffers for the stop rule and the finite check.
+* **per point** -- every step forms v on all N points and y from it:
   with a clipped box (the conjugate's minimizer is piecewise), for
   ranks high enough that a coordinate step costs more than a per-point
   step (a hand-built dense operator has rank N), and for horizons too
   short to repay building the coordinate maps (see
   :func:`_use_coordinates`).
 
-Both fill the same tables, apply the same stop rule and raise the same
-error; on the same operators they agree to rounding.
+Both apply the same stop rule and raise the same error; on the same
+operators they agree to rounding.
 """
 
 from __future__ import annotations
@@ -68,8 +72,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: Steps the coordinate path turns into table rows with one set of
-#: GEMMs, and rows per block when building its quadratic maps.
+#: Steps the coordinate path expands into value and policy rows with one
+#: set of GEMMs, and rows per block when building its quadratic maps.
 _BLOCK_ROWS = 256
 
 
@@ -116,44 +120,109 @@ class ControlPenalty:
 
 @dataclass
 class ValueSolution:
-    """Backward value iterates and the per-step feedback table.
+    """The backward recursion held in the operators' rank-r coordinates.
+
+    Every value iterate enters the next step only through
+    y_k = P_bar^T v_k (:func:`_factor_layout`), so the solution keeps
+    those D numbers per step and expands a value or policy row on demand:
+    from y = y_{k+1}, a = Z_0 y_0 and lam_m = Z_m y_m give
+    v_k = a + stage + D(lam) and the minimizer u_k (:func:`_fenchel_batch`),
+    with the frozen policy row in place of the minimizer at steps below
+    :attr:`converged_at`.  No H x N table is kept.
 
     Attributes
     ----------
-    values : ndarray, shape (H+1, N)
-        Row k holds v_k at the training points; row H is the zero
-        terminal condition.
-    policy : ndarray, shape (H, n_u, N)
-        Entry (k, m, i) is the m-th control coordinate of the feedback
-        law at step k, training point i.
-    horizon : int
+    coords : ndarray, shape (H+1, D)
+        Row k holds y_k; row H is the zero terminal condition.
+    factors : list of ndarray
+        The right factors Z_j = [R_j s_j], shape (N, r_j + 1), of A and
+        then of each B block.
+    stage : ndarray, shape (N,)
+        Stage cost times dt at the training points.
+    penalty : ControlPenalty
+        The penalty the recursion ran under; interpolated controls are
+        clipped back to its box.
     dt : float
     converged_at : int or None
         Step index k at which the stationary stopping rule fired, or
         None if the policy kept changing through step 0.
-    box : tuple or None
-        Control bounds the recursion ran under; interpolated controls
-        are clipped back to it.
+    frozen : ndarray, shape (n_u, N), or None
+        The policy row at :attr:`converged_at`, held at every step below.
     """
 
-    values: np.ndarray
-    policy: np.ndarray
-    horizon: int
+    coords: np.ndarray
+    factors: list
+    stage: np.ndarray
+    penalty: ControlPenalty
     dt: float
     converged_at: Optional[int] = None
-    box: Optional[tuple] = None
+    frozen: Optional[np.ndarray] = None
     _interp_cache: dict = field(
         default_factory=dict, repr=False, compare=False
     )
+
+    @property
+    def horizon(self) -> int:
+        return self.coords.shape[0] - 1
+
+    @property
+    def N(self) -> int:
+        return self.stage.size
+
+    @property
+    def n_u(self) -> int:
+        return len(self.factors) - 1
+
+    @property
+    def box(self) -> Optional[tuple]:
+        return self.penalty.box
 
     @property
     def stationary_step(self) -> int:
         """The step whose policy row is the long-horizon law."""
         return self.converged_at if self.converged_at is not None else 0
 
+    def _row(self, k: int):
+        """(v_k, u_k) expanded from y_{k+1}."""
+        if not 0 <= k < self.horizon:
+            raise InputError(f"step {k} outside [0, {self.horizon})")
+        held = self.converged_at is not None and k < self.converged_at
+        lam = np.empty((self.n_u, self.N))
+        return _expand(
+            self.factors, _parts(self.factors), self.coords[k + 1],
+            self.stage, self.penalty, self.dt, self.frozen if held else None,
+            lam,
+        )
+
+    def value_row(self, k: int) -> np.ndarray:
+        """v_k at the training points, shape (N,); k = H gives zeros."""
+        if k == self.horizon:
+            return np.zeros(self.N)
+        return self._row(k)[0]
+
+    def policy_row(self, k: int) -> np.ndarray:
+        """The feedback law at step k < H, shape (n_u, N)."""
+        if self.converged_at is not None and 0 <= k <= self.converged_at:
+            return self.frozen.copy()
+        return self._row(k)[1]
+
     def stationary_policy(self) -> np.ndarray:
-        """Policy table row at :attr:`stationary_step`, shape (n_u, N)."""
-        return self.policy[self.stationary_step]
+        """Policy row at :attr:`stationary_step`, shape (n_u, N)."""
+        return self.policy_row(self.stationary_step)
+
+    @property
+    def values(self) -> np.ndarray:
+        """All value rows, shape (H+1, N), built read-only on each access."""
+        out = np.stack([self.value_row(k) for k in range(self.horizon + 1)])
+        out.flags.writeable = False
+        return out
+
+    @property
+    def policy(self) -> np.ndarray:
+        """All policy rows, shape (H, n_u, N), built read-only on each access."""
+        out = np.stack([self.policy_row(k) for k in range(self.horizon)])
+        out.flags.writeable = False
+        return out
 
 
 def _fenchel_batch(lam: np.ndarray, penalty: ControlPenalty, dt: float):
@@ -199,12 +268,31 @@ def fenchel_conjugate(lam, penalty: ControlPenalty, dt: float):
     return float(value[0]), u[:, 0]
 
 
-def _diverged(k: int) -> DivergenceError:
+def _diverged(ops, sol: ValueSolution, k: int) -> DivergenceError:
+    """The error for a non-finite v_k, with the closed loop that led there.
+
+    The closed loop is A + sum_m B_m diag(u_m) under the lowest policy
+    row at or above k that is still finite; its nonzero eigenvalues are
+    those of the ((1 + n_u) r + 1)-square core of its factors.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(k, sol.horizon):
+            u = sol.policy_row(j)
+            if np.all(np.isfinite(u)):
+                break
+    left, right = ops.closed_loop(u).augmented()
+    radius = float(np.max(np.abs(np.linalg.eigvals(right.T @ left))))
+    u_max = float(np.max(np.abs(u)))
+    U_max = float(np.max(np.abs(ops.dataset_ref.U)))
     return DivergenceError(
-        f"value iterate became non-finite at step k={k}; the "
-        "learned operator spectrum is likely unstable (try "
-        "enforce_markov or a different sigma)",
+        f"value iterate became non-finite at step k={k}; under the policy "
+        f"of step {j} the closed loop has spectral radius {radius:.6g} and "
+        f"max |u| = {u_max:.4g} against max |U| = {U_max:.4g} in the "
+        "training controls (try enforce_markov or a different sigma)",
         step=k,
+        spectral_radius=radius,
+        max_control=u_max,
+        max_training_control=U_max,
     )
 
 
@@ -228,10 +316,9 @@ def _use_coordinates(
       beyond that and the coordinate step then loses without bound
       (10 times slower at r = 120, N = 400), while the per-point step
       grows only with N * D.
-    * D * F <= H * N: the map is no larger than the policy table the
-      recursion fills, so the coordinate path never more than doubles
-      its memory.  Building the map costs N * D * F multiply-adds,
-      which a short horizon does not repay: at r = 26, N = 1000 the
+    * D * F <= H * N: building the map costs N * D * F multiply-adds,
+      no more than H per-point steps of N multiply-adds each, which a
+      short horizon would not repay: at r = 26, N = 1000 the
       coordinate path took 2.7 ms against 1.2 ms per point at H = 20,
       broke even near H = 50, and won 2.7 times at H = 500.
 
@@ -248,42 +335,54 @@ def _use_coordinates(
 
 
 def _factor_layout(ops):
-    """P_bar = [P_0 1 | ... | P_{n_u} 1], the Z_j = [R_j s_j], and the
-    slices of y = P_bar^T v that hold each y_j."""
-    ones = np.ones(ops.N)
-    operators = [ops.A, *ops.B]
-    P_bar = np.hstack([np.column_stack([op.left, ones]) for op in operators])
-    Z = [np.column_stack([op.right, op.shift]) for op in operators]
+    """P_bar = [P_0 1 | ... | P_{n_u} 1] and the Z_j = [R_j s_j]."""
+    pairs = [op.augmented() for op in [ops.A, *ops.B]]
+    return np.hstack([left for left, _ in pairs]), [Zj for _, Zj in pairs]
+
+
+def _parts(Z):
+    """The slices of y = P_bar^T v that hold each y_j."""
     ends = np.cumsum([Zj.shape[1] for Zj in Z])
-    part = [slice(e - Zj.shape[1], e) for e, Zj in zip(ends, Z)]
-    return P_bar, Z, part
+    return [slice(e - Zj.shape[1], e) for e, Zj in zip(ends, Z)]
 
 
-def _per_point_recursion(ops, stage, penalty, H, stop_tol, values, policy):
-    """Fill the tables step by step on all N points; return converged_at."""
-    dt = ops.kernel_cfg.dt
-    w = penalty.weights[:, None]
-    P_bar, Z, part = _factor_layout(ops)
-    v = np.zeros(ops.N)
-    lam = np.empty((ops.n_u, ops.N))
+def _expand(Z, part, y, stage, penalty, dt, frozen, lam):
+    """(v_k, u_k) from y = y_{k+1}; u_k is ``frozen`` when one is given.
+
+    ``lam`` is scratch of shape (n_u, N) for lam_m = Z_m y_m.
+    """
+    a = Z[0] @ y[part[0]]
+    for m in range(1, len(Z)):
+        np.dot(Z[m], y[part[m]], out=lam[m - 1])
+    if frozen is None:
+        d_val, u = _fenchel_batch(lam, penalty, dt)
+    else:
+        u = frozen
+        w = penalty.weights[:, None]
+        d_val = np.sum(w * u**2 * dt + lam * u, axis=0)
+    return a + stage + d_val, u
+
+
+def _per_point_recursion(P_bar, Z, stage, penalty, dt, H, stop_tol):
+    """Step v on all N points, keeping each y = P_bar^T v.
+
+    Returns (coords, converged_at, frozen, diverged_at), the last None
+    unless some v_k became non-finite.
+    """
+    N, D = P_bar.shape
+    part = _parts(Z)
+    coords = np.empty((H + 1, D))
+    v = np.zeros(N)
+    lam = np.empty((len(Z) - 1, N))
     prev_u = None
     frozen: Optional[np.ndarray] = None
     converged_at: Optional[int] = None
     for k in range(H - 1, -1, -1):
         y = v @ P_bar
-        a = Z[0] @ y[part[0]]
-        for m in range(1, len(Z)):
-            np.dot(Z[m], y[part[m]], out=lam[m - 1])
-        if frozen is None:
-            d_val, u = _fenchel_batch(lam, penalty, dt)
-        else:
-            u = frozen
-            d_val = np.sum(w * u**2 * dt + lam * u, axis=0)
-        v = a + stage + d_val
+        coords[k + 1] = y
+        v, u = _expand(Z, part, y, stage, penalty, dt, frozen, lam)
         if not np.all(np.isfinite(v)):
-            raise _diverged(k)
-        policy[k] = u
-        values[k] = v
+            return coords, converged_at, frozen, k
         if frozen is None and stop_tol > 0 and prev_u is not None:
             if np.max(np.abs(u - prev_u)) < stop_tol:
                 converged_at = k
@@ -292,8 +391,9 @@ def _per_point_recursion(ops, stage, penalty, H, stop_tol, values, policy):
                     "policy stationary at step %d (tol %.1e)", k, stop_tol
                 )
         prev_u = u
+    coords[0] = v @ P_bar
     log.debug("per-point path: %d steps computed", H)
-    return converged_at
+    return coords, converged_at, frozen, None
 
 
 def _quadratic_map(P_bar: np.ndarray, Z: np.ndarray, scale: float):
@@ -313,8 +413,8 @@ def _quadratic_map(P_bar: np.ndarray, Z: np.ndarray, scale: float):
     return Q
 
 
-def _coordinate_recursion(ops, stage, penalty, H, stop_tol, values, policy):
-    """Fill the tables from the recursion in rank-r coordinates.
+def _coordinate_recursion(P_bar, Z, stage, penalty, dt, H, stop_tol):
+    """Run the recursion in rank-r coordinates.
 
     With O_j^T v = Z_j y_j and y = P_bar^T v (:func:`_factor_layout`),
     under an unboxed quadratic penalty y obeys the closed recursion
@@ -322,18 +422,18 @@ def _coordinate_recursion(ops, stage, penalty, H, stop_tol, values, policy):
         y_k = L y_{0,k+1} + c + sum_m Q_m vec(y_{m,k+1} y_{m,k+1}^T),
 
     L = P_bar^T Z_0, c = P_bar^T stage and
-    Q_m = -P_bar^T (Z_m * Z_m) / (4 w_m dt).  Each block of steps is
-    then turned into value and policy rows by GEMMs, and the stop rule
-    and the finite check run on those rows.  Once the rule fires at
-    step k, the steps below it are recomputed from y_k under the frozen
-    policy, whose map is linear.  Returns converged_at.
+    Q_m = -P_bar^T (Z_m * Z_m) / (4 w_m dt).  After each block of steps
+    its value and policy rows are formed by GEMMs in scratch buffers,
+    only for the stop rule and the finite check.  Once the rule fires
+    at step k, the steps below it are recomputed from y_k under the
+    frozen policy, whose map is linear.  Returns (coords, converged_at,
+    frozen, diverged_at) like :func:`_per_point_recursion`.
     """
-    dt = ops.kernel_cfg.dt
     w = penalty.weights
-    N = ops.N
-    P_bar, Z, part = _factor_layout(ops)
+    N, D = P_bar.shape
+    part = _parts(Z)
+    n_u = len(Z) - 1
     channels = range(1, len(Z))
-    D = P_bar.shape[1]
 
     # Each row of ys is [y_k; 1], and every term of a free step is a
     # product of two of its entries: y_0 times the 1 (L), pairs a <= b
@@ -357,17 +457,20 @@ def _coordinate_recursion(ops, stage, penalty, H, stop_tol, values, policy):
     ys[:, D] = 1.0
     ys[H, :D] = 0.0
     # Scratch for one block, allocated once: fresh block-sized
-    # temporaries would page-fault on every block.
+    # temporaries would page-fault on every block.  us holds the block's
+    # policy rows and, after them, the lowest row of the block above.
     rows_max = min(H, _BLOCK_ROWS)
+    V_buf = np.empty((rows_max, N))
     lam_buf = np.empty((rows_max, N))
+    us = np.empty((rows_max + 1, n_u, N))
     finite_buf = np.empty((rows_max, N), dtype=bool)
-    change_buf = np.empty((rows_max, len(channels), N))
     frozen: Optional[np.ndarray] = None
     converged_at: Optional[int] = None
     computed = 0
     k_hi = H - 1
     while k_hi >= 0:
         k_lo = max(k_hi - _BLOCK_ROWS + 1, 0)
+        n = k_hi - k_lo + 1
         if frozen is None:
             for k in range(k_hi, k_lo - 1, -1):
                 y = ys[k + 1]
@@ -375,24 +478,21 @@ def _coordinate_recursion(ops, stage, penalty, H, stop_tol, values, policy):
         else:
             for k in range(k_hi, k_lo - 1, -1):
                 np.dot(M_frozen, ys[k + 1], out=ys[k, :D])
-        computed += k_hi - k_lo + 1
+        computed += n
 
-        # Rows k_lo..k_hi of the tables, from y_{k+1}.  Unboxed, the
+        # Rows k_lo..k_hi of v and u, from y_{k+1}.  Unboxed, the
         # conjugate w u^2 dt + lam u at the minimizer u is lam u / 2.
+        us[n] = us[0]
         Y = ys[k_lo + 1 : k_hi + 2]
-        n = len(Y)
-        V = values[k_lo : k_hi + 1]
-        np.matmul(Y[:, part[0]], Z[0].T, out=V)
+        V = np.matmul(Y[:, part[0]], Z[0].T, out=V_buf[:n])
         V += stage
         for m in channels:
             lam = np.matmul(Y[:, part[m]], Z[m].T, out=lam_buf[:n])
-            u = policy[k_lo : k_hi + 1, m - 1]
             if frozen is None:
-                np.divide(lam, -2.0 * w[m - 1] * dt, out=u)
+                u = np.divide(lam, -2.0 * w[m - 1] * dt, out=us[:n, m - 1])
                 lam *= u
                 lam *= 0.5
             else:
-                u[...] = frozen[m - 1]
                 lam *= frozen[m - 1]
                 lam += w[m - 1] * frozen[m - 1] ** 2 * dt
             V += lam
@@ -402,16 +502,20 @@ def _coordinate_recursion(ops, stage, penalty, H, stop_tol, values, policy):
         k_bad = k_lo + int(bad[-1]) if bad.size else -1
         k_stop = -1
         if frozen is None and stop_tol > 0:
-            rows = policy[k_lo : min(k_hi + 2, H)]
-            change = np.subtract(
-                rows[:-1], rows[1:], out=change_buf[: len(rows) - 1]
-            )
-            np.abs(change, out=change)
-            still = np.flatnonzero(change.max(axis=(1, 2)) < stop_tol)
+            # Row k against row k + 1, for every k < H - 1 in the block.
+            rows = us[: min(n + 1, H - k_lo)]
+            change = np.zeros(len(rows) - 1)
+            for m in range(n_u):
+                diff = np.subtract(
+                    rows[:-1, m], rows[1:, m], out=lam_buf[: len(change)]
+                )
+                np.abs(diff, out=diff)
+                np.maximum(change, diff.max(axis=1), out=change)
+            still = np.flatnonzero(change < stop_tol)
             k_stop = k_lo + int(still[-1]) if still.size else -1
         if k_stop > k_bad:
             converged_at = k_stop
-            frozen = policy[k_stop].copy()
+            frozen = us[k_stop - k_lo].copy()
             log.debug(
                 "policy stationary at step %d (tol %.1e)", k_stop, stop_tol
             )
@@ -423,14 +527,14 @@ def _coordinate_recursion(ops, stage, penalty, H, stop_tol, values, policy):
             M_frozen = P_bar.T @ np.column_stack(held + [stage + accrued])
             k_hi = k_stop - 1
         elif k_bad >= 0:
-            raise _diverged(k_bad)
+            return ys[:, :D], converged_at, frozen, k_bad
         else:
             k_hi = k_lo - 1
     log.debug(
         "coordinate path: %d steps computed, %d recomputed after the "
         "stop rule", computed, computed - H,
     )
-    return converged_at
+    return ys[:, :D], converged_at, frozen, None
 
 
 def khjb_recursion(
@@ -447,11 +551,13 @@ def khjb_recursion(
     horizon long enough to repay building the coordinate maps
     (:func:`_use_coordinates`): the sequential loop then costs
     O(D r^2) a step, independent of N, and blocks of steps are
-    expanded into the value and policy tables by GEMMs.  A boxed
-    penalty, a rank too high for N (s4's 45 at N = 400, or a hand-built
-    dense operator's N) or a short horizon take the per-point loop,
-    O(N r) a step through the same factors.  Both paths return the
-    same tables up to rounding and fire the stop rule at the same step.  They raise
+    expanded into value and policy rows by GEMMs for the stop rule and
+    the finite check.  A boxed penalty, a rank too high for N (s4's 45
+    at N = 400, or a hand-built dense operator's N) or a short horizon
+    take the per-point loop, O(N r) a step through the same factors.
+    Either way the solution keeps only the coordinates y_k
+    (:class:`ValueSolution`).  Both paths give the same rows up to
+    rounding and fire the stop rule at the same step.  They raise
     :class:`DivergenceError` at the same step too, unless rounding is
     amplified in the steps just before a blow-up (s2 data seed 57:
     k = 4589 in coordinates, 4590 per point).  At debug level the
@@ -471,7 +577,7 @@ def khjb_recursion(
         Number of backward steps, >= 1.
     stop_tol : float
         Stationary stopping rule: once the sup-norm change of the
-        feedback table between consecutive steps falls below this
+        feedback law between consecutive steps falls below this
         tolerance, the policy is frozen for the remaining steps while
         the values continue to accrue under it.  The comparison starts
         with the second computed row (the terminal row is always zero,
@@ -486,10 +592,13 @@ def khjb_recursion(
     Raises
     ------
     DivergenceError
-        If an iterate stops being finite.  This usually signals an
-        unstable learned operator spectrum; enforcing the Markov
-        constraints (``enforce_markov``) or picking a different kernel
-        scale sigma are the usual remedies.
+        If an iterate stops being finite.  The error carries the
+        spectral radius of the closed loop under the last finite policy
+        row and that row's largest control against the training
+        controls'.  This usually signals an unstable learned operator
+        spectrum; enforcing the Markov constraints (``enforce_markov``)
+        or picking a different kernel scale sigma are the usual
+        remedies.
     """
     cost = np.asarray(cost, dtype=float).ravel()
     N = ops.N
@@ -503,11 +612,9 @@ def khjb_recursion(
             f"penalty has n_u = {penalty.n_u}, operators have n_u = {n_u}"
         )
 
-    values = np.empty((H + 1, N))
-    policy = np.empty((H, n_u, N))
-    values[H] = 0.0
     dt = ops.kernel_cfg.dt
     stage = cost * dt
+    P_bar, Z = _factor_layout(ops)
     coordinates = _use_coordinates(ops, penalty, H)
     log.debug(
         "backward recursion on the %s path: r = %d, n_u = %d, N = %d",
@@ -518,18 +625,21 @@ def khjb_recursion(
     # Divergence is detected via the isfinite checks and raised as a
     # typed error; keep numpy's own overflow chatter out of it.
     with np.errstate(over="ignore", invalid="ignore"):
-        converged_at = recursion(
-            ops, stage, penalty, H, stop_tol, values, policy
+        coords, converged_at, frozen, diverged_at = recursion(
+            P_bar, Z, stage, penalty, dt, H, stop_tol
         )
-
-    return ValueSolution(
-        values=values,
-        policy=policy,
-        horizon=H,
+    sol = ValueSolution(
+        coords=coords,
+        factors=Z,
+        stage=stage,
+        penalty=penalty,
         dt=dt,
         converged_at=converged_at,
-        box=penalty.box,
+        frozen=frozen,
     )
+    if diverged_at is not None:
+        raise _diverged(ops, sol, diverged_at)
+    return sol
 
 
 def value_functional(v0, z0) -> float:
@@ -554,7 +664,7 @@ def _coefficients_for_step(
     a weak reference to the operators it was solved for."""
     cached = sol._interp_cache.get(k)
     if cached is None or cached[0]() is not ops:
-        C = cho_solve(ops.x_gram_factor(), sol.policy[k].T)  # (N, n_u)
+        C = cho_solve(ops.x_gram_factor(), sol.policy_row(k).T)  # (N, n_u)
         cached = (weakref.ref(ops), C)
         sol._interp_cache[k] = cached
     return cached[1]
@@ -565,9 +675,9 @@ def policy_interpolate(
 ) -> np.ndarray:
     """Evaluate the learned feedback law off the training points.
 
-    The policy table row at step ``k`` is interpolated in the kernel
+    The policy row at step ``k`` is interpolated in the kernel
     basis over the training states: the returned control is
-    ``k_xX (K_X + gamma I)^{-1} table``, clipped to the control box when
+    ``k_xX (K_X + gamma I)^{-1} u_k``, clipped to the control box when
     one is configured.  The linear solve against the regularized Gram
     matrix is performed once per step and set of operators, and cached.
 
@@ -593,9 +703,9 @@ def policy_interpolate(
         k = sol.stationary_step
     if not 0 <= k < sol.horizon:
         raise InputError(f"step {k} outside [0, {sol.horizon})")
-    if sol.policy.shape[2] != ops.N:
+    if sol.N != ops.N:
         raise InputError(
-            f"the solution has {sol.policy.shape[2]} training points, "
+            f"the solution has {sol.N} training points, "
             f"the operators N = {ops.N}"
         )
     X = ops.dataset_ref.X
@@ -631,7 +741,7 @@ def export_value_policy_csv(
     if X.ndim == 1:
         X = X[None, :]
     n_x = X.shape[0]
-    n_u = sol.policy.shape[1]
+    n_u = sol.n_u
     if steps is None:
         steps = range(sol.horizon)
     header = (
@@ -645,9 +755,10 @@ def export_value_policy_csv(
         wr.writerow(header)
         for k in steps:
             t = k * sol.dt
+            v, u = sol.value_row(k), sol.policy_row(k)
             for i in range(X.shape[1]):
                 row = [k, f"{t:.17g}", i]
                 row += [f"{X[d, i]:.17g}" for d in range(n_x)]
-                row += [f"{sol.values[k, i]:.17g}"]
-                row += [f"{sol.policy[k, m, i]:.17g}" for m in range(n_u)]
+                row += [f"{v[i]:.17g}"]
+                row += [f"{u[m, i]:.17g}" for m in range(n_u)]
                 wr.writerow(row)

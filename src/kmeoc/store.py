@@ -7,8 +7,10 @@ header (8-byte magic tag, little-endian u32 version, little-endian u32
 kind), an 8-byte BLAKE2b checksum of the payload, then the payload
 itself.  The version is kept per kind (:data:`VERSIONS`); a model is
 stored as the thin factors of its operators, each distinct factor array
-once.  Payloads are little-endian float64 streams in row-major order,
-so files transfer between machines unchanged.  Writes go to a temporary
+once, and a value solution as its coordinates y_k together with the
+right factors, stage cost and penalty that expand them into rows.
+Payloads are little-endian float64 streams in row-major order, so
+files transfer between machines unchanged.  Writes go to a temporary
 file in the destination directory and are renamed into place, so
 readers never observe a half-written artifact.
 """
@@ -32,7 +34,7 @@ from .errors import (
     VersionError,
 )
 from .estimator import EstimatedOperators, LowRank
-from .hjb import ValueSolution
+from .hjb import ControlPenalty, ValueSolution
 from .kernel import DIFFUSED_MODES, KernelConfig
 from .systems import Dataset
 
@@ -46,10 +48,13 @@ _KIND_MODEL = 2
 _KIND_VALUE_SOLUTION = 3
 
 #: Format version per artifact kind.  Models are at 2: they hold
-#: factored operators; version 1 stored dense N x N matrices.
+#: factored operators; version 1 stored dense N x N matrices.  Value
+#: solutions are at 2: they hold the recursion's rank-r coordinates and
+#: the right factors that expand them; version 1 stored the value and
+#: policy tables.
 VERSIONS = {
     _KIND_MODEL: 2,
-    _KIND_VALUE_SOLUTION: 1,
+    _KIND_VALUE_SOLUTION: 2,
 }
 
 Persistable = Union[EstimatedOperators, ValueSolution]
@@ -82,20 +87,29 @@ class _Reader:
         return int(round(self.scalar()))
 
 
+def _distinct(arrays) -> tuple:
+    """Each distinct array of ``arrays`` once, and the index of each."""
+    distinct: list = []
+    index = []
+    for arr in arrays:
+        pos = next(
+            (k for k, f in enumerate(distinct) if np.array_equal(f, arr)), None
+        )
+        if pos is None:
+            pos = len(distinct)
+            distinct.append(arr)
+        index.append(pos)
+    return distinct, index
+
+
 def _encode_model(ops: EstimatedOperators) -> bytes:
     operators = [ops.A, *ops.B]
     # Operators share factor arrays (fitted B blocks reuse A's right
     # factor, hand-built dense ones one identity); each distinct array
     # is written once and referenced by index.
-    factors: list = []
-    index = []
-    for op in operators:
-        for arr in (op.left, op.right):
-            pos = next((k for k, f in enumerate(factors) if f is arr), None)
-            if pos is None:
-                pos = len(factors)
-                factors.append(arr)
-            index.append(pos)
+    factors, index = _distinct(
+        [arr for op in operators for arr in (op.left, op.right)]
+    )
     N, r = ops.N, ops.A.rank
     if any(f.shape != (N, r) for f in factors):
         raise InputError("every operator factor must have shape (N, r)")
@@ -180,19 +194,27 @@ def _decode_model(buf: bytes) -> EstimatedOperators:
 
 
 def _encode_value_solution(sol: ValueSolution) -> bytes:
-    H = sol.horizon
-    n_u = sol.policy.shape[1]
-    N = sol.values.shape[1]
+    # The right factors R_j are written once per distinct array (fitted
+    # B blocks share A's), then the shifts s_j of Z_j = [R_j s_j].
+    rights, index = _distinct([Zj[:, :-1] for Zj in sol.factors])
     conv = -1 if sol.converged_at is None else sol.converged_at
+    box = sol.box
     parts = [
-        _f64(H, N, n_u, sol.dt, conv, 0 if sol.box is None else 1),
+        _f64(
+            sol.horizon, sol.N, sol.n_u, sol.dt, conv,
+            0 if box is None else 1, len(rights),
+        ),
+        _arr(sol.penalty.weights),
     ]
-    if sol.box is not None:
-        lo, hi = sol.box
-        parts.append(_arr(lo))
-        parts.append(_arr(hi))
-    parts.append(_arr(sol.values))
-    parts.append(_arr(sol.policy))
+    if box is not None:
+        parts += [_arr(box[0]), _arr(box[1])]
+    parts.append(_f64(*(R.shape[1] for R in rights), *index))
+    parts.extend(_arr(R) for R in rights)
+    parts.extend(_arr(Zj[:, -1]) for Zj in sol.factors)
+    parts.append(_arr(sol.stage))
+    if sol.converged_at is not None:
+        parts.append(_arr(sol.frozen))
+    parts.append(_arr(sol.coords))
     return b"".join(parts)
 
 
@@ -202,24 +224,33 @@ def _decode_value_solution(buf: bytes) -> ValueSolution:
     dt = r.scalar()
     conv = r.intval()
     has_box = r.intval()
-    box = None
-    if has_box:
-        lo = r.floats(n_u)
-        hi = r.floats(n_u)
-        box = (lo, hi)
-    values = r.floats((H + 1) * N).reshape(H + 1, N)
-    policy = r.floats(H * n_u * N).reshape(H, n_u, N)
-    if not np.all(values[H] == 0.0):
+    n_rights = r.intval()
+    weights = r.floats(n_u)
+    box = (r.floats(n_u), r.floats(n_u)) if has_box else None
+    ranks = [r.intval() for _ in range(n_rights)]
+    index = [r.intval() for _ in range(1 + n_u)]
+    if not all(0 <= k < n_rights for k in index):
+        raise InvariantError(
+            "operator refers to a missing factor", invariant="valid factor index"
+        )
+    rights = [r.floats(N * rank).reshape(N, rank) for rank in ranks]
+    factors = [np.column_stack([rights[k], r.floats(N)]) for k in index]
+    stage = r.floats(N)
+    frozen = r.floats(n_u * N).reshape(n_u, N) if conv >= 0 else None
+    D = sum(Zj.shape[1] for Zj in factors)
+    coords = r.floats((H + 1) * D).reshape(H + 1, D)
+    if not np.all(coords[H] == 0.0):
         raise InvariantError(
             "terminal value row is not zero", invariant="zero terminal value"
         )
     return ValueSolution(
-        values=values,
-        policy=policy,
-        horizon=H,
+        coords=coords,
+        factors=factors,
+        stage=stage,
+        penalty=ControlPenalty(weights=weights, box=box),
         dt=dt,
         converged_at=None if conv < 0 else conv,
-        box=box,
+        frozen=frozen,
     )
 
 

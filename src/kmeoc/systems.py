@@ -198,13 +198,14 @@ def euler_maruyama_step(
     dt: float,
     epsilon: float,
     substeps: int,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
 ) -> np.ndarray:
     """Integrate the SDE over [0, dt] with Euler--Maruyama substeps.
 
     Each of the ``substeps`` increments of size h = dt/substeps adds
     sqrt(2*epsilon*h) * w with w an independent standard-normal draw,
     so the one-step noise variance is 2*epsilon*dt per coordinate.
+    At epsilon == 0 nothing is drawn and ``rng`` may be None.
 
     Raises
     ------
@@ -217,6 +218,8 @@ def euler_maruyama_step(
         raise InputError(f"dt must be > 0, got {dt}")
     if epsilon < 0:
         raise InputError(f"epsilon must be >= 0, got {epsilon}")
+    if epsilon > 0 and rng is None:
+        raise InputError("epsilon > 0 needs a random generator")
     x = np.asarray(x, dtype=float).reshape(system.n_x).copy()
     u = np.asarray(u, dtype=float).reshape(system.n_u)
     h = dt / substeps
@@ -278,7 +281,9 @@ def generate_dataset(
     The RNG is split once into a draw stream (states and controls, in
     that order) and one integration substream per sample, all derived
     from (seed, sample index).  Regenerating any subset of samples
-    therefore reproduces exactly the same successors.
+    therefore reproduces exactly the same successors.  At epsilon == 0
+    the integration draws nothing, so only the draw stream is spawned;
+    it is the same first child whatever the count.
     """
     if N < 1:
         raise InputError(f"N must be >= 1, got {N}")
@@ -287,7 +292,8 @@ def generate_dataset(
     dt = float(cfg.dt)
     epsilon = float(cfg.epsilon)
 
-    children = np.random.SeedSequence(seed).spawn(N + 1)
+    noisy = epsilon > 0
+    children = np.random.SeedSequence(seed).spawn(N + 1 if noisy else 1)
     draw_rng = np.random.default_rng(children[0])
 
     if sampler == "uniform_iid":
@@ -320,7 +326,7 @@ def generate_dataset(
     Y = np.empty_like(X)
     cost = np.empty(N)
     for i in range(N):
-        rng_i = np.random.default_rng(children[1 + i])
+        rng_i = np.random.default_rng(children[1 + i]) if noisy else None
         Y[:, i] = euler_maruyama_step(
             system, X[:, i], U[:, i], dt, epsilon, substeps, rng_i
         )

@@ -92,6 +92,35 @@ class TestIdentify:
         assert np.isfinite(summary["fit_residual_fro"])
         assert np.isfinite(summary["departure_from_normality"])
 
+    def test_grams_built_once(self, work, tmp_path, monkeypatch):
+        import kmeoc.estimator
+        from kmeoc import KernelConfig, enforce_markov, fit_krr, fit_residual
+        from kmeoc.kernel import build_grams
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build_grams(*args, **kwargs)
+
+        monkeypatch.setattr(kmeoc.cli, "build_grams", counted)
+        monkeypatch.setattr(kmeoc.estimator, "build_grams", counted)
+        dataset = work / "s1_n400_seed3.csv"
+        argv = [
+            "identify", "--dataset", str(dataset), "--sigma", "1.2",
+            "--markov-enforce", "true", "--out", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        # The residual is the one of Grams built anew for the check.
+        monkeypatch.undo()
+        ds = load_dataset_csv(dataset)
+        cfg = KernelConfig(sigma=1.2, epsilon=0.02, dt=ds.dt)
+        ops = enforce_markov(fit_krr(ds, cfg))
+        summary = json.loads((tmp_path / "s1_n400_seed3_fit.json").read_text())
+        expected = fit_residual(ops, build_grams(ds.X, ds.U, ds.Y, cfg))
+        assert summary["fit_residual_fro"] == expected
+
     def test_sigma_grid_selection_written(self, work, tmp_path, capsys):
         dataset = work / "s1_n400_seed3.csv"
         rc = main(

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, solve
+from scipy.linalg import cho_factor, cho_solve, solve
 
 from kmeoc import (
     Dataset,
@@ -22,6 +22,7 @@ from kmeoc import (
     model_select,
     validation_score,
 )
+from kmeoc.estimator import _ridge_cholesky
 from kmeoc.kernel import cross_gram_diffused
 
 from conftest import make_static_dataset
@@ -41,6 +42,33 @@ class TestFitKrr:
         # Acting on a probability vector it is almost the identity.
         z = np.full(ds.N, 1.0 / ds.N)
         assert np.sum(np.abs(CL @ z - z)) <= 1e-5
+
+    def test_given_grams_fit_the_same_operators(self, static_ops):
+        ds = static_ops.dataset_ref
+        cfg = static_ops.kernel_cfg
+        grams = build_grams(ds.X, ds.U, ds.Y, cfg)
+        K_U = grams.K_U.copy()
+        ops = fit_krr(ds, cfg, grams=grams)
+        for a, b in zip([ops.A, *ops.B], [static_ops.A, *static_ops.B]):
+            assert a.left.tobytes() == b.left.tobytes()
+            assert a.right.tobytes() == b.right.tobytes()
+        assert grams.K_U.tobytes() == K_U.tobytes()  # left for fit_residual
+        with pytest.raises(InputError, match="N = "):
+            fit_krr(make_static_dataset(N=30), cfg, grams=grams)
+
+    def test_ridge_factor_in_place_equals_fortran_copy(self, static_ops):
+        # The factor of K's transpose view equals the one of a
+        # Fortran-ordered copy bit for bit, because K is symmetric.
+        K = gram(static_ops.dataset_ref.X, 1.0)
+        assert np.array_equal(K, K.T)
+        c_ref, _ = cho_factor(np.array(K, order="F") + 1e-8 * np.eye(len(K)))
+        kept = K.copy()
+        c, lower = _ridge_cholesky(K, 1e-8)
+        assert not lower and c.tobytes(order="F") == c_ref.tobytes(order="F")
+        assert K.tobytes() == kept.tobytes()
+        c, _ = _ridge_cholesky(K, 1e-8, overwrite=True)
+        assert np.shares_memory(c, K)
+        assert c.tobytes(order="F") == c_ref.tobytes(order="F")
 
     def test_zero_controls_give_zero_b_blocks(self):
         ds = make_static_dataset(N=30)

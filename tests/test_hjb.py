@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import functools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -140,18 +141,18 @@ class TestKhjbRecursion:
         cost = np.linspace(0.5, 2.0, N)
         penalty = ControlPenalty(weights=np.array([1.0]), box=(-1.0, 1.0))
         sol = khjb_recursion(static_ops, cost, penalty, H=40)
-        np.testing.assert_array_equal(sol.values[40], np.zeros(N))
+        np.testing.assert_array_equal(sol.value_row(40), np.zeros(N))
         # With v_H = 0 the conjugate term vanishes, so v_{H-1} is the
         # weighted stage cost exactly.
-        np.testing.assert_array_equal(sol.values[39], cost * 1e-2)
-        np.testing.assert_array_equal(sol.policy[39], np.zeros((1, N)))
+        np.testing.assert_array_equal(sol.value_row(39), cost * 1e-2)
+        np.testing.assert_array_equal(sol.policy_row(39), np.zeros((1, N)))
 
     def test_single_step_horizon(self, static_ops):
         cost = np.ones(static_ops.N)
         penalty = ControlPenalty(weights=np.array([1.0]))
         sol = khjb_recursion(static_ops, cost, penalty, H=1)
         assert sol.values.shape == (2, static_ops.N)
-        np.testing.assert_array_equal(sol.values[0], cost * 1e-2)
+        np.testing.assert_array_equal(sol.value_row(0), cost * 1e-2)
 
     def test_zero_cost_stays_zero(self, static_ops):
         penalty = ControlPenalty(weights=np.array([1.0]), box=(-1.0, 1.0))
@@ -168,23 +169,23 @@ class TestKhjbRecursion:
         sol = khjb_recursion(ops, ds.cost / ds.dt, penalty, H=100)
         assert sol.box is not None
         lo, hi = sol.box
-        assert np.all(sol.policy >= lo[:, None] - 1e-15)
-        assert np.all(sol.policy <= hi[:, None] + 1e-15)
+        policy = sol.policy
+        assert np.all(policy >= lo[:, None] - 1e-15)
+        assert np.all(policy <= hi[:, None] + 1e-15)
         # The bound actually binds somewhere, so the clip is exercised.
-        assert np.any(sol.policy == hi[:, None])
+        assert np.any(policy == hi[:, None])
 
     def test_policy_rows_are_conjugate_minimizers(self, s1_sol_full_horizon):
         ops, sol = s1_sol_full_horizon
         penalty = ControlPenalty(weights=np.array([1.0]), box=sol.box)
         for k in (0, sol.horizon // 2, sol.horizon - 1):
             lam = np.stack(
-                [Bm.T @ sol.values[k + 1] for Bm in ops.B_hat_blocks]
+                [Bm.T @ sol.value_row(k + 1) for Bm in ops.B_hat_blocks]
             )
-            for i in (0, sol.policy.shape[2] - 1):
+            u = sol.policy_row(k)
+            for i in (0, sol.N - 1):
                 _, u_star = fenchel_conjugate(lam[:, i], penalty, sol.dt)
-                np.testing.assert_allclose(
-                    sol.policy[k, :, i], u_star, atol=1e-13
-                )
+                np.testing.assert_allclose(u[:, i], u_star, atol=1e-13)
 
     def test_identity_operator_accumulates_stage_cost(self, static_ops):
         N = static_ops.N
@@ -197,7 +198,7 @@ class TestKhjbRecursion:
         penalty = ControlPenalty(weights=np.array([1.0]))
         H = 50
         sol = khjb_recursion(ops, cost, penalty, H=H)
-        np.testing.assert_array_equal(sol.values[0], np.full(N, H / 128.0))
+        np.testing.assert_array_equal(sol.value_row(0), np.full(N, H / 128.0))
 
     def test_frozen_policy_still_accrues_value(self, static_ops):
         # B = 0 makes the policy identically zero, so the stopping rule
@@ -209,7 +210,7 @@ class TestKhjbRecursion:
         sol = khjb_recursion(ops, cost, penalty, H=30, stop_tol=1e-6)
         assert sol.converged_at == 28
         assert sol.stationary_step == 28
-        np.testing.assert_allclose(sol.values[0], 30 * 1e-2, rtol=1e-12)
+        np.testing.assert_allclose(sol.value_row(0), 30 * 1e-2, rtol=1e-12)
 
     def test_stop_tol_zero_disables_rule(self, s1_sol_full_horizon):
         _, sol = s1_sol_full_horizon
@@ -223,6 +224,21 @@ class TestKhjbRecursion:
         with pytest.raises(DivergenceError) as exc_info:
             khjb_recursion(ops, np.ones(N), penalty, H=2000)
         assert 0 <= exc_info.value.step < 2000
+
+    def test_divergence_says_why(self, static_ops):
+        # A = 2 I, B = 0: the policy stays 0 and the closed loop is A.
+        N = static_ops.N
+        ops = _ops_with(static_ops, 2.0 * np.eye(N), [np.zeros((N, N))])
+        penalty = ControlPenalty(weights=np.array([1.0]))
+        with pytest.raises(DivergenceError) as exc_info:
+            khjb_recursion(ops, np.ones(N), penalty, H=2000)
+        err = exc_info.value
+        assert err.spectral_radius > 1.0
+        assert err.spectral_radius == pytest.approx(2.0, rel=1e-12)
+        assert err.max_control == 0.0
+        assert err.max_training_control == np.max(np.abs(ops.dataset_ref.U))
+        assert f"spectral radius {err.spectral_radius:.6g}" in str(err)
+        assert f"max |U| = {err.max_training_control:.4g}" in str(err)
 
     def test_input_validation(self, static_ops):
         penalty = ControlPenalty(weights=np.array([1.0]))
@@ -247,7 +263,7 @@ class TestKhjbRecursion:
         window = sol.horizon // 10
         d = np.array(
             [
-                np.max(np.abs(sol.values[k] - sol.values[k + 1]))
+                np.max(np.abs(sol.value_row(k) - sol.value_row(k + 1)))
                 for k in range(window)
             ]
         )
@@ -286,6 +302,103 @@ def _dense_recursion(A, B_blocks, cost, penalty, H, dt, stop_tol):
                 frozen = u
         prev_u = u
     return policy, converged_at
+
+
+def _table_recursion(ops, cost, penalty, H, stop_tol):
+    """Reference oracle: the per-point loop filling dense tables.
+
+    Step for step the loop the package ran while solutions held an
+    (H+1) x N value table and an H x n_u x N policy table; returns
+    (values, policy, converged_at).
+    """
+    N, n_u, dt = ops.N, ops.n_u, ops.kernel_cfg.dt
+    w = penalty.weights[:, None]
+    P_bar, Z = hjb._factor_layout(ops)
+    part = hjb._parts(Z)
+    stage = cost * dt
+    values = np.zeros((H + 1, N))
+    policy = np.empty((H, n_u, N))
+    v = np.zeros(N)
+    lam = np.empty((n_u, N))
+    prev_u = frozen = converged_at = None
+    for k in range(H - 1, -1, -1):
+        y = v @ P_bar
+        a = Z[0] @ y[part[0]]
+        for m in range(1, len(Z)):
+            np.dot(Z[m], y[part[m]], out=lam[m - 1])
+        if frozen is None:
+            d_val, u = _fenchel_batch(lam, penalty, dt)
+        else:
+            u = frozen
+            d_val = np.sum(w * u**2 * dt + lam * u, axis=0)
+        v = a + stage + d_val
+        values[k] = v
+        policy[k] = u
+        if frozen is None and stop_tol > 0 and prev_u is not None:
+            if np.max(np.abs(u - prev_u)) < stop_tol:
+                converged_at = k
+                frozen = u
+        prev_u = u
+    return values, policy, converged_at
+
+
+class TestRowsFromCoordinates:
+    """A solution keeps y_k and expands value and policy rows on demand."""
+
+    @pytest.mark.parametrize("case", ["boxed", "identity-fires", "s4"])
+    def test_per_point_rows_equal_the_tables(self, static_ops, case):
+        N = static_ops.N
+        free = ControlPenalty(weights=np.array([1.0]))
+        if case == "boxed":
+            ops, cost, H = static_ops, np.linspace(0.5, 2.0, N), 40
+            penalty = ControlPenalty(weights=np.array([1.0]), box=(-1.0, 1.0))
+        elif case == "identity-fires":
+            ops = _ops_with(static_ops, np.eye(N), [np.zeros((N, N))])
+            cost, penalty, H = np.ones(N), free, 30
+        else:
+            ops = _bench_ops("s4", 0)
+            cost = ops.dataset_ref.cost / ops.dataset_ref.dt
+            penalty, H = make_system("s4").penalty, bench_config("s4")["H"]
+        assert not hjb._use_coordinates(ops, penalty, H)
+        sol = khjb_recursion(ops, cost, penalty, H)
+        values, policy, converged_at = _table_recursion(
+            ops, cost, penalty, H, 1e-6
+        )
+        assert sol.converged_at == converged_at
+        assert (converged_at is not None) == (case == "identity-fires")
+        assert sol.values.tobytes() == values.tobytes()
+        assert sol.policy.tobytes() == policy.tobytes()
+
+    def test_tables_are_read_only_and_rows_checked(self, static_ops):
+        penalty = ControlPenalty(weights=np.array([1.0]))
+        sol = khjb_recursion(static_ops, np.ones(static_ops.N), penalty, H=5)
+        D = static_ops.A.rank + 1 + static_ops.B[0].rank + 1
+        assert sol.coords.shape == (6, D)
+        assert np.all(sol.coords[5] == 0.0)
+        assert not sol.values.flags.writeable
+        assert not sol.policy.flags.writeable
+        with pytest.raises(InputError):
+            sol.policy_row(5)
+        with pytest.raises(InputError):
+            sol.value_row(-1)
+
+    def test_s2_recursion_allocates_no_tables(self):
+        # At bench settings the value and policy tables of s2 would take
+        # (H+1) N + H N floats, 76 MiB.
+        cfg = bench_config("s2")
+        ops = _bench_ops("s2", 0)
+        ds = ops.dataset_ref
+        tracemalloc.start()
+        try:
+            sol = khjb_recursion(
+                ops, ds.cost / ds.dt, make_system("s2").penalty, cfg["H"],
+                stop_tol=cfg["stop_tol"],
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.horizon == cfg["H"]
+        assert peak < 10 * 2**20
 
 
 class TestFactoredMatchesDense:
@@ -364,9 +477,10 @@ class TestFactoredMatchesDense:
             ops.A_hat, ops.B_hat_blocks, *args, ops.kernel_cfg.dt,
             cfg["stop_tol"],
         )
-        assert np.any(np.abs(sol.policy) == 0.8)  # the box binds
+        table = sol.policy
+        assert np.any(np.abs(table) == 0.8)  # the box binds
         assert sol.converged_at == converged_at
-        assert np.max(np.abs(sol.policy - policy)) <= 1e-5
+        assert np.max(np.abs(table - policy)) <= 1e-5
 
 
 @functools.lru_cache(maxsize=1)  # the cases sharing a fit are adjacent
@@ -553,6 +667,19 @@ class TestValueFunctional:
             value_functional(np.ones(3), np.ones(4))
 
 
+def _hand_built(N, box=None, frozen=None):
+    """A one-step solution from the zero terminal value: Z_j = [1]."""
+    return ValueSolution(
+        coords=np.zeros((2, 2)),
+        factors=[np.ones((N, 1)), np.ones((N, 1))],
+        stage=np.zeros(N),
+        penalty=ControlPenalty(weights=np.array([1.0]), box=box),
+        dt=1e-2,
+        converged_at=None if frozen is None else 0,
+        frozen=frozen,
+    )
+
+
 class TestPolicyInterpolate:
     def test_reproduces_table_at_training_points(self):
         ds = make_static_dataset(N=40, seed=6)
@@ -579,14 +706,9 @@ class TestPolicyInterpolate:
             )
 
     def test_clips_to_control_box(self, static_ops):
+        # The stop rule "fired" at step 0 with a row of 10s, held as is.
         N = static_ops.N
-        sol = ValueSolution(
-            values=np.zeros((2, N)),
-            policy=np.full((1, 1, N), 10.0),
-            horizon=1,
-            dt=1e-2,
-            box=(np.array([-0.5]), np.array([0.5])),
-        )
+        sol = _hand_built(N, box=(-0.5, 0.5), frozen=np.full((1, N), 10.0))
         out = policy_interpolate(
             static_ops.dataset_ref.X[:, :5], sol, static_ops, k=0
         )
@@ -595,12 +717,8 @@ class TestPolicyInterpolate:
 
     def test_zero_table_gives_zero(self, static_ops):
         N = static_ops.N
-        sol = ValueSolution(
-            values=np.zeros((2, N)),
-            policy=np.zeros((1, 1, N)),
-            horizon=1,
-            dt=1e-2,
-        )
+        sol = _hand_built(N)
+        np.testing.assert_array_equal(sol.policy_row(0), np.zeros((1, N)))
         out = policy_interpolate(np.array([0.3]), sol, static_ops, k=0)
         np.testing.assert_array_equal(out, [0.0])
 
@@ -662,8 +780,8 @@ class TestCsvExport:
         assert [r[0] for r in rows[1:]] == ["0"] * N + [str(sol.horizon - 1)] * N
         assert [r[2] for r in rows[1 : N + 1]] == [str(i) for i in range(N)]
         # %.17g survives the float round trip bit for bit.
-        assert float(rows[1][4]) == sol.values[0, 0]
-        assert float(rows[1][5]) == sol.policy[0, 0, 0]
+        assert float(rows[1][4]) == sol.value_row(0)[0]
+        assert float(rows[1][5]) == sol.policy_row(0)[0, 0]
         assert float(rows[1 + N][1]) == (sol.horizon - 1) * sol.dt
 
     def test_default_exports_every_step(self, tmp_path, static_ops):

@@ -33,6 +33,14 @@ def solution(static_ops_module):
 
 
 @pytest.fixture(scope="module")
+def s1_bench():
+    """(ops, sol) of s1 at bench settings, N = 1000 and H = 500."""
+    from kmeoc.bench import bench_config, fit_and_solve
+
+    return fit_and_solve(make_system("s1"), bench_config("s1"), data_seed=0)
+
+
+@pytest.fixture(scope="module")
 def static_ops_module():
     from kmeoc import fit_krr
 
@@ -134,13 +142,41 @@ class TestRoundTrips:
         path = tmp_path / "sol.bin"
         save(solution, path)
         back = load(path)
-        assert np.array_equal(back.values, solution.values)
-        assert np.array_equal(back.policy, solution.policy)
+        assert back.coords.tobytes() == solution.coords.tobytes()
+        assert back.values.tobytes() == solution.values.tobytes()
+        assert back.policy.tobytes() == solution.policy.tobytes()
         assert back.horizon == solution.horizon
         assert back.dt == solution.dt
         assert back.converged_at == solution.converged_at
         np.testing.assert_array_equal(back.box[0], solution.box[0])
         np.testing.assert_array_equal(back.box[1], solution.box[1])
+
+    def test_coordinate_solution_round_trip(self, tmp_path, s1_bench):
+        # s1 at bench settings: coordinate path, the stop rule fires.
+        sol = s1_bench[1]
+        assert sol.converged_at is not None
+        path = tmp_path / "s1_sol.bin"
+        save(sol, path)
+        back = load(path)
+        assert back.coords.tobytes() == sol.coords.tobytes()
+        for a, b in zip(back.factors, sol.factors):
+            assert a.tobytes() == b.tobytes()
+        assert back.stage.tobytes() == sol.stage.tobytes()
+        assert back.frozen.tobytes() == sol.frozen.tobytes()
+        assert back.penalty.box is None
+        assert np.array_equal(back.penalty.weights, sol.penalty.weights)
+        assert (back.converged_at, back.dt) == (sol.converged_at, sol.dt)
+        for k in (0, sol.converged_at, sol.converged_at + 1, sol.horizon - 1):
+            assert back.value_row(k).tobytes() == sol.value_row(k).tobytes()
+            assert back.policy_row(k).tobytes() == sol.policy_row(k).tobytes()
+
+    def test_s1_solution_is_under_one_megabyte(self, tmp_path, s1_bench):
+        # N = 1000, H = 500: the tables alone took 8 MB.
+        ops, sol = s1_bench
+        assert (ops.N, sol.horizon) == (1000, 500)
+        path = tmp_path / "s1_sol.bin"
+        save(sol, path)
+        assert path.stat().st_size < 1_000_000
 
     def test_unconverged_flag_survives(self, tmp_path, static_ops_module):
         ds = static_ops_module.dataset_ref
@@ -219,12 +255,13 @@ class TestValidation:
         with pytest.raises(HeaderError, match="kind"):
             load(path)
 
-    def test_bad_version(self, tmp_path, solution):
+    def test_version_1_solution_is_refused(self, tmp_path, solution):
+        # Version 1 held the value and policy tables.
         path = tmp_path / "ver.bin"
         save(solution, path)
         blob = bytearray(path.read_bytes())
-        assert struct.unpack("<II", blob[8:16]) == (1, 3)  # version, kind
-        blob[8:12] = struct.pack("<I", 2)
+        assert struct.unpack("<II", blob[8:16]) == (2, 3)  # version, kind
+        blob[8:12] = struct.pack("<I", 1)
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionError):
             load(path)
@@ -247,14 +284,9 @@ class TestValidation:
         save(solution, path)
         blob = bytearray(path.read_bytes())
         payload = bytearray(blob[24:])
-        # Payload layout: 6 leading floats, the box bounds (2 floats),
-        # then the value rows; the terminal row is the last N values
-        # before the policy block.
-        N = solution.values.shape[1]
-        H = solution.horizon
-        n_u = solution.policy.shape[1]
-        offset = 8 * (6 + 2 * n_u) + 8 * H * N  # start of row H
-        payload[offset : offset + 8] = struct.pack("<d", 1.0)
+        # The payload ends with the coordinate rows, so its last float
+        # belongs to the terminal row H.
+        payload[-8:] = struct.pack("<d", 1.0)
         checksum = hashlib.blake2b(bytes(payload), digest_size=8).digest()
         path.write_bytes(bytes(blob[:16]) + checksum + bytes(payload))
         with pytest.raises(InvariantError, match="terminal"):
@@ -266,7 +298,7 @@ class TestValidation:
         # problem.
         payload = struct.pack("<d", 1e6) * 4
         checksum = hashlib.blake2b(payload, digest_size=8).digest()
-        blob = MAGIC + struct.pack("<II", 1, 3) + checksum + payload
+        blob = MAGIC + struct.pack("<II", 2, 3) + checksum + payload
         path = tmp_path / "garbage.bin"
         path.write_bytes(blob)
         with pytest.raises(InvariantError, match="malformed"):

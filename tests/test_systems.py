@@ -240,6 +240,36 @@ class TestGenerateDataset:
         assert ds.X[0].min() == pytest.approx(vdp.domain.lo[0])
         assert ds.X[0].max() == pytest.approx(vdp.domain.hi[0])
 
+    @pytest.mark.parametrize("sampler", ["uniform_iid", "grid"])
+    @pytest.mark.parametrize("name", SYSTEM_NAMES)
+    def test_noise_free_data_needs_no_sample_generators(self, name, sampler):
+        # At epsilon = 0 only the draw stream is spawned.  It is the
+        # first child whatever the count, so X and U equal those of a
+        # noisy run, and each Y is the integrator's from a per-sample
+        # generator it never draws from.
+        system = make_system(name)
+        N, seed, substeps = 49, 11, 4
+        ds = generate_dataset(
+            system, N, KernelConfig(sigma=1.0, epsilon=0.0, dt=1e-2),
+            substeps=substeps, sampler=sampler, seed=seed,
+        )
+        noisy = generate_dataset(
+            system, N, KernelConfig(sigma=1.0, epsilon=0.02, dt=1e-2),
+            substeps=substeps, sampler=sampler, seed=seed,
+        )
+        assert ds.X.tobytes() == noisy.X.tobytes()
+        assert ds.U.tobytes() == noisy.U.tobytes()
+        assert ds.cost.tobytes() == noisy.cost.tobytes()
+        children = np.random.SeedSequence(seed).spawn(N + 1)
+        Y = np.column_stack([
+            euler_maruyama_step(
+                system, ds.X[:, i], ds.U[:, i], 1e-2, 0.0, substeps,
+                np.random.default_rng(children[1 + i]),
+            )
+            for i in range(ds.N)
+        ])
+        assert ds.Y.tobytes() == Y.tobytes()
+
     def test_unknown_sampler(self):
         with pytest.raises(InputError):
             generate_dataset(
