@@ -12,35 +12,19 @@ penalty,
 and the minimizer of that inner problem *is* the feedback law at the
 matching training point and time step.  For diagonal quadratic
 penalties with an optional box the minimizer has a closed form: clip
-``-lam_m / (2 R_m dt)`` to the box.  One vectorized function,
-``_fenchel_batch``, computes both the conjugate values and the
-minimizers wherever a row is formed.  The coordinate path instead
-builds the unboxed closed form into its maps (the scale
-``-1 / (4 R_m dt)`` and the value ``lam u / 2`` at
-``u = -lam / (2 R_m dt)``); the tests check that both paths give the
-same rows.
+``-lam_m / (2 R_m dt)`` to the box (:func:`_fenchel_batch`).
 
 Every operator is O_j = P_j R_j^T + 1 s_j^T, so O_j^T v = Z_j y_j with
 Z_j = [R_j s_j] and y = [P_0 1 | ... | P_{n_u} 1]^T v
 (:func:`_factor_layout`).  A value iterate enters the next step only
 through its D = sum_j (r_j + 1) coordinates y, and
 :class:`ValueSolution` keeps just those, expanding value and policy
-rows on demand.  :func:`khjb_recursion` computes them on one of two
-paths:
-
-* **coordinates** -- under an unboxed penalty.  y obeys a closed
-  quadratic recursion of its own; the sequential loop runs on y at no
-  cost in N, and blocks of steps are expanded into value and policy
-  rows in scratch buffers for the stop rule and the finite check.
-* **per point** -- every step forms v on all N points and y from it:
-  with a clipped box (the conjugate's minimizer is piecewise), for
-  ranks high enough that a coordinate step costs more than a per-point
-  step (a hand-built dense operator has rank N), and for horizons too
-  short to repay building the coordinate maps (see
-  :func:`_use_coordinates`).
-
-Both apply the same stop rule and raise the same error; on the same
-operators they agree to rounding.
+rows on demand.  :func:`khjb_recursion` steps y backwards in blocks of
+steps with one of two kinds of step: per point, forming v on all N
+points and projecting it, or, under an unboxed penalty, in coordinates,
+where the closed form makes y obey a quadratic recursion of its own
+(:func:`_use_coordinates` chooses).  Both kinds share one finite check,
+stop rule and freeze, and on the same operators agree to rounding.
 """
 
 from __future__ import annotations
@@ -72,8 +56,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: Steps the coordinate path expands into value and policy rows with one
-#: set of GEMMs, and rows per block when building its quadratic maps.
+#: Steps per block of the backward recursion, which is checked for
+#: finiteness and the stop rule once per block, and rows per block when
+#: building the coordinate path's quadratic maps.
 _BLOCK_ROWS = 256
 
 
@@ -182,10 +167,13 @@ class ValueSolution:
         """The step whose policy row is the long-horizon law."""
         return self.converged_at if self.converged_at is not None else 0
 
-    def _row(self, k: int):
-        """(v_k, u_k) expanded from y_{k+1}."""
+    def _check_step(self, k: int) -> None:
         if not 0 <= k < self.horizon:
             raise InputError(f"step {k} outside [0, {self.horizon})")
+
+    def _row(self, k: int):
+        """(v_k, u_k) expanded from y_{k+1}."""
+        self._check_step(k)
         held = self.converged_at is not None and k < self.converged_at
         lam = np.empty((self.n_u, self.N))
         return _expand(
@@ -202,7 +190,8 @@ class ValueSolution:
 
     def policy_row(self, k: int) -> np.ndarray:
         """The feedback law at step k < H, shape (n_u, N)."""
-        if self.converged_at is not None and 0 <= k <= self.converged_at:
+        self._check_step(k)
+        if self.converged_at is not None and k <= self.converged_at:
             return self.frozen.copy()
         return self._row(k)[1]
 
@@ -310,20 +299,20 @@ def _use_coordinates(
 
     * F < N, so that a coordinate step does no more multiply-adds than
       a per-point step.  The bound is conservative: the per-point step
-      is mostly call overhead (50-75 us at one BLAS thread), so
-      coordinates measured faster up to F of about 2-3 N (1.7 times at
-      r = 45, N = 400, H = 2000), but the D x F map outgrows the cache
-      beyond that and the coordinate step then loses without bound
-      (10 times slower at r = 120, N = 400), while the per-point step
-      grows only with N * D.
+      is mostly call overhead (45-65 us at N = 400-1000, one BLAS
+      thread), so coordinates measured faster up to F of about 2-3 N
+      (1.3 times at r = 45, N = 400, H = 2000), but the D x F map
+      outgrows the cache beyond that and the coordinate step then
+      loses without bound (10 times slower at r = 120, N = 400), while
+      the per-point step grows only with N * D.
     * D * F <= H * N: building the map costs N * D * F multiply-adds,
       no more than H per-point steps of N multiply-adds each, which a
       short horizon would not repay: at r = 26, N = 1000 the
-      coordinate path took 2.7 ms against 1.2 ms per point at H = 20,
-      broke even near H = 50, and won 2.7 times at H = 500.
+      coordinate path took 3.1 ms against 1.5 ms per point at H = 20,
+      broke even near H = 50, and won 3.4 times at H = 500.
 
     s4 (r = 45, N = 400) fails the first bound; at its benchmark
-    horizon H = 500 the two paths measured within 10 % of each other.
+    horizon H = 500 coordinates measured 20 ms against 23 ms per point.
     """
     if penalty.box is not None:
         return False
@@ -363,39 +352,6 @@ def _expand(Z, part, y, stage, penalty, dt, frozen, lam):
     return a + stage + d_val, u
 
 
-def _per_point_recursion(P_bar, Z, stage, penalty, dt, H, stop_tol):
-    """Step v on all N points, keeping each y = P_bar^T v.
-
-    Returns (coords, converged_at, frozen, diverged_at), the last None
-    unless some v_k became non-finite.
-    """
-    N, D = P_bar.shape
-    part = _parts(Z)
-    coords = np.empty((H + 1, D))
-    v = np.zeros(N)
-    lam = np.empty((len(Z) - 1, N))
-    prev_u = None
-    frozen: Optional[np.ndarray] = None
-    converged_at: Optional[int] = None
-    for k in range(H - 1, -1, -1):
-        y = v @ P_bar
-        coords[k + 1] = y
-        v, u = _expand(Z, part, y, stage, penalty, dt, frozen, lam)
-        if not np.all(np.isfinite(v)):
-            return coords, converged_at, frozen, k
-        if frozen is None and stop_tol > 0 and prev_u is not None:
-            if np.max(np.abs(u - prev_u)) < stop_tol:
-                converged_at = k
-                frozen = u
-                log.debug(
-                    "policy stationary at step %d (tol %.1e)", k, stop_tol
-                )
-        prev_u = u
-    coords[0] = v @ P_bar
-    log.debug("per-point path: %d steps computed", H)
-    return coords, converged_at, frozen, None
-
-
 def _quadratic_map(P_bar: np.ndarray, Z: np.ndarray, scale: float):
     """Coefficients of ``scale * P_bar^T (Z y)**2`` on the products y_a y_b.
 
@@ -413,45 +369,57 @@ def _quadratic_map(P_bar: np.ndarray, Z: np.ndarray, scale: float):
     return Q
 
 
-def _coordinate_recursion(P_bar, Z, stage, penalty, dt, H, stop_tol):
-    """Run the recursion in rank-r coordinates.
+def _coordinate_map(P_bar, Z, stage, w, dt):
+    """(M, pair_a, pair_b): a free step is y_k = M (x[pair_a] * x[pair_b]).
 
-    With O_j^T v = Z_j y_j and y = P_bar^T v (:func:`_factor_layout`),
-    under an unboxed quadratic penalty y obeys the closed recursion
+    Under an unboxed quadratic penalty y obeys the closed recursion
 
         y_k = L y_{0,k+1} + c + sum_m Q_m vec(y_{m,k+1} y_{m,k+1}^T),
 
     L = P_bar^T Z_0, c = P_bar^T stage and
-    Q_m = -P_bar^T (Z_m * Z_m) / (4 w_m dt).  After each block of steps
-    its value and policy rows are formed by GEMMs in scratch buffers,
-    only for the stop rule and the finite check.  Once the rule fires
-    at step k, the steps below it are recomputed from y_k under the
-    frozen policy, whose map is linear.  Returns (coords, converged_at,
-    frozen, diverged_at) like :func:`_per_point_recursion`.
+    Q_m = -P_bar^T (Z_m * Z_m) / (4 w_m dt).  With x = [y_{k+1}; 1] every
+    term is a product of two entries of x: y_0 times the 1 (L), pairs
+    a <= b within a y_m (Q_m), and 1 times 1 (c).
     """
-    w = penalty.weights
-    N, D = P_bar.shape
+    D = P_bar.shape[1]
     part = _parts(Z)
-    n_u = len(Z) - 1
-    channels = range(1, len(Z))
-
-    # Each row of ys is [y_k; 1], and every term of a free step is a
-    # product of two of its entries: y_0 times the 1 (L), pairs a <= b
-    # within a y_m (Q_m), and 1 times 1 (c).  So a step is one GEMV,
-    # M @ (ys[k+1][pair_a] * ys[k+1][pair_b]).
     first = np.arange(part[0].start, part[0].stop)
     pair_a, pair_b = [first], [np.full(first.size, D)]
     blocks = [P_bar.T @ Z[0]]
-    for m in channels:
+    for m in range(1, len(Z)):
         ia, ib = np.triu_indices(Z[m].shape[1])
         pair_a.append(part[m].start + ia)
         pair_b.append(part[m].start + ib)
         blocks.append(
             _quadratic_map(P_bar, Z[m], -1.0 / (4.0 * w[m - 1] * dt))
         )
-    pair_a = np.concatenate(pair_a + [[D]])
-    pair_b = np.concatenate(pair_b + [[D]])
     M = np.hstack(blocks + [(P_bar.T @ stage)[:, None]])
+    return M, np.concatenate(pair_a + [[D]]), np.concatenate(pair_b + [[D]])
+
+
+def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
+    """Fill y_k = P_bar^T v_k for k = H, ..., 0, a block of steps at a time.
+
+    A step computes y_k from y_{k+1}.  Per point it expands v_k and u_k
+    on all N points (:func:`_expand`) and projects y_k = P_bar^T v_k; in
+    coordinates it is one GEMV on the pair products of [y_{k+1}; 1]
+    (:func:`_coordinate_map`), and each free block then forms its policy
+    rows u_k = -Z_m y_{m,k+1} / (2 w_m dt) by one GEMM per channel.
+    After each block the highest non-finite y_k, if any, is the
+    divergence step, unless the stop rule fired above it: then the policy
+    row there is frozen and the steps below are recomputed from y_k under
+    it (in coordinates its map is linear in [y; 1]).  Returns (coords,
+    converged_at, frozen, diverged_at), the last None unless some y_k
+    became non-finite.
+    """
+    w = penalty.weights
+    N, D = P_bar.shape
+    part = _parts(Z)
+    n_u = len(Z) - 1
+    if coordinates:
+        M, pair_a, pair_b = _coordinate_map(P_bar, Z, stage, w, dt)
+    else:
+        lam = np.empty((n_u, N))
 
     ys = np.empty((H + 1, D + 1))
     ys[:, D] = 1.0
@@ -460,10 +428,8 @@ def _coordinate_recursion(P_bar, Z, stage, penalty, dt, H, stop_tol):
     # temporaries would page-fault on every block.  us holds the block's
     # policy rows and, after them, the lowest row of the block above.
     rows_max = min(H, _BLOCK_ROWS)
-    V_buf = np.empty((rows_max, N))
-    lam_buf = np.empty((rows_max, N))
     us = np.empty((rows_max + 1, n_u, N))
-    finite_buf = np.empty((rows_max, N), dtype=bool)
+    change = np.empty((rows_max, n_u, N))
     frozen: Optional[np.ndarray] = None
     converged_at: Optional[int] = None
     computed = 0
@@ -471,47 +437,34 @@ def _coordinate_recursion(P_bar, Z, stage, penalty, dt, H, stop_tol):
     while k_hi >= 0:
         k_lo = max(k_hi - _BLOCK_ROWS + 1, 0)
         n = k_hi - k_lo + 1
-        if frozen is None:
-            for k in range(k_hi, k_lo - 1, -1):
-                y = ys[k + 1]
-                np.dot(M, y.take(pair_a) * y.take(pair_b), out=ys[k, :D])
-        else:
-            for k in range(k_hi, k_lo - 1, -1):
-                np.dot(M_frozen, ys[k + 1], out=ys[k, :D])
-        computed += n
-
-        # Rows k_lo..k_hi of v and u, from y_{k+1}.  Unboxed, the
-        # conjugate w u^2 dt + lam u at the minimizer u is lam u / 2.
         us[n] = us[0]
-        Y = ys[k_lo + 1 : k_hi + 2]
-        V = np.matmul(Y[:, part[0]], Z[0].T, out=V_buf[:n])
-        V += stage
-        for m in channels:
-            lam = np.matmul(Y[:, part[m]], Z[m].T, out=lam_buf[:n])
-            if frozen is None:
-                u = np.divide(lam, -2.0 * w[m - 1] * dt, out=us[:n, m - 1])
-                lam *= u
-                lam *= 0.5
+        for k in range(k_hi, k_lo - 1, -1):
+            x = ys[k + 1]
+            if not coordinates:
+                v, u = _expand(Z, part, x[:D], stage, penalty, dt, frozen, lam)
+                ys[k, :D] = v @ P_bar
+                us[k - k_lo] = u
+            elif frozen is None:
+                np.dot(M, x.take(pair_a) * x.take(pair_b), out=ys[k, :D])
             else:
-                lam *= frozen[m - 1]
-                lam += w[m - 1] * frozen[m - 1] ** 2 * dt
-            V += lam
+                np.dot(M_frozen, x, out=ys[k, :D])
+        computed += n
+        if coordinates and frozen is None:
+            Y = ys[k_lo + 1 : k_hi + 2]
+            for m in range(1, n_u + 1):
+                u = np.matmul(Y[:, part[m]], Z[m].T, out=us[:n, m - 1])
+                u /= -2.0 * w[m - 1] * dt
 
-        finite = np.isfinite(V, out=finite_buf[:n]).all(axis=1)
+        finite = np.isfinite(ys[k_lo : k_hi + 1, :D]).all(axis=1)
         bad = np.flatnonzero(~finite)
         k_bad = k_lo + int(bad[-1]) if bad.size else -1
         k_stop = -1
         if frozen is None and stop_tol > 0:
             # Row k against row k + 1, for every k < H - 1 in the block.
-            rows = us[: min(n + 1, H - k_lo)]
-            change = np.zeros(len(rows) - 1)
-            for m in range(n_u):
-                diff = np.subtract(
-                    rows[:-1, m], rows[1:, m], out=lam_buf[: len(change)]
-                )
-                np.abs(diff, out=diff)
-                np.maximum(change, diff.max(axis=1), out=change)
-            still = np.flatnonzero(change < stop_tol)
+            rows = min(n, H - 1 - k_lo)
+            diff = np.subtract(us[:rows], us[1 : rows + 1], out=change[:rows])
+            np.abs(diff, out=diff)
+            still = np.flatnonzero(diff.max(axis=(1, 2)) < stop_tol)
             k_stop = k_lo + int(still[-1]) if still.size else -1
         if k_stop > k_bad:
             converged_at = k_stop
@@ -519,20 +472,22 @@ def _coordinate_recursion(P_bar, Z, stage, penalty, dt, H, stop_tol):
             log.debug(
                 "policy stationary at step %d (tol %.1e)", k_stop, stop_tol
             )
-            # Frozen, the step is linear in [y; 1]:
-            # y_k = sum_j P_bar^T (u_j * Z_j) y_{j,k+1} + c' with u_0 = 1
-            # and c' = P_bar^T (stage + sum_m w_m u_m^2 dt).
-            held = [Z[0]] + [frozen[m - 1][:, None] * Z[m] for m in channels]
-            accrued = np.sum(w[:, None] * frozen**2 * dt, axis=0)
-            M_frozen = P_bar.T @ np.column_stack(held + [stage + accrued])
+            if coordinates:
+                # y_k = sum_j P_bar^T (u_j * Z_j) y_{j,k+1} + c' with
+                # u_0 = 1 and c' = P_bar^T (stage + sum_m w_m u_m^2 dt).
+                held = [Z[0]] + [
+                    frozen[m - 1][:, None] * Z[m] for m in range(1, n_u + 1)
+                ]
+                accrued = np.sum(w[:, None] * frozen**2 * dt, axis=0)
+                M_frozen = P_bar.T @ np.column_stack(held + [stage + accrued])
             k_hi = k_stop - 1
         elif k_bad >= 0:
             return ys[:, :D], converged_at, frozen, k_bad
         else:
             k_hi = k_lo - 1
     log.debug(
-        "coordinate path: %d steps computed, %d recomputed after the "
-        "stop rule", computed, computed - H,
+        "%d steps computed, %d recomputed after the stop rule",
+        computed, computed - H,
     )
     return ys[:, :D], converged_at, frozen, None
 
@@ -546,23 +501,20 @@ def khjb_recursion(
 ) -> ValueSolution:
     """Run the backward value recursion over ``H`` steps.
 
-    Under an unboxed penalty the recursion runs in the operators'
-    rank-r coordinates when the rank is low enough for N and the
-    horizon long enough to repay building the coordinate maps
-    (:func:`_use_coordinates`): the sequential loop then costs
-    O(D r^2) a step, independent of N, and blocks of steps are
-    expanded into value and policy rows by GEMMs for the stop rule and
-    the finite check.  A boxed penalty, a rank too high for N (s4's 45
-    at N = 400, or a hand-built dense operator's N) or a short horizon
-    take the per-point loop, O(N r) a step through the same factors.
-    Either way the solution keeps only the coordinates y_k
-    (:class:`ValueSolution`).  Both paths give the same rows up to
-    rounding and fire the stop rule at the same step.  They raise
+    The solution keeps only the coordinates y_k (:class:`ValueSolution`),
+    computed a block of steps at a time (:func:`_recursion`).  A step
+    runs in the operators' rank-r coordinates, O(D r^2) and independent
+    of N, under an unboxed penalty when the rank is low enough for N and
+    the horizon long enough to repay building the coordinate maps
+    (:func:`_use_coordinates`); otherwise it runs per point, O(N r)
+    through the same factors.  Both kinds of step give the same rows up
+    to rounding and fire the stop rule at the same step.  They raise
     :class:`DivergenceError` at the same step too, unless rounding is
     amplified in the steps just before a blow-up (s2 data seed 57:
-    k = 4589 in coordinates, 4590 per point).  At debug level the
+    k = 4589 in coordinates, 4591 per point).  At debug level the
     ``kmeoc.hjb`` logger names the path with r, n_u and N, the steps
-    computed and the step at which the policy became stationary.
+    computed and recomputed, and the step at which the policy became
+    stationary.
 
     Parameters
     ----------
@@ -621,12 +573,11 @@ def khjb_recursion(
         "coordinate" if coordinates else "per-point",
         ops.A.rank, n_u, N,
     )
-    recursion = _coordinate_recursion if coordinates else _per_point_recursion
-    # Divergence is detected via the isfinite checks and raised as a
+    # Divergence is detected via the isfinite check and raised as a
     # typed error; keep numpy's own overflow chatter out of it.
     with np.errstate(over="ignore", invalid="ignore"):
-        coords, converged_at, frozen, diverged_at = recursion(
-            P_bar, Z, stage, penalty, dt, H, stop_tol
+        coords, converged_at, frozen, diverged_at = _recursion(
+            P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates
         )
     sol = ValueSolution(
         coords=coords,

@@ -223,6 +223,11 @@ def _decode_value_solution(buf: bytes) -> ValueSolution:
     H, N, n_u = r.intval(), r.intval(), r.intval()
     dt = r.scalar()
     conv = r.intval()
+    if not -1 <= conv < H:
+        raise InvariantError(
+            f"converged step {conv} outside [0, {H})",
+            invariant="converged step within the horizon",
+        )
     has_box = r.intval()
     n_rights = r.intval()
     weights = r.floats(n_u)

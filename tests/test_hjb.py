@@ -345,10 +345,13 @@ def _table_recursion(ops, cost, penalty, H, stop_tol):
 class TestRowsFromCoordinates:
     """A solution keeps y_k and expands value and policy rows on demand."""
 
-    @pytest.mark.parametrize("case", ["boxed", "identity-fires", "s4"])
+    @pytest.mark.parametrize(
+        "case", ["boxed", "identity-fires", "s4", "s4-fires-below-a-block"]
+    )
     def test_per_point_rows_equal_the_tables(self, static_ops, case):
         N = static_ops.N
         free = ControlPenalty(weights=np.array([1.0]))
+        tol = 1e-6
         if case == "boxed":
             ops, cost, H = static_ops, np.linspace(0.5, 2.0, N), 40
             penalty = ControlPenalty(weights=np.array([1.0]), box=(-1.0, 1.0))
@@ -359,13 +362,22 @@ class TestRowsFromCoordinates:
             ops = _bench_ops("s4", 0)
             cost = ops.dataset_ref.cost / ops.dataset_ref.dt
             penalty, H = make_system("s4").penalty, bench_config("s4")["H"]
+        if case == "s4-fires-below-a-block":
+            # The tolerance that fires at step k, inside the second block
+            # of steps, so the steps below it are recomputed frozen.
+            full = khjb_recursion(ops, cost, penalty, H, stop_tol=0.0)
+            change = np.max(np.abs(np.diff(full.policy, axis=0)), axis=(1, 2))
+            k = 100
+            assert k < H - hjb._BLOCK_ROWS
+            assert change[k] < np.min(change[k + 1 :])
+            tol = 0.5 * (change[k] + np.min(change[k + 1 :]))
         assert not hjb._use_coordinates(ops, penalty, H)
-        sol = khjb_recursion(ops, cost, penalty, H)
+        sol = khjb_recursion(ops, cost, penalty, H, stop_tol=tol)
         values, policy, converged_at = _table_recursion(
-            ops, cost, penalty, H, 1e-6
+            ops, cost, penalty, H, tol
         )
-        assert sol.converged_at == converged_at
-        assert (converged_at is not None) == (case == "identity-fires")
+        fires_at = {"identity-fires": 28, "s4-fires-below-a-block": 100}
+        assert sol.converged_at == converged_at == fires_at.get(case)
         assert sol.values.tobytes() == values.tobytes()
         assert sol.policy.tobytes() == policy.tobytes()
 
@@ -614,22 +626,38 @@ class TestCoordinatesMatchPerPoint:
         assert point.converged_at is not None
 
     def test_debug_log_names_the_path(self, caplog):
+        self._check_debug_log(caplog, make_system("s1").penalty, "coordinate")
+
+    def test_debug_log_names_the_per_point_path(self, caplog):
+        # A box that s1's policy never reaches forces the per-point step.
+        weights = make_system("s1").penalty.weights
+        boxed = ControlPenalty(weights=weights, box=(-5.0, 5.0))
+        self._check_debug_log(caplog, boxed, "per-point")
+
+    @staticmethod
+    def _check_debug_log(caplog, penalty, path):
         cfg = bench_config("s1")
         ops = _bench_ops("s1", 0)
         ds = ops.dataset_ref
         with caplog.at_level("DEBUG", logger="kmeoc.hjb"):
             sol = khjb_recursion(
-                ops, ds.cost / ds.dt, make_system("s1").penalty, cfg["H"],
+                ops, ds.cost / ds.dt, penalty, cfg["H"],
                 stop_tol=cfg["stop_tol"],
             )
         text = caplog.text
         assert (
-            f"backward recursion on the coordinate path: r = {ops.A.rank}, "
+            f"backward recursion on the {path} path: r = {ops.A.rank}, "
             f"n_u = 1, N = {ops.N}" in text
         )
         assert f"policy stationary at step {sol.converged_at} " in text
-        # Steps below the firing step were first run with a free policy.
-        assert "recomputed after the stop rule" in text
+        # Steps below the firing step were first run with a free policy:
+        # s1 fires at k = 75, inside the lowest block, so the steps
+        # 0..74 are computed twice.
+        assert sol.converged_at < cfg["H"] - hjb._BLOCK_ROWS
+        assert (
+            f"{cfg['H'] + sol.converged_at} steps computed, "
+            f"{sol.converged_at} recomputed after the stop rule" in text
+        )
 
     def test_path_choice(self, static_ops):
         s2 = make_system("s2").penalty

@@ -1,5 +1,6 @@
 """Binary artifact persistence: framing, checksums, round trips."""
 
+import dataclasses
 import hashlib
 import struct
 
@@ -38,6 +39,19 @@ def s1_bench():
     from kmeoc.bench import bench_config, fit_and_solve
 
     return fit_and_solve(make_system("s1"), bench_config("s1"), data_seed=0)
+
+
+@pytest.fixture(scope="module")
+def fired(static_ops_module):
+    """H = 3 under A = I, B = 0: the policy stays 0, the rule fires at 1."""
+    N = static_ops_module.N
+    ops = dataclasses.replace(
+        static_ops_module, A=np.eye(N), B=[np.zeros((N, N))]
+    )
+    penalty = ControlPenalty(weights=np.array([1.0]))
+    sol = khjb_recursion(ops, np.ones(N), penalty, H=3)
+    assert (sol.horizon, sol.converged_at) == (3, 1)
+    return sol
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +305,30 @@ class TestValidation:
         path.write_bytes(bytes(blob[:16]) + checksum + bytes(payload))
         with pytest.raises(InvariantError, match="terminal"):
             load(path)
+
+    @pytest.mark.parametrize("conv", [-2, 3, 10])
+    def test_converged_step_outside_horizon_is_invariant_error(
+        self, tmp_path, fired, conv
+    ):
+        # A checksummed file whose stop-rule step lies outside [0, H)
+        # would hold the frozen row at steps the recursion never had.
+        path = tmp_path / "conv.bin"
+        save(fired, path)
+        blob = bytearray(path.read_bytes())
+        payload = bytearray(blob[24:])
+        # The payload opens with H, N, n_u, dt and the converged step.
+        assert struct.unpack("<d", payload[32:40]) == (1.0,)
+        payload[32:40] = struct.pack("<d", float(conv))
+        checksum = hashlib.blake2b(bytes(payload), digest_size=8).digest()
+        path.write_bytes(bytes(blob[:16]) + checksum + bytes(payload))
+        with pytest.raises(InvariantError, match="converged step"):
+            load(path)
+
+    def test_policy_row_checks_the_step_before_the_frozen_row(self, fired):
+        stale = dataclasses.replace(fired, converged_at=10)
+        with pytest.raises(InputError):
+            stale.policy_row(5)
+        assert np.array_equal(stale.policy_row(2), fired.frozen)
 
     def test_garbage_payload_is_invariant_error(self, tmp_path):
         # Well-framed value-solution file whose payload is too short for
