@@ -108,11 +108,11 @@ class KernelConfig:
 class GramBundle:
     """The Gram matrices a fit needs, built in one pass.
 
-    The diffused cross-Gram is kept as ``pref * L_X @ L_Y.T`` with
-    ``L_X`` and ``L_Y`` of shape (N, r).
+    The control Gram K_U is the one N x N matrix; the diffused
+    cross-Gram is kept as ``pref * L_X @ L_Y.T`` with ``L_X`` and
+    ``L_Y`` of shape (N, r).
     """
 
-    K_X: np.ndarray
     K_U: np.ndarray
     L_X: np.ndarray
     L_Y: np.ndarray
@@ -120,7 +120,7 @@ class GramBundle:
     N: int = field(default=0)
 
     def __post_init__(self):
-        object.__setattr__(self, "N", self.K_X.shape[0])
+        object.__setattr__(self, "N", self.K_U.shape[0])
 
     @property
     def eK_XY(self) -> np.ndarray:
@@ -178,14 +178,18 @@ def control_gram(K_X: np.ndarray, U) -> np.ndarray:
     """Control-tensorized Gram matrix K_X * (1 + U^T U), entrywise.
 
     Equivalent to ``K_X + sum_m diag(U_m) K_X diag(U_m)``; both forms
-    are useful, the Hadamard one is what gets computed.
+    are useful, the Hadamard one is what gets computed, in one N x N
+    temporary that becomes the result.
     """
     U = _as_states(U, "U")
     if K_X.shape[0] != K_X.shape[1] or K_X.shape[1] != U.shape[1]:
         raise InputError(
             f"shape mismatch: K_X {K_X.shape} vs U with {U.shape[1]} columns"
         )
-    return K_X * (1.0 + U.T @ U)
+    K_U = U.T @ U
+    K_U += 1.0
+    K_U *= K_X
+    return K_U
 
 
 def cross_gram_diffused(X, Y, cfg: KernelConfig) -> np.ndarray:
@@ -244,7 +248,7 @@ def _pivoted_cholesky(Z: np.ndarray, den: float) -> np.ndarray:
 
 
 def build_grams(X, U, Y, cfg: KernelConfig) -> GramBundle:
-    """Build K_X, K_U and the factored diffused cross-Gram in one call."""
+    """Build K_U and the factored diffused cross-Gram in one call."""
     X = _as_states(X, "X")
     U = _as_states(U, "U")
     Y = _as_states(Y, "Y")
@@ -252,13 +256,16 @@ def build_grams(X, U, Y, cfg: KernelConfig) -> GramBundle:
         raise InputError("X, U, Y must have the same number of columns")
     if X.shape[0] != Y.shape[0]:
         raise InputError(f"shape mismatch: X {X.shape} vs Y {Y.shape}")
-    K_X = gram(X, cfg.sigma)
-    K_U = control_gram(K_X, U)
+    if not np.all(np.isfinite(Y)):
+        raise InputError(
+            "Y must be finite: a fit needs the training successors, which "
+            "a model restored from disk does not carry"
+        )
+    K_U = control_gram(gram(X, cfg.sigma), U)
     den = cfg.diffused_denominator
     L = _pivoted_cholesky(np.hstack([X, Y]), den)
     N = X.shape[1]
     return GramBundle(
-        K_X=K_X,
         K_U=K_U,
         L_X=np.ascontiguousarray(L[:N]),
         L_Y=np.ascontiguousarray(L[N:]),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -156,6 +157,8 @@ class Dataset:
     """One-step snapshot data (x^(i), u^(i)) -> x_+^(i) with stage costs.
 
     ``cost`` holds the pre-weighted products state_cost(x^(i)) * dt.
+    Every entry must be finite, except that Y may be all NaN: a model
+    restored from disk carries no successors and marks them so.
     """
 
     X: np.ndarray
@@ -177,6 +180,15 @@ class Dataset:
             raise InputError("dataset arrays disagree on sample count")
         if self.Y.shape[0] != self.X.shape[0]:
             raise InputError("X and Y disagree on state dimension")
+        for name in ("X", "U", "Y", "cost"):
+            a = getattr(self, name)
+            bad = ~np.isfinite(a)
+            if bad.any() and not (name == "Y" and np.isnan(a).all()):
+                i = int(np.nonzero(bad)[-1].min())
+                raise InputError(
+                    f"dataset {name} is not finite at sample {i} "
+                    f"(0-based, of {N})"
+                )
 
     @property
     def N(self) -> int:
@@ -228,7 +240,9 @@ def euler_maruyama_step(
         x = x + h * (system.f(x) + system.G(x) @ u)
         if noise_scale > 0.0:
             x = x + noise_scale * rng.standard_normal(system.n_x)
-        if not np.all(np.isfinite(x)):
+        # Checked on Python floats: for a state of one or two entries
+        # this is several times cheaper than np.all(np.isfinite(x)).
+        if not all(map(math.isfinite, x.tolist())):
             raise IntegrationError(
                 f"state became non-finite at substep {j}", step=j
             )

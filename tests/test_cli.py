@@ -151,6 +151,42 @@ class TestIdentify:
         assert rc == 2
         assert "sigma" in capsys.readouterr().err
 
+    def _with_y1(self, work, tmp_path, rows, value):
+        """The generated dataset with y1 of the given data rows replaced."""
+        lines = (work / "s1_n400_seed3.csv").read_text().splitlines()
+        header = lines[1].split(",")
+        for i in rows:
+            fields = lines[2 + i].split(",")
+            fields[header.index("y1")] = value
+            lines[2 + i] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        return bad
+
+    def test_non_finite_dataset_exits_2(self, work, tmp_path, capsys):
+        bad = self._with_y1(work, tmp_path, [7, 30], "nan")
+        rc = main(
+            [
+                "identify", "--dataset", str(bad), "--sigma", "1.2",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "dataset Y is not finite at sample 7" in err
+        assert "Traceback" not in err
+
+    def test_dataset_without_successors_exits_2(self, work, tmp_path, capsys):
+        bad = self._with_y1(work, tmp_path, range(400), "nan")
+        rc = main(
+            [
+                "identify", "--dataset", str(bad), "--sigma", "1.2",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert "successors" in capsys.readouterr().err
+
     def test_singular_gram_with_zero_gamma_exits_3(self, tmp_path, capsys):
         # A dataset of identical rows with regularization disabled: the
         # fit must fail as a runtime error that points at gamma.

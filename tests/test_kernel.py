@@ -213,6 +213,17 @@ class TestControlGram:
         )
         assert np.max(np.abs(K_U - dual)) <= 1e-12
 
+    @pytest.mark.parametrize("n_u", [1, 2])
+    def test_bit_identical_to_the_hadamard_expression(self, n_u):
+        rng = np.random.default_rng(40 + n_u)
+        X = rng.uniform(-3, 3, size=(2, 50))
+        U = rng.uniform(-1, 1, size=(n_u, 50))
+        K_X = gram(X, 0.9)
+        kept = K_X.copy()
+        K_U = control_gram(K_X, U)
+        assert K_U.tobytes() == (K_X * (1.0 + U.T @ U)).tobytes()
+        assert K_X.tobytes() == kept.tobytes()  # the input is not written
+
     def test_spd_with_ridge(self):
         rng = np.random.default_rng(5)
         X = rng.uniform(-3, 3, size=(1, 40))
@@ -231,11 +242,11 @@ class TestBuildGrams:
         cfg = KernelConfig(sigma=1.0)
         bundle = build_grams(X, U, Y, cfg)
         assert bundle.N == 12
-        assert bundle.K_X.shape == bundle.K_U.shape == (12, 12)
+        assert bundle.K_U.shape == (12, 12)
         r = bundle.L_X.shape[1]
         assert bundle.L_Y.shape == (12, r)
         assert bundle.eK_XY.shape == (12, 12)
-        assert np.array_equal(bundle.K_U, control_gram(bundle.K_X, U))
+        assert np.array_equal(bundle.K_U, control_gram(gram(X, 1.0), U))
         err = np.abs(bundle.eK_XY - cross_gram_diffused(X, Y, cfg)).max()
         assert err <= bundle.pref * (CHOLESKY_TOL + r * 2.2e-16)
 

@@ -1,6 +1,8 @@
 """System registry, integrator, dataset generation, and CSV persistence."""
 
+import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -161,6 +163,34 @@ class TestEulerMaruyama:
             )
         assert exc_info.value.step >= 0
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3])
+    def test_divergence_step_is_the_first_non_finite_substep(self, epsilon):
+        # Pure-Python reference on floats: x*x*x overflows to inf (and
+        # then inf - inf to nan) without raising, as numpy's does.
+        sys_bad = dataclasses.replace(
+            make_static_system(), drift=lambda x: x * x * x
+        )
+        dt, substeps, seed = 10.0, 200, 4
+        h = dt / substeps
+        noise_scale = math.sqrt(2.0 * epsilon * h)
+        rng = np.random.default_rng(seed)
+        x, first = 5.0, None
+        for j in range(substeps):
+            x = x + h * (x * x * x + 0.0)
+            if noise_scale > 0.0:
+                x = x + noise_scale * float(rng.standard_normal(1)[0])
+            if not math.isfinite(x):
+                first = j
+                break
+        assert first is not None and first > 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError) as exc_info:
+                euler_maruyama_step(
+                    sys_bad, np.array([5.0]), np.zeros(1), dt, epsilon,
+                    substeps, np.random.default_rng(seed),
+                )
+        assert exc_info.value.step == first
+
     def test_substep_refinement_converges(self):
         s4 = make_system("s4")
         x0 = np.array([0.5])
@@ -270,6 +300,42 @@ class TestGenerateDataset:
         ])
         assert ds.Y.tobytes() == Y.tobytes()
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.02])
+    @pytest.mark.parametrize("sampler", ["uniform_iid", "grid"])
+    @pytest.mark.parametrize("name", SYSTEM_NAMES)
+    def test_matches_the_per_sample_reference_loop(self, name, sampler, epsilon):
+        # The reference integrates each sample with numpy's own finite
+        # check, the way the simulator did before it checked on floats.
+        def reference_step(system, x, u, dt, epsilon, substeps, rng):
+            x = np.asarray(x, dtype=float).reshape(system.n_x).copy()
+            h = dt / substeps
+            noise_scale = np.sqrt(2.0 * epsilon * h)
+            for j in range(substeps):
+                x = x + h * (system.f(x) + system.G(x) @ u)
+                if noise_scale > 0.0:
+                    x = x + noise_scale * rng.standard_normal(system.n_x)
+                if not np.all(np.isfinite(x)):
+                    raise IntegrationError("non-finite", step=j)
+            return x
+
+        system = make_system(name)
+        N, seed, dt = 49, 5, 1e-2
+        ds = generate_dataset(
+            system, N, KernelConfig(sigma=1.0, epsilon=epsilon, dt=dt),
+            sampler=sampler, seed=seed,
+        )
+        children = np.random.SeedSequence(seed).spawn(ds.N + 1)
+        Y = np.empty_like(ds.X)
+        cost = np.empty(ds.N)
+        for i in range(ds.N):
+            rng_i = np.random.default_rng(children[1 + i]) if epsilon else None
+            Y[:, i] = reference_step(
+                system, ds.X[:, i], ds.U[:, i], dt, epsilon, 10, rng_i
+            )
+            cost[i] = float(system.state_cost(ds.X[:, i])) * dt
+        assert ds.Y.tobytes() == Y.tobytes()
+        assert ds.cost.tobytes() == cost.tobytes()
+
     def test_unknown_sampler(self):
         with pytest.raises(InputError):
             generate_dataset(
@@ -300,6 +366,32 @@ class TestDatasetValidation:
                 dt=1e-2,
                 epsilon=0.0,
                 seed=0,
+            )
+
+
+    @pytest.mark.parametrize("name", ["X", "U", "Y", "cost"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_names_array_and_sample(self, name, value):
+        arrays = dict(
+            X=np.zeros((2, 6)), U=np.zeros((1, 6)), Y=np.zeros((2, 6)),
+            cost=np.zeros(6),
+        )
+        arrays[name][..., 4] = value
+        arrays[name][..., 5] = value
+        with pytest.raises(InputError, match=f"{name} is not finite at sample 4"):
+            Dataset(**arrays, dt=1e-2, epsilon=0.0, seed=0)
+
+    def test_all_nan_successors_mark_a_restored_model(self):
+        ds = Dataset(
+            X=np.zeros((1, 3)), U=np.zeros((1, 3)),
+            Y=np.full((1, 3), np.nan), cost=np.zeros(3),
+            dt=1e-2, epsilon=0.0, seed=0,
+        )
+        assert np.isnan(ds.Y).all()
+        with pytest.raises(InputError, match="Y is not finite at sample 0"):
+            Dataset(
+                X=ds.X, U=ds.U, Y=np.full((1, 3), np.inf), cost=ds.cost,
+                dt=1e-2, epsilon=0.0, seed=0,
             )
 
 
