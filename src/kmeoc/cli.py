@@ -180,7 +180,6 @@ _KEYS: Dict[str, tuple] = {
     ),
     "x0": (_parse_floats, "point-mass initial state, comma-separated"),
     "init_csv": (_identity, "CSV of initial states (one state per row)"),
-    "basis": (_identity, "embedding basis: x | y (default x)"),
     "policy": (_identity, "forecast policy: zero | training | learned"),
     "steps": (int, "forward propagation steps (default 50)"),
     "observable": (_identity, "forecast observable: x2 | one (default x2)"),
@@ -203,8 +202,8 @@ _COMMAND_KEYS: Dict[str, tuple] = {
         "penalty_box", "export_steps", "save_solution", "query", "seed",
     ),
     "predict": (
-        "model", "solution", "out", "x0", "init_csv", "basis", "policy",
-        "steps", "observable", "dump_weights", "seed",
+        "model", "solution", "out", "x0", "init_csv", "policy", "steps",
+        "observable", "dump_weights", "seed",
     ),
     "bench": (
         "system", "reps", "seed", "out", "n", "sigma", "dt", "horizon",
@@ -237,7 +236,6 @@ _DEFAULTS: Dict[str, object] = {
     "stop_tol": 1e-6,
     "export_steps": "stationary",
     "save_solution": False,
-    "basis": "x",
     "policy": "zero",
     "steps": 50,
     "observable": "x2",
@@ -542,8 +540,11 @@ def cmd_predict(settings: _Settings) -> int:
     if x0 is not None:
         X0 = np.asarray(x0, dtype=float)[:, None]
     else:
-        X0 = np.loadtxt(str(init_csv), delimiter=",", ndmin=2).T
-    z0 = embed_initial(ops, X0, basis=str(settings.get("basis")))
+        try:
+            X0 = np.loadtxt(str(init_csv), delimiter=",", ndmin=2).T
+        except ValueError as exc:
+            raise InputError(f"{init_csv}: {exc}") from None
+    z0 = embed_initial(ops, X0)
 
     policy_name = str(settings.get("policy")).lower()
     if policy_name == "zero":

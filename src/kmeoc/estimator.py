@@ -15,9 +15,10 @@ and B_hat_m = P_m R^T with (K_U + gamma I) P_m = U_m * L_X.  The fit
 solves (1 + n_u) r right-hand sides instead of (1 + n_u) N, and
 applying an operator costs O(N r) instead of O(N^2).
 
-The SPD factor of (K_U + gamma I) is retained for
-:meth:`EstimatedOperators.gram_matvec`; validation scoring and policy
-interpolation solve against the state-only factor of (K_X + gamma I).
+The factor of (K_U + gamma I) is used only by the fit.  The one factor
+a model keeps is that of the state Gram (K_X + gamma I), built on first
+use: measure embedding, policy interpolation and validation scoring
+solve against it.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def _ridge_cholesky(
 
 @dataclass
 class EstimatedOperators:
-    """Fitted operators plus everything needed to reuse their solves.
+    """Fitted operators, their training data and the state-Gram factor.
 
     Attributes
     ----------
@@ -153,10 +154,10 @@ class EstimatedOperators:
         The uncontrolled operator; a dense array M becomes LowRank(M, I, 0).
     B : list of LowRank
         One control block per control coordinate.
-    gram_factor : tuple or None
-        Cholesky factor of (K_U + jitter I) as returned by
-        ``scipy.linalg.cho_factor``; reusable via ``cho_solve``.  None
-        on models restored from disk (the factor is not persisted).
+    x_factor : tuple or None
+        Cholesky factor of (K_X + gamma I) as returned by
+        ``scipy.linalg.cho_factor``, or None until :meth:`x_gram_factor`
+        builds it.  Never persisted.
     dataset_ref : Dataset
         The training data the fit was computed from.
     kernel_cfg : KernelConfig
@@ -167,16 +168,10 @@ class EstimatedOperators:
 
     A: LowRank
     B: List[LowRank]
-    gram_factor: Optional[tuple]
+    x_factor: Optional[tuple] = field(repr=False, compare=False)
     dataset_ref: Dataset
     kernel_cfg: KernelConfig
     jitter: float
-    _x_gram: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
-    _x_factor: Optional[tuple] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self):
         # A hand-built dense N x N matrix M becomes LowRank(M, I, 0).
@@ -212,36 +207,14 @@ class EstimatedOperators:
             out += Bm @ (u_m * z)
         return out
 
-    def gram_matvec(self, v: np.ndarray) -> np.ndarray:
-        """Apply (K_U + jitter I) to v through the retained factor."""
-        if self.gram_factor is None:
-            raise InputError(
-                "the Gram factor is not persisted; refit to obtain one"
-            )
-        c, lower = self.gram_factor
-        tri = np.tril(c) if lower else np.triu(c)
-        return tri @ (tri.T @ v) if lower else tri.T @ (tri @ v)
-
-    def x_gram(self) -> np.ndarray:
-        """State-only Gram matrix K_X, computed once on first use."""
-        if self._x_gram is None:
-            self._x_gram = gram(self.dataset_ref.X, self.kernel_cfg.sigma)
-        return self._x_gram
-
     def x_gram_factor(self) -> tuple:
-        """Cholesky factor of (K_X + gamma I), cached.
-
-        K_X itself is kept only if :meth:`x_gram` already cached it;
-        otherwise a fresh K_X is factored in its own memory.
-        """
-        if self._x_factor is None:
-            gamma = self.kernel_cfg.gamma
-            if self._x_gram is None:
-                K = gram(self.dataset_ref.X, self.kernel_cfg.sigma)
-                self._x_factor = _ridge_cholesky(K, gamma, overwrite=True)
-            else:
-                self._x_factor = _ridge_cholesky(self._x_gram, gamma)
-        return self._x_factor
+        """Cholesky factor of (K_X + gamma I), built on first use."""
+        if self.x_factor is None:
+            K = gram(self.dataset_ref.X, self.kernel_cfg.sigma)
+            self.x_factor = _ridge_cholesky(
+                K, self.kernel_cfg.gamma, overwrite=True
+            )
+        return self.x_factor
 
     def closed_loop(self, u: np.ndarray) -> LowRank:
         """A + sum_m B_m diag(u_m) for a control table u (n_u, N).
@@ -350,7 +323,7 @@ def fit_krr(
     return EstimatedOperators(
         A=LowRank(P, R, zero),
         B=B,
-        gram_factor=factor,
+        x_factor=None,
         dataset_ref=dataset,
         kernel_cfg=cfg,
         jitter=jitter,
@@ -460,7 +433,7 @@ def validation_score(ops: EstimatedOperators, holdout: Dataset) -> float:
     # k(x_i_train, x_j_holdout): a zero-diffusion cross Gram matrix.
     zero_diff = replace(cfg, epsilon=0.0)
     K_xq = cross_gram_diffused(X, holdout.X, zero_diff)
-    K_X = ops.x_gram()  # cached first, so the factor below reuses it
+    K_X = gram(X, cfg.sigma)
     W = cho_solve(ops.x_gram_factor(), K_xq)  # (N, M)
     C = ops.A @ W
     for Bm, u_m in zip(ops.B, holdout.U):

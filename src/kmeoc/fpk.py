@@ -17,11 +17,12 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+# gram and cho_factor are unused: the benchmark tracer patches both here.
+from scipy.linalg import cho_factor, cho_solve  # noqa: F401
 
 from .errors import InputError, PropagationError
 from .estimator import EstimatedOperators
-from .kernel import cross_vector, gram
+from .kernel import cross_vector, gram  # noqa: F401
 
 __all__ = [
     "MeasureWeights",
@@ -52,22 +53,17 @@ class MeasureWeights:
         return float(self.z.sum())
 
 
-def embed_initial(
-    ops: EstimatedOperators, X0, basis: str = "x"
-) -> MeasureWeights:
+def embed_initial(ops: EstimatedOperators, X0) -> MeasureWeights:
     """Embed the empirical measure of initial samples into basis weights.
 
-    Solves (K + gamma I) z0 = K(., X0) 1/N0 where K is the Gram matrix
-    over the training states ("x" basis, default) or over the training
-    successors ("y" basis, the printed variant kept for comparison).
-    The 1/N0 normalization makes z0 represent the empirical probability
-    measure, so total mass starts at ~1.
+    Solves (K_X + gamma I) z0 = K_X(., X0) 1/N0 over the training
+    states.  The 1/N0 normalization makes z0 represent the empirical
+    probability measure, so total mass starts at ~1.
 
     Raises
     ------
     InputError
-        Empty X0; or "y" basis requested on operators whose training
-        successors are unavailable (models restored from disk drop Y).
+        Empty X0, or X0 of the wrong state dimension.
     """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim == 1:
@@ -81,25 +77,12 @@ def embed_initial(
         )
     N0 = X0.shape[1]
     sigma = ops.kernel_cfg.sigma
-    if basis == "x":
-        basis_pts = ops.dataset_ref.X
-        factor = ops.x_gram_factor()
-    elif basis == "y":
-        basis_pts = ops.dataset_ref.Y
-        if not np.all(np.isfinite(basis_pts)):
-            raise InputError(
-                "y-basis embedding needs training successors, which this "
-                "model does not carry (restored from disk?)"
-            )
-        K = gram(basis_pts, sigma)
-        factor = cho_factor(K + ops.kernel_cfg.gamma * np.eye(K.shape[0]))
-    else:
-        raise InputError(f"basis must be 'x' or 'y', got {basis!r}")
-    rhs = np.zeros(basis_pts.shape[1])
+    X = ops.dataset_ref.X
+    rhs = np.zeros(X.shape[1])
     for j in range(N0):
-        rhs += cross_vector(X0[:, j], basis_pts, sigma)
+        rhs += cross_vector(X0[:, j], X, sigma)
     rhs /= N0
-    z0 = cho_solve(factor, rhs)
+    z0 = cho_solve(ops.x_gram_factor(), rhs)
     return MeasureWeights(z=z0, step=0)
 
 

@@ -186,7 +186,7 @@ def _decode_model(buf: bytes) -> EstimatedOperators:
     return EstimatedOperators(
         A=operators[0],
         B=operators[1:],
-        gram_factor=None,
+        x_factor=None,
         dataset_ref=ds,
         kernel_cfg=cfg,
         jitter=jitter,

@@ -376,20 +376,43 @@ def save_dataset_csv(ds: Dataset, path) -> None:
 
 
 def load_dataset_csv(path) -> Dataset:
-    """Inverse of :func:`save_dataset_csv` (bit-exact round trip)."""
+    """Inverse of :func:`save_dataset_csv` (bit-exact round trip).
+
+    Malformed input raises InputError naming the file and the line.
+    """
     with open(path, newline="") as fh:
         meta_line = fh.readline()
         if not meta_line.startswith("#"):
-            raise InputError("dataset CSV missing the metadata line")
-        meta = {}
-        for tok in meta_line[1:].split():
-            key, _, val = tok.partition("=")
-            meta[key] = val
+            raise InputError(f"{path}:1: dataset CSV missing the metadata line")
+        meta = dict(tok.partition("=")[::2] for tok in meta_line[1:].split())
+        try:
+            dt, epsilon = float(meta["dt"]), float(meta["epsilon"])
+            seed = int(meta["seed"])
+        except (KeyError, ValueError):
+            raise InputError(
+                f"{path}:1: metadata needs numeric dt=, epsilon= and seed=, "
+                f"got {meta_line.strip()!r}"
+            ) from None
         rd = csv.reader(fh)
-        header = next(rd)
+        header = next(rd, [])
         n_x = sum(1 for h in header if h.startswith("x"))
         n_u = sum(1 for h in header if h.startswith("u"))
-        rows = [[float(v) for v in row] for row in rd if row]
+        width = len(header)
+        rows = []
+        for row in rd:
+            if not row:
+                continue
+            line = rd.line_num + 1  # the reader starts after the metadata
+            if len(row) != width:
+                raise InputError(
+                    f"{path}:{line}: {len(row)} fields, the header has {width}"
+                )
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise InputError(f"{path}:{line}: {exc}") from None
+    if not rows:
+        raise InputError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float).T
     X = data[:n_x]
     U = data[n_x : n_x + n_u]
@@ -400,9 +423,9 @@ def load_dataset_csv(path) -> Dataset:
         U=U,
         Y=Y,
         cost=cost,
-        dt=float(meta["dt"]),
-        epsilon=float(meta["epsilon"]),
-        seed=int(meta["seed"]),
+        dt=dt,
+        epsilon=epsilon,
+        seed=seed,
         system=meta.get("system", ""),
     )
 

@@ -187,6 +187,33 @@ class TestIdentify:
         assert rc == 2
         assert "successors" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("# dt=0.01 epsilon=0 seed=0\nx1,u1,y1,cost\n", "no data rows"),
+            ("# epsilon=0 seed=0\nx1,u1,y1,cost\n1,0,1,0\n", ":1:"),
+            ("# dt=0.01 epsilon=0 seed=0\nx1,u1,y1,cost\n1,0,a,0\n", ":3:"),
+            (
+                "# dt=0.01 epsilon=0 seed=0\nx1,u1,y1,cost\n1,0,1,0\n1,0,1\n",
+                ":4:",
+            ),
+        ],
+        ids=["no-rows", "no-dt", "non-numeric", "ragged"],
+    )
+    def test_malformed_dataset_exits_2(self, tmp_path, capsys, text, where):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        rc = main(
+            [
+                "identify", "--dataset", str(bad), "--sigma", "1.0",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and where in err
+        assert "Traceback" not in err
+
     def test_singular_gram_with_zero_gamma_exits_3(self, tmp_path, capsys):
         # A dataset of identical rows with regularization disabled: the
         # fit must fail as a runtime error that points at gamma.
@@ -478,6 +505,31 @@ class TestPredict:
         assert main(base + ["--init-csv", str(init)]) == 0
         assert main(base + ["--x0", "0.1", "--init-csv", str(init)]) == 2
 
+    def test_non_numeric_init_csv_exits_2(self, model_path, tmp_path, capsys):
+        init = tmp_path / "init.csv"
+        init.write_text("0.1\nabc\n")
+        rc = main(
+            [
+                "predict", "--model", str(model_path), "--init-csv",
+                str(init), "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(init) in err and "abc" in err
+
+    def test_basis_is_no_setting(self, model_path, tmp_path):
+        base = [
+            "predict", "--model", str(model_path), "--x0", "0.1",
+            "--out", str(tmp_path),
+        ]
+        with pytest.raises(SystemExit) as exc_info:
+            main(base + ["--basis", "y"])
+        assert exc_info.value.code == 2
+        cfg = tmp_path / "basis.cfg"
+        cfg.write_text("basis=y\n")
+        assert main(base + ["--config", str(cfg)]) == 2
+
     def test_missing_model_file_exits_3(self, tmp_path):
         rc = main(
             [
@@ -530,11 +582,19 @@ class TestSweep:
 
 class TestConfigPlumbing:
     def test_help_lists_settings(self, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["identify", "--help"])
-        assert exc_info.value.code == 0
-        text = capsys.readouterr().out
-        assert "--sigma-grid" in text and "--gamma" in text
+        # Every command's help lists each key that command reads.
+        for command, keys in kmeoc.cli._COMMAND_KEYS.items():
+            with pytest.raises(SystemExit) as exc_info:
+                main([command, "--help"])
+            assert exc_info.value.code == 0
+            text = capsys.readouterr().out
+            for key in keys:
+                assert "--" + key.replace("_", "-") in text, (command, key)
+
+    def test_key_registry_has_no_orphans(self):
+        used = set().union(*kmeoc.cli._COMMAND_KEYS.values())
+        assert set(kmeoc.cli._KEYS) == used
+        assert set(kmeoc.cli._DEFAULTS) <= set(kmeoc.cli._KEYS)
 
     def test_config_file_supplies_values(self, work, tmp_path):
         cfg = tmp_path / "run.cfg"

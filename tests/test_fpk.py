@@ -1,7 +1,6 @@
 """Measure embedding, forward weight propagation, observable forecasts."""
 
 import csv
-import dataclasses
 
 import numpy as np
 import pytest
@@ -48,14 +47,13 @@ class TestEmbedInitial:
         # The coefficient vector itself is not identifiable through the
         # nearly singular Gram matrix, but the embedded function is:
         # K z must reproduce the kernel section at the query point.
-        from kmeoc.kernel import cross_vector
+        from kmeoc.kernel import cross_vector, gram
 
         ds = static_ops.dataset_ref
+        sigma = static_ops.kernel_cfg.sigma
         z0 = embed_initial(static_ops, ds.X[:, 7])
-        section = cross_vector(ds.X[:, 7], ds.X, static_ops.kernel_cfg.sigma)
-        np.testing.assert_allclose(
-            static_ops.x_gram() @ z0.z, section, atol=1e-7
-        )
+        section = cross_vector(ds.X[:, 7], ds.X, sigma)
+        np.testing.assert_allclose(gram(ds.X, sigma) @ z0.z, section, atol=1e-7)
         # Kernel-section observables therefore evaluate at the point.
         psi = cross_vector(np.array([0.5]), ds.X, static_ops.kernel_cfg.sigma)
         want = float(
@@ -69,32 +67,11 @@ class TestEmbedInitial:
         b = embed_initial(static_ops, x0)
         np.testing.assert_array_equal(a.z, b.z)
 
-    def test_y_basis_on_fresh_fit(self):
-        from kmeoc.kernel import cross_vector, gram
-
-        ds = make_static_dataset(N=25, seed=4)
-        ops = fit_krr(ds, KernelConfig(sigma=1.0, epsilon=0.0))
-        z = embed_initial(ops, ds.Y[:, 3], basis="y")
-        K_Y = gram(ds.Y, 1.0)
-        section = cross_vector(ds.Y[:, 3], ds.Y, 1.0)
-        np.testing.assert_allclose(K_Y @ z.z, section, atol=1e-7)
-
-    def test_y_basis_refused_without_successors(self, static_ops):
-        nan_y = dataclasses.replace(
-            static_ops.dataset_ref,
-            Y=np.full_like(static_ops.dataset_ref.Y, np.nan),
-        )
-        crippled = dataclasses.replace(static_ops, dataset_ref=nan_y)
-        with pytest.raises(InputError, match="successors"):
-            embed_initial(crippled, np.array([0.0]), basis="y")
-
     def test_bad_inputs(self, static_ops):
         with pytest.raises(InputError):
             embed_initial(static_ops, np.zeros((1, 0)))
         with pytest.raises(InputError):
             embed_initial(static_ops, np.zeros(2))
-        with pytest.raises(InputError):
-            embed_initial(static_ops, np.array([0.0]), basis="z")
 
 
 class TestPropagate:

@@ -63,13 +63,27 @@ def static_ops_module():
 
 
 class TestRoundTrips:
-    def test_model_round_trip_reproduces_recursion(
-        self, tmp_path, static_ops_module
-    ):
-        ops = static_ops_module
+    def test_model_round_trip_reproduces_recursion(self, tmp_path):
+        from kmeoc import fit_krr, policy_interpolate
+
+        ops = fit_krr(
+            make_static_dataset(N=20, seed=31),
+            KernelConfig(sigma=1.0, epsilon=0.0),
+        )
         path = tmp_path / "model.bin"
         save(ops, path)
         back = load(path)
+        # Neither model holds an N x N array until the state-Gram factor
+        # is asked for.
+        for model in (ops, back):
+            for f in dataclasses.fields(model):
+                value = getattr(model, f.name)
+                parts = value if isinstance(value, tuple) else (value,)
+                assert not any(
+                    np.shape(p) == (ops.N, ops.N)
+                    for p in parts
+                    if isinstance(p, np.ndarray)
+                ), f.name
         assert np.array_equal(back.A_hat, ops.A_hat)
         assert len(back.B_hat_blocks) == 1
         assert np.array_equal(back.B_hat_blocks[0], ops.B_hat_blocks[0])
@@ -85,6 +99,14 @@ class TestRoundTrips:
         b = khjb_recursion(back, cost, penalty, H=15)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.policy, b.policy)
+        # The state-Gram factor and the interpolated law match bit for bit.
+        assert ops.x_gram_factor()[0].tobytes() == (
+            back.x_gram_factor()[0].tobytes()
+        )
+        query = np.linspace(-1.0, 1.0, 9)[None, :]
+        assert policy_interpolate(query, a, ops).tobytes() == (
+            policy_interpolate(query, b, back).tobytes()
+        )
 
     def test_model_factors_and_views_bit_identical(
         self, tmp_path, static_ops_module
@@ -141,16 +163,6 @@ class TestRoundTrips:
         back = load(tmp_path / "dense.bin")
         assert np.array_equal(back.A_hat, M)
         assert np.array_equal(back.B_hat_blocks[0], np.zeros((N, N)))
-
-    def test_loaded_model_has_no_gram_factor(
-        self, tmp_path, static_ops_module
-    ):
-        path = tmp_path / "model2.bin"
-        save(static_ops_module, path)
-        back = load(path)
-        assert back.gram_factor is None
-        with pytest.raises(InputError, match="refit"):
-            back.gram_matvec(np.ones(back.N))
 
     def test_value_solution_round_trip(self, tmp_path, solution):
         path = tmp_path / "sol.bin"
