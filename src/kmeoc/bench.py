@@ -40,6 +40,7 @@ from .kernel import KernelConfig
 from .systems import (
     Box,
     ControlAffineSystem,
+    _lattice,
     euler_maruyama_step,
     generate_dataset,
     make_system,
@@ -269,8 +270,7 @@ def run_benchmark(
     # Grid sampling may round the sample count down to a full lattice.
     actual_N = cfg["N"]
     if cfg["sampler"] == "grid":
-        side = int(math.floor(cfg["N"] ** (1.0 / system.n_x) + 1e-9))
-        actual_N = side**system.n_x
+        actual_N = _lattice(system.domain, actual_N)[1]
 
     return BenchReport(
         system=name.lower(),

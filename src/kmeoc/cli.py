@@ -9,9 +9,15 @@ sequence of shell commands:
     kmeoc predict  --model work/s1_n1000_seed7_model.bin --x0 1.0 --steps 50 --out work
 
 Settings resolve in priority order: command-line flag, then --config
-file entry, then the built-in default.  The config file is flat
-``key=value`` text (``#`` starts a comment); unknown keys are an error,
-never silently ignored.
+file entry, then the built-in default.  Each key is declared once, in
+``_KEYS``, with its parser, default and help line; each command once,
+in ``_COMMANDS``, with its function, help line and the keys it reads.
+``kmeoc <command> --help`` lists those keys with their defaults.  The
+config file is flat ``key=value`` text (``#`` starts a comment); a key
+no command reads is an error, never silently ignored, while a key
+another command reads is accepted, so one file can serve every command.
+bench and sweep pass only the bench settings that were set, so the
+others keep the system's benchmark defaults.
 
 Exit codes: 0 success, 2 configuration error (bad flags, unknown
 system, missing required setting), 3 runtime error (failed fit,
@@ -33,7 +39,7 @@ import json
 import logging
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -66,6 +72,7 @@ from .hjb import (
 from .kernel import DIFFUSED_MODES, KernelConfig, build_grams
 from .systems import (
     SYSTEM_NAMES,
+    _float_rows,
     generate_dataset,
     load_dataset_csv,
     make_system,
@@ -131,118 +138,65 @@ def _parse_ints(text: str) -> List[int]:
         raise ConfigError(f"cannot parse int list from {text!r}") from None
 
 
-def _identity(text: str) -> str:
-    return text
-
-
-# Every settable key, its value parser, and its help line.  --help on a
-# subcommand therefore enumerates the config keys it honors, and config
-# files are validated against this registry.
+# Every settable key: its value parser, its default (None: none, or
+# the command decides) and its help line.  --help lists each key a
+# command reads with its default, and config files are validated
+# against this table, so a key any command reads is valid in every
+# config file.
 _KEYS: Dict[str, tuple] = {
-    "system": (_identity, "benchmark system name: " + ", ".join(SYSTEM_NAMES)),
-    "dataset": (_identity, "path to a dataset CSV"),
-    "model": (_identity, "path to a fitted-model artifact"),
-    "solution": (_identity, "path to a value-solution artifact"),
-    "out": (_identity, "output directory (default: current directory)"),
-    "seed": (int, "master RNG seed (default 0)"),
-    "n": (int, "number of training samples"),
-    "sampler": (_identity, "initial-state sampler: uniform_iid | grid"),
-    "substeps": (int, "integrator substeps per transition (default 10)"),
+    "system": (str, None, "benchmark system: " + ", ".join(SYSTEM_NAMES)),
+    "dataset": (str, None, "path to a dataset CSV"),
+    "model": (str, None, "path to a fitted-model artifact"),
+    "solution": (str, None, "path to a value-solution artifact"),
+    "out": (str, ".", "output directory"),
+    "seed": (int, 0, "master RNG seed"),
+    "n": (int, None, "number of training samples"),
+    "sampler": (str, "uniform_iid", "initial states: uniform_iid | grid"),
+    "substeps": (int, 10, "integrator substeps per transition"),
     "data_epsilon": (
         float,
-        "diffusion actually injected when integrating training snapshots "
-        "(bench default 0: noise enters through the kernel instead)",
+        None,
+        "diffusion injected when integrating training snapshots; at the "
+        "bench default 0, noise enters through the kernel instead",
     ),
-    "sigma": (float, "RBF kernel scale"),
-    "epsilon": (float, "diffusion parameter of the kernel (default 0.02)"),
-    "dt": (float, "snapshot time step"),
-    "gamma": (float, "ridge regularization (default 1e-8)"),
+    "sigma": (float, None, "RBF kernel scale"),
+    "epsilon": (float, 0.02, "diffusion parameter of the kernel"),
+    "dt": (float, 1e-2, "snapshot time step"),
+    "gamma": (float, 1e-8, "ridge regularization"),
     "diffused_mode": (
-        _identity,
+        str,
+        "plus_2eps_dt",
         "diffused-kernel denominator: " + " | ".join(DIFFUSED_MODES),
     ),
-    "markov_enforce": (_parse_bool, "project operators onto Markov constraints"),
-    "b_block_orientation": (_identity, "control scaling side: row | column"),
-    "sigma_grid": (_parse_floats, "comma list of sigmas for model selection"),
-    "val_fraction": (float, "holdout fraction for model selection (default 0.2)"),
-    "penalty_weights": (_parse_floats, "diagonal control penalty (default 1.0)"),
-    "penalty_box": (
-        _identity,
-        "control bounds 'lo,hi', or 'none' for unconstrained (default none)",
-    ),
-    "horizon": (int, "backward recursion steps H"),
-    "stop_tol": (float, "stationary-policy stopping tolerance (default 1e-6)"),
-    "export_steps": (_identity, "policy CSV rows: stationary | all"),
-    "save_solution": (_parse_bool, "also write the value-solution artifact"),
-    "query": (
-        _identity,
-        "states to evaluate the policy at, 'x1,..;x1,..' semicolon-separated",
-    ),
-    "x0": (_parse_floats, "point-mass initial state, comma-separated"),
-    "init_csv": (_identity, "CSV of initial states (one state per row)"),
-    "policy": (_identity, "forecast policy: zero | training | learned"),
-    "steps": (int, "forward propagation steps (default 50)"),
-    "observable": (_identity, "forecast observable: x2 | one (default x2)"),
-    "dump_weights": (_parse_bool, "also dump per-step measure weights"),
-    "reps": (int, "benchmark repetitions"),
-    "n_grid": (_parse_ints, "comma list of sample counts for the sweep"),
+    "markov_enforce": (_parse_bool, False, "project onto Markov constraints"),
+    "b_block_orientation": (str, "row", "control scaling side: row | column"),
+    "sigma_grid": (_parse_floats, None, "comma list of sigmas to select from"),
+    "val_fraction": (float, 0.2, "holdout fraction for model selection"),
+    "penalty_weights": (_parse_floats, [1.0], "diagonal control penalty"),
+    "penalty_box": (str, "none", "control bounds 'lo,hi', or 'none'"),
+    "horizon": (int, 500, "backward recursion steps H"),
+    "stop_tol": (float, 1e-6, "stationary-policy stopping tolerance"),
+    "export_steps": (str, "stationary", "policy CSV rows: stationary | all"),
+    "save_solution": (_parse_bool, False, "also write the value solution"),
+    "query": (str, None, "states to evaluate the policy at, 'x1,..;x1,..'"),
+    "x0": (_parse_floats, None, "point-mass initial state, comma-separated"),
+    "init_csv": (str, None, "CSV of initial states (one state per row)"),
+    "policy": (str, "zero", "forecast policy: zero | training | learned"),
+    "steps": (int, 50, "forward propagation steps"),
+    "observable": (str, "x2", "forecast observable: x2 | one"),
+    "dump_weights": (_parse_bool, False, "also dump per-step measure weights"),
+    "reps": (int, 10, "benchmark repetitions"),
+    "n_grid": (_parse_ints, None, "comma list of sample counts to sweep"),
 }
 
-_COMMAND_KEYS: Dict[str, tuple] = {
-    "generate": (
-        "system", "n", "seed", "out", "dt", "epsilon", "substeps", "sampler",
-    ),
-    "identify": (
-        "dataset", "out", "sigma", "sigma_grid", "val_fraction", "epsilon",
-        "dt", "gamma", "diffused_mode", "markov_enforce",
-        "b_block_orientation", "seed",
-    ),
-    "control": (
-        "model", "out", "horizon", "stop_tol", "penalty_weights",
-        "penalty_box", "export_steps", "save_solution", "query", "seed",
-    ),
-    "predict": (
-        "model", "solution", "out", "x0", "init_csv", "policy", "steps",
-        "observable", "dump_weights", "seed",
-    ),
-    "bench": (
-        "system", "reps", "seed", "out", "n", "sigma", "dt", "horizon",
-        "gamma", "epsilon", "data_epsilon", "substeps", "stop_tol",
-        "markov_enforce", "sampler", "diffused_mode",
-        "b_block_orientation",
-    ),
-    "sweep": (
-        "system", "n_grid", "reps", "seed", "out", "sigma", "dt", "horizon",
-        "gamma", "epsilon", "data_epsilon", "substeps", "stop_tol",
-        "markov_enforce", "sampler", "diffused_mode",
-        "b_block_orientation",
-    ),
-}
-
-_DEFAULTS: Dict[str, object] = {
-    "out": ".",
-    "seed": 0,
-    "sampler": "uniform_iid",
-    "substeps": 10,
-    "epsilon": 0.02,
-    "gamma": 1e-8,
-    "diffused_mode": "plus_2eps_dt",
-    "markov_enforce": False,
-    "b_block_orientation": "row",
-    "val_fraction": 0.2,
-    "penalty_weights": [1.0],
-    "penalty_box": "none",
-    "horizon": 500,
-    "stop_tol": 1e-6,
-    "export_steps": "stationary",
-    "save_solution": False,
-    "policy": "zero",
-    "steps": 50,
-    "observable": "x2",
-    "dump_weights": False,
-    "dt": 1e-2,
-    "reps": 10,
-}
+# The keys that name a bench setting, shared by bench and sweep.  Only
+# the ones set by flag or config file reach the bench, as overrides;
+# the rest keep the system's benchmark defaults.
+_BENCH_KEYS = (
+    "sigma", "dt", "horizon", "gamma", "epsilon", "data_epsilon", "substeps",
+    "stop_tol", "markov_enforce", "sampler", "diffused_mode",
+    "b_block_orientation",
+)
 
 
 class _Settings:
@@ -261,7 +215,7 @@ class _Settings:
         if val is None and key in self.file:
             val = self.file[key]
         if val is None:
-            val = _DEFAULTS.get(key)
+            val = _KEYS[key][1]
         if val is None and required:
             raise ConfigError(
                 f"{self.command}: required setting {key!r} is missing "
@@ -302,6 +256,13 @@ def _read_config_file(path: str) -> Dict[str, object]:
     return out
 
 
+def _show(value) -> str:
+    """A default as it is typed: lowercase booleans, comma lists."""
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kmeoc",
@@ -312,16 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    help_lines = {
-        "generate": "simulate a system and write a snapshot dataset CSV",
-        "identify": "fit transition operators from a dataset",
-        "control": "run the backward recursion and export the feedback law",
-        "predict": "propagate a distribution and forecast an observable",
-        "bench": "repeat the full pipeline and score it against ground truth",
-        "sweep": "benchmark across sample counts for the convergence trend",
-    }
-    for command, keys in _COMMAND_KEYS.items():
-        p = sub.add_parser(command, help=help_lines[command])
+    for command, (_, help_line, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         p.add_argument(
             "--config",
             metavar="FILE",
@@ -336,7 +289,15 @@ def _build_parser() -> argparse.ArgumentParser:
             ),
         )
         for key in keys:
-            parse, help_text = _KEYS[key]
+            parse, default, help_text = _KEYS[key]
+            if (command in ("bench", "sweep") and key in _BENCH_KEYS) or (
+                command, key
+            ) == ("bench", "reps"):
+                help_text += " (default: per system)"
+            elif (command, key) == ("identify", "dt"):
+                help_text += " (default: the dataset's)"
+            elif default is not None:
+                help_text += f" (default {_show(default)})"
             flag = "--" + key.replace("_", "-")
             if parse is _parse_bool:
                 p.add_argument(
@@ -381,6 +342,23 @@ def _load_model(settings: _Settings) -> EstimatedOperators:
 
 def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(str(path)))[0]
+
+
+def _read_states(path: str) -> np.ndarray:
+    """The n_x x M states of a CSV with one state per row.
+
+    ``#`` starts a comment; blank lines are skipped.  A bad row raises
+    InputError naming its line in the file, and undecodable text one
+    naming the file.
+    """
+    try:
+        with open(path) as fh:
+            lines = [
+                (n, t.split("#", 1)[0].strip()) for n, t in enumerate(fh, 1)
+            ]
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    return _float_rows(path, ((n, t.split(",")) for n, t in lines if t)).T
 
 
 def cmd_generate(settings: _Settings) -> int:
@@ -540,10 +518,7 @@ def cmd_predict(settings: _Settings) -> int:
     if x0 is not None:
         X0 = np.asarray(x0, dtype=float)[:, None]
     else:
-        try:
-            X0 = np.loadtxt(str(init_csv), delimiter=",", ndmin=2).T
-        except ValueError as exc:
-            raise InputError(f"{init_csv}: {exc}") from None
+        X0 = _read_states(str(init_csv))
     z0 = embed_initial(ops, X0)
 
     policy_name = str(settings.get("policy")).lower()
@@ -606,26 +581,13 @@ def cmd_predict(settings: _Settings) -> int:
 
 
 def _bench_overrides(settings: _Settings) -> dict:
-    overrides = {}
-    mapping = {
-        "n": "N",
-        "sigma": "sigma",
-        "dt": "dt",
-        "horizon": "H",
-        "gamma": "gamma",
-        "epsilon": "epsilon",
-        "data_epsilon": "data_epsilon",
-        "substeps": "substeps",
-        "stop_tol": "stop_tol",
-        "markov_enforce": "markov_enforce",
-        "sampler": "sampler",
-        "diffused_mode": "diffused_mode",
-        "b_block_orientation": "b_block_orientation",
+    """The bench settings given by flag or config file, by bench name."""
+    names = {"n": "N", "horizon": "H"}
+    return {
+        names.get(key, key): settings.get(key)
+        for key in ("n",) + _BENCH_KEYS
+        if settings.was_set(key)
     }
-    for key, target in mapping.items():
-        if settings.was_set(key):
-            overrides[target] = settings.get(key)
-    return overrides
 
 
 def cmd_bench(settings: _Settings) -> int:
@@ -699,13 +661,48 @@ def cmd_sweep(settings: _Settings) -> int:
     return 0
 
 
-_COMMANDS: Dict[str, Callable[[_Settings], int]] = {
-    "generate": cmd_generate,
-    "identify": cmd_identify,
-    "control": cmd_control,
-    "predict": cmd_predict,
-    "bench": cmd_bench,
-    "sweep": cmd_sweep,
+#: Each command: its function, its help line and the keys it reads.
+_COMMANDS: Dict[str, tuple] = {
+    "generate": (
+        cmd_generate,
+        "simulate a system and write a snapshot dataset CSV",
+        ("system", "n", "seed", "out", "dt", "epsilon", "substeps", "sampler"),
+    ),
+    "identify": (
+        cmd_identify,
+        "fit transition operators from a dataset",
+        (
+            "dataset", "out", "sigma", "sigma_grid", "val_fraction",
+            "epsilon", "dt", "gamma", "diffused_mode", "markov_enforce",
+            "b_block_orientation",
+        ),
+    ),
+    "control": (
+        cmd_control,
+        "run the backward recursion and export the feedback law",
+        (
+            "model", "out", "horizon", "stop_tol", "penalty_weights",
+            "penalty_box", "export_steps", "save_solution", "query",
+        ),
+    ),
+    "predict": (
+        cmd_predict,
+        "propagate a distribution and forecast an observable",
+        (
+            "model", "solution", "out", "x0", "init_csv", "policy", "steps",
+            "observable", "dump_weights",
+        ),
+    ),
+    "bench": (
+        cmd_bench,
+        "repeat the full pipeline and score it against ground truth",
+        ("system", "reps", "seed", "out", "n") + _BENCH_KEYS,
+    ),
+    "sweep": (
+        cmd_sweep,
+        "benchmark across sample counts for the convergence trend",
+        ("system", "n_grid", "reps", "seed", "out") + _BENCH_KEYS,
+    ),
 }
 
 
@@ -716,7 +713,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     with _log_to_stderr(args.log_level):
         try:
             settings = _Settings(args, args.command)
-            return _COMMANDS[args.command](settings)
+            return _COMMANDS[args.command][0](settings)
         except (ConfigError, InputError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

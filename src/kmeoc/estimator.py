@@ -434,7 +434,7 @@ def validation_score(ops: EstimatedOperators, holdout: Dataset) -> float:
     zero_diff = replace(cfg, epsilon=0.0)
     K_xq = cross_gram_diffused(X, holdout.X, zero_diff)
     K_X = gram(X, cfg.sigma)
-    W = cho_solve(ops.x_gram_factor(), K_xq)  # (N, M)
+    W = cho_solve(_ridge_cholesky(K_X, cfg.gamma), K_xq)  # (N, M)
     C = ops.A @ W
     for Bm, u_m in zip(ops.B, holdout.U):
         C += Bm @ (W * u_m[None, :])

@@ -375,6 +375,30 @@ def save_dataset_csv(ds: Dataset, path) -> None:
             wr.writerow(row)
 
 
+def _float_rows(path, numbered_rows, width=None) -> np.ndarray:
+    """Stack (line number, fields) pairs into a float array, one row each.
+
+    Every row must have ``width`` fields (the first row's count when
+    None).  A ragged or non-numeric row, or no row at all, raises
+    InputError naming the file and the line.
+    """
+    rows = []
+    for line, fields in numbered_rows:
+        if width is None:
+            width = len(fields)
+        if len(fields) != width:
+            raise InputError(
+                f"{path}:{line}: {len(fields)} fields, expected {width}"
+            )
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError as exc:
+            raise InputError(f"{path}:{line}: {exc}") from None
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=float)
+
+
 def load_dataset_csv(path) -> Dataset:
     """Inverse of :func:`save_dataset_csv` (bit-exact round trip).
 
@@ -397,23 +421,9 @@ def load_dataset_csv(path) -> Dataset:
         header = next(rd, [])
         n_x = sum(1 for h in header if h.startswith("x"))
         n_u = sum(1 for h in header if h.startswith("u"))
-        width = len(header)
-        rows = []
-        for row in rd:
-            if not row:
-                continue
-            line = rd.line_num + 1  # the reader starts after the metadata
-            if len(row) != width:
-                raise InputError(
-                    f"{path}:{line}: {len(row)} fields, the header has {width}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise InputError(f"{path}:{line}: {exc}") from None
-    if not rows:
-        raise InputError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float).T
+        # The reader starts after the metadata line.
+        numbered = ((rd.line_num + 1, row) for row in rd if row)
+        data = _float_rows(path, numbered, len(header)).T
     X = data[:n_x]
     U = data[n_x : n_x + n_u]
     Y = data[n_x + n_u : 2 * n_x + n_u]

@@ -518,6 +518,36 @@ class TestPredict:
         err = capsys.readouterr().err
         assert str(init) in err and "abc" in err
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("0.1\nabc\n", 2), ("# c\n\n0.5\nabc\n", 4), ("0.1\n0.2,0.3\n", 2)],
+    )
+    def test_bad_init_csv_names_its_line(
+        self, model_path, tmp_path, capsys, text, line
+    ):
+        init = tmp_path / "init.csv"
+        init.write_text(text)
+        rc = main(
+            [
+                "predict", "--model", str(model_path), "--init-csv",
+                str(init), "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert f"{init}:{line}: " in capsys.readouterr().err
+
+    def test_undecodable_init_csv_exits_2(self, model_path, tmp_path, capsys):
+        init = tmp_path / "init.csv"
+        init.write_bytes(b"\xff\xfe")
+        rc = main(
+            [
+                "predict", "--model", str(model_path), "--init-csv",
+                str(init), "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert str(init) in capsys.readouterr().err
+
     def test_basis_is_no_setting(self, model_path, tmp_path):
         base = [
             "predict", "--model", str(model_path), "--x0", "0.1",
@@ -583,7 +613,7 @@ class TestSweep:
 class TestConfigPlumbing:
     def test_help_lists_settings(self, capsys):
         # Every command's help lists each key that command reads.
-        for command, keys in kmeoc.cli._COMMAND_KEYS.items():
+        for command, (_, _, keys) in kmeoc.cli._COMMANDS.items():
             with pytest.raises(SystemExit) as exc_info:
                 main([command, "--help"])
             assert exc_info.value.code == 0
@@ -592,9 +622,73 @@ class TestConfigPlumbing:
                 assert "--" + key.replace("_", "-") in text, (command, key)
 
     def test_key_registry_has_no_orphans(self):
-        used = set().union(*kmeoc.cli._COMMAND_KEYS.values())
+        used = set()
+        for _, _, keys in kmeoc.cli._COMMANDS.values():
+            assert len(set(keys)) == len(keys)
+            used.update(keys)
         assert set(kmeoc.cli._KEYS) == used
-        assert set(kmeoc.cli._DEFAULTS) <= set(kmeoc.cli._KEYS)
+
+    def test_help_shows_table_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["control", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "stationary-policy stopping tolerance (default 1e-06)" in text
+        for key in kmeoc.cli._COMMANDS["control"][2]:
+            _, default, help_text = kmeoc.cli._KEYS[key]
+            if default is not None:
+                shown = f"{help_text} (default {kmeoc.cli._show(default)})"
+                assert shown in text, key
+
+    @pytest.mark.parametrize(
+        "command, key, shown",
+        [
+            ("bench", "reps", "benchmark repetitions (default: per system)"),
+            ("sweep", "reps", "benchmark repetitions (default 10)"),
+            ("identify", "dt", "snapshot time step (default: the dataset's)"),
+            ("generate", "dt", "snapshot time step (default 0.01)"),
+        ],
+    )
+    def test_help_shows_the_default_the_command_uses(
+        self, capsys, command, key, shown
+    ):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert shown in " ".join(capsys.readouterr().out.split())
+
+    def test_bench_keys_are_bench_settings(self):
+        from kmeoc.bench import bench_config
+
+        for command in ("bench", "sweep"):
+            keys = kmeoc.cli._COMMANDS[command][2]
+            for key in keys:
+                if key in ("system", "reps", "seed", "out", "n_grid"):
+                    continue
+                settings = kmeoc.cli._Settings(
+                    kmeoc.cli._build_parser().parse_args(
+                        [command, "--" + key.replace("_", "-"), "1"]
+                    ),
+                    command,
+                )
+                overrides = kmeoc.cli._bench_overrides(settings)
+                assert len(overrides) == 1, (command, key)
+                bench_config("s1", overrides)  # raises on an unknown name
+
+    @pytest.mark.parametrize("command", ["identify", "control", "predict"])
+    def test_seed_is_no_flag_of_the_model_commands(self, command, tmp_path):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--seed", "99", "--out", str(tmp_path)])
+        assert exc_info.value.code == 2
+
+    def test_shared_config_file_may_set_seed(self, model_path, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(f"seed=99\nout={tmp_path}\n")
+        rc = main(
+            [
+                "predict", "--model", str(model_path), "--x0", "0.1",
+                "--steps", "2", "--config", str(cfg),
+            ]
+        )
+        assert rc == 0
 
     def test_config_file_supplies_values(self, work, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -262,6 +262,28 @@ class TestValidationScore:
         with pytest.raises(InputError):
             validation_score(static_ops, bad)
 
+    def test_builds_the_state_gram_once(self, monkeypatch):
+        import kmeoc.estimator
+
+        ops = fit_krr(
+            make_static_dataset(N=20), KernelConfig(sigma=1.0, epsilon=0.0)
+        )
+        holdout = make_static_dataset(N=8, seed=5)
+        calls = []
+
+        def counting_gram(*args, **kwargs):
+            calls.append(1)
+            return gram(*args, **kwargs)
+
+        monkeypatch.setattr(kmeoc.estimator, "gram", counting_gram)
+        fresh = validation_score(ops, holdout)
+        assert len(calls) == 1
+        # Same bits as a score through the model's own cached factor.
+        ops.x_gram_factor()
+        calls.clear()
+        assert validation_score(ops, holdout) == fresh
+        assert len(calls) == 1
+
     def test_permutation_invariance(self):
         ds = make_static_dataset(N=40, seed=2)
         rng = np.random.default_rng(13)
