@@ -368,11 +368,15 @@ def riccati_reference(a: float, b: float, q: float, r: float) -> float:
 def convergence_sweep(
     name: str,
     N_grid: Sequence[int],
-    reps: int,
+    reps: Optional[int] = None,
     seed: int = 0,
     overrides: Optional[dict] = None,
 ) -> List[Tuple[int, float]]:
-    """run_benchmark across sample counts, for rate-trend analysis."""
+    """run_benchmark across sample counts, for rate-trend analysis.
+
+    ``reps`` None uses the system's own repetition count, as
+    :func:`run_benchmark` does.
+    """
     grid = [int(n) for n in N_grid]
     if not grid:
         raise InputError("N grid is empty")

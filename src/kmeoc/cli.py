@@ -185,7 +185,7 @@ _KEYS: Dict[str, tuple] = {
     "steps": (int, 50, "forward propagation steps"),
     "observable": (str, "x2", "forecast observable: x2 | one"),
     "dump_weights": (_parse_bool, False, "also dump per-step measure weights"),
-    "reps": (int, 10, "benchmark repetitions"),
+    "reps": (int, None, "benchmark repetitions"),
     "n_grid": (_parse_ints, None, "comma list of sample counts to sweep"),
 }
 
@@ -231,7 +231,7 @@ def _read_config_file(path: str) -> Dict[str, object]:
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     out: Dict[str, object] = {}
     for lineno, line in enumerate(lines, 1):
@@ -290,9 +290,9 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         for key in keys:
             parse, default, help_text = _KEYS[key]
-            if (command in ("bench", "sweep") and key in _BENCH_KEYS) or (
-                command, key
-            ) == ("bench", "reps"):
+            if command in ("bench", "sweep") and (
+                key in _BENCH_KEYS or key == "reps"
+            ):
                 help_text += " (default: per system)"
             elif (command, key) == ("identify", "dt"):
                 help_text += " (default: the dataset's)"
@@ -590,14 +590,19 @@ def _bench_overrides(settings: _Settings) -> dict:
     }
 
 
+def _reps(settings: _Settings) -> Optional[int]:
+    """The repetition count that was set, or None for the system's own."""
+    reps = settings.get("reps")
+    if reps is not None and reps < 1:
+        raise ConfigError(f"reps must be >= 1, got {reps}")
+    return reps
+
+
 def cmd_bench(settings: _Settings) -> int:
     system = str(settings.get("system", required=True))
-    reps = settings.get("reps") if settings.was_set("reps") else None
-    if reps is not None and int(reps) < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
     report = bench_mod.run_benchmark(
         system,
-        reps=None if reps is None else int(reps),
+        reps=_reps(settings),
         overrides=_bench_overrides(settings),
         seed=int(settings.get("seed")),
     )
@@ -617,9 +622,7 @@ def cmd_bench(settings: _Settings) -> int:
 def cmd_sweep(settings: _Settings) -> int:
     system = str(settings.get("system", required=True))
     n_grid = settings.get("n_grid", required=True)
-    reps = int(settings.get("reps"))
-    if reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
+    reps = _reps(settings)
     points = bench_mod.convergence_sweep(
         system,
         n_grid,
@@ -647,7 +650,10 @@ def cmd_sweep(settings: _Settings) -> int:
         json.dump(
             {
                 "system": system.lower(),
-                "reps": reps,
+                "reps": (
+                    bench_mod.bench_config(system)["reps"]
+                    if reps is None else reps
+                ),
                 "seed": int(settings.get("seed")),
                 "points": [[n, r] for n, r in points],
                 "loglog_slope": slope,

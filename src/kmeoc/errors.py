@@ -55,13 +55,13 @@ class IntegrationError(KmeocError):
 
 
 class EstimationError(KmeocError):
-    """Gram factorization failed even after jitter escalation.
+    """The fit's ridge is zero, or too small even after jitter escalation.
 
     Attributes
     ----------
     smallest_pivot : float
-        Smallest pivot (eigenvalue estimate) of the matrix that refused
-        a Cholesky factorization; advisory for choosing a larger gamma.
+        Smallest eigenvalue of the low-rank control Gram W W^T the fit
+        would have regularized; advisory for choosing a larger gamma.
     """
 
     def __init__(self, message: str, smallest_pivot: float = float("nan")):

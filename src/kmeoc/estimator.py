@@ -15,10 +15,19 @@ and B_hat_m = P_m R^T with (K_U + gamma I) P_m = U_m * L_X.  The fit
 solves (1 + n_u) r right-hand sides instead of (1 + n_u) N, and
 applying an operator costs O(N r) instead of O(N^2).
 
-The factor of (K_U + gamma I) is used only by the fit.  The one factor
-a model keeps is that of the state Gram (K_X + gamma I), built on first
-use: measure embedding, policy interpolation and validation scoring
-solve against it.
+A fit forms no N x N array.  The control Gram is approximately W W^T
+with W = [F | u_1 * F | ...] and F the thin pivoted-Cholesky factor of
+K_X, so (W W^T + gamma I) is solved by the Woodbury identity through
+one Cholesky factor of the (1 + n_u) r_X -square capacitance matrix
+gamma I + W^T W.  One step of iterative refinement against the exact
+K_U, applied a block of rows at a time, follows; it contracts the
+error by at most rho = trace(K_U - W W^T) / gamma, so the result
+matches a dense solve of (K_U + gamma I) to within rho^2 plus rounding.
+A fit costs O(N r^2) plus one pass over the N^2 kernel entries.
+
+The one factor a model keeps is that of the state Gram (K_X + gamma I),
+built on first use: measure embedding, policy interpolation and
+validation scoring solve against it.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from .kernel import (
     GramBundle,
     KernelConfig,
     build_grams,
+    control_gram_product,
     cross_gram_diffused,
     gram,
 )
@@ -262,11 +272,16 @@ def fit_krr(
         consistent with the control Gram matrix, and so scales the left
         factor; "column" scales the columns, i.e. the right factor.
 
+    The ridge escalates tenfold, with a warning, while it is below the
+    rounding floor N eps max_i(1 + ||u_i||^2) of K_U or not above the
+    gap trace(K_U - W W^T) that bounds the refinement's contraction.
+
     Raises
     ------
     EstimationError
-        If (K_U + gamma I) cannot be factorized even after escalating
-        the ridge to 1e-4; the message reports the smallest pivot.
+        If gamma is 0, or the ridge would have to exceed 1e-4; the
+        message names gamma and reports the smallest pivot, the smallest
+        eigenvalue of W W^T (0 when W has fewer than N columns).
     """
     if dataset.N < 2:
         raise InputError(f"need at least 2 samples, got {dataset.N}")
@@ -285,40 +300,66 @@ def fit_krr(
         bundle = grams
     N = bundle.N
 
+    U = dataset.U
+    W = np.hstack([bundle.F] + [u_m[:, None] * bundle.F for u_m in U])
+    WtW = W.T @ W
+    # Below this ridge, rounding in W^T W (of norm up to trace(K_U)) can
+    # cost the capacitance matrix its definiteness.
+    floor = N * np.finfo(float).eps * float(np.max(1.0 + np.sum(U * U, 0)))
+    gap = bundle.gap_trace
     jitter = cfg.gamma
-    factor = None
-    while True:
-        try:
-            factor = _ridge_cholesky(bundle.K_U, jitter)
-            break
-        except LinAlgError:
-            # A literal zero ridge means the caller disabled regularization
-            # on purpose; fail with advice instead of silently adding one.
-            nxt = jitter * 10.0 if jitter > 0.0 else _JITTER_CAP * 10.0
-            if nxt > _JITTER_CAP:
-                smallest = float(eigvalsh(bundle.K_U)[0] + jitter)
-                raise EstimationError(
-                    f"(K_U + gamma I) is not SPD at jitter {jitter:.1e} "
-                    f"(smallest pivot {smallest:.3e}); increase gamma",
-                    smallest_pivot=smallest,
-                ) from None
-            warnings.warn(
-                f"Gram factorization failed at jitter {jitter:.1e}; "
-                f"escalating to {nxt:.1e}",
-                stacklevel=2,
+    while not (jitter >= floor and gap < jitter):
+        # A literal zero ridge means the caller disabled regularization
+        # on purpose; fail with advice instead of silently adding one.
+        nxt = jitter * 10.0 if jitter > 0.0 else _JITTER_CAP * 10.0
+        if nxt > _JITTER_CAP:
+            # The smallest eigenvalue of W W^T; 0 when W has < N columns.
+            eig = eigvalsh(WtW)
+            smallest = float(eig[-N]) if len(eig) >= N else 0.0
+            raise EstimationError(
+                f"the ridge {jitter:.1e} is not above the rounding floor "
+                f"{floor:.1e} of K_U and the low-rank gap {gap:.1e} "
+                f"(smallest pivot {smallest:.3e}); increase gamma",
+                smallest_pivot=smallest,
             )
-            jitter = nxt
+        warnings.warn(
+            f"the ridge {jitter:.1e} is not above the rounding floor "
+            f"{floor:.1e} of K_U and the low-rank gap {gap:.1e}; "
+            f"escalating to {nxt:.1e}",
+            stacklevel=2,
+        )
+        jitter = nxt
+
+    WtW[np.diag_indices_from(WtW)] += jitter
+    factor = cho_factor(WtW, overwrite_a=True)
+
+    def solve(b):
+        """(W W^T + jitter I)^{-1} b by the Woodbury identity."""
+        return (b - W @ cho_solve(factor, W.T @ b)) / jitter
 
     L_X = bundle.L_X
     R = bundle.pref * bundle.L_Y
     zero = np.zeros(N)
     if b_block_orientation == "row":
-        rhs = np.hstack([L_X] + [u_m[:, None] * L_X for u_m in dataset.U])
-        P, *P_m = np.hsplit(cho_solve(factor, rhs), 1 + dataset.n_u)
+        rhs = np.hstack([L_X] + [u_m[:, None] * L_X for u_m in U])
+    else:
+        rhs = L_X
+    # One step of iterative refinement against the exact K_U; it
+    # contracts the error by at most rho = trace(K_U - W W^T) / jitter.
+    P = solve(rhs)
+    resid = rhs - control_gram_product(dataset.X, U, cfg.sigma, P) - jitter * P
+    log.debug(
+        "fit: r_X = %d, capacitance %d, rho = %.1e, "
+        "relative residual before refinement %.1e",
+        bundle.F.shape[1], W.shape[1], gap / jitter,
+        np.linalg.norm(resid) / np.linalg.norm(rhs),
+    )
+    P += solve(resid)
+    if b_block_orientation == "row":
+        P, *P_m = np.hsplit(P, 1 + dataset.n_u)
         B = [LowRank(left, R, zero) for left in P_m]
     else:
-        P = np.ascontiguousarray(cho_solve(factor, L_X))  # shared by all
-        B = [LowRank(P, u_m[:, None] * R, zero) for u_m in dataset.U]
+        B = [LowRank(P, u_m[:, None] * R, zero) for u_m in U]  # P shared
 
     return EstimatedOperators(
         A=LowRank(P, R, zero),
@@ -396,17 +437,19 @@ def fit_residual(ops: EstimatedOperators, bundle: GramBundle) -> float:
 
     A fitted A_hat = P R^T + 1 s^T shares R = pref L_Y with
     eK_XY = L_X R^T, so the residual is [reg(P) - L_X, reg(1)] [R, s]^T,
-    reg = (K_U + jitter I): O(N^2 r), and no N x N array.  Raises
-    InputError for operators whose right factor is not the bundle's R.
+    reg = (K_U + jitter I), applied by
+    :func:`~kmeoc.kernel.control_gram_product`: O(N^2 r), and no N x N
+    array.  Raises InputError for operators whose right factor is not
+    the bundle's R.
     """
     A = ops.A
     if not np.array_equal(A.right, bundle.pref * bundle.L_Y):
         raise InputError("the operators were not fitted from this GramBundle")
-
-    def reg(x):
-        return bundle.K_U @ x + ops.jitter * x
-
-    left = np.column_stack([reg(A.left) - bundle.L_X, reg(np.ones(ops.N))])
+    ds = ops.dataset_ref
+    Z = np.column_stack([A.left, np.ones(ops.N)])
+    left = control_gram_product(ds.X, ds.U, ops.kernel_cfg.sigma, Z)
+    left += ops.jitter * Z
+    left[:, :-1] -= bundle.L_X
     return _fro_norm(left, np.column_stack([A.right, A.shift]))
 
 

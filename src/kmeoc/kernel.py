@@ -12,9 +12,13 @@ by the Gaussian increment of an Euler-Maruyama step, which shows up as
 an enlarged denominator and a normalizing prefactor; two conventions
 for the enlargement are supported, see :class:`KernelConfig`.
 
-The diffused cross-Gram of a fit is never formed: :func:`build_grams`
-returns it as ``pref * L_X @ L_Y.T``, thin factors from a pivoted
-Cholesky of the diffused kernel on the joint points ``[X Y]``.
+A fit forms no N x N array.  :func:`build_grams` returns the diffused
+cross-Gram as ``pref * L_X @ L_Y.T``, thin factors from a pivoted
+Cholesky of the diffused kernel on the joint points ``[X Y]``, and the
+state Gram as a pivoted-Cholesky factor ``F`` with K_X ~ F F^T, so the
+control Gram K_U = K_X * (1 + U^T U) is approximately W W^T with
+W = [F | u_1 * F | ...].  The exact K_U is only ever applied, a block
+of rows at a time, by :func:`control_gram_product`.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "GramBundle",
     "gram",
     "control_gram",
+    "control_gram_product",
     "cross_gram_diffused",
     "cross_vector",
     "build_grams",
@@ -56,6 +61,9 @@ CHOLESKY_TOL = 1e-14
 #: Rows of a kernel matrix built per block: the block's squared distances
 #: stay in cache while each coordinate is added to them.
 _BLOCK_ROWS = 64
+
+#: Rows of K_X that :func:`control_gram_product` holds at a time.
+_PRODUCT_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -106,26 +114,24 @@ class KernelConfig:
 
 @dataclass(frozen=True)
 class GramBundle:
-    """The Gram matrices a fit needs, built in one pass.
+    """The thin kernel factors a fit needs, built in one pass.
 
-    The control Gram K_U is the one N x N matrix; the diffused
-    cross-Gram is kept as ``pref * L_X @ L_Y.T`` with ``L_X`` and
-    ``L_Y`` of shape (N, r).
+    ``F`` (N, r_X) factors the state Gram, K_X ~ F F^T, and ``gap_trace``
+    is trace(K_U - W W^T) for W = [F | u_1 * F | ...].  That gap,
+    (K_X - F F^T) * (1 + U^T U), is positive semidefinite, so its trace
+    bounds its spectral norm.  The diffused cross-Gram is kept as
+    ``pref * L_X @ L_Y.T`` with ``L_X`` and ``L_Y`` of shape (N, r).
     """
 
-    K_U: np.ndarray
+    F: np.ndarray
+    gap_trace: float
     L_X: np.ndarray
     L_Y: np.ndarray
     pref: float
     N: int = field(default=0)
 
     def __post_init__(self):
-        object.__setattr__(self, "N", self.K_U.shape[0])
-
-    @property
-    def eK_XY(self) -> np.ndarray:
-        """The factored cross-Gram as an N x N matrix, built on each access."""
-        return self.pref * (self.L_X @ self.L_Y.T)
+        object.__setattr__(self, "N", self.F.shape[0])
 
 
 def _as_states(X, name: str) -> np.ndarray:
@@ -192,6 +198,36 @@ def control_gram(K_X: np.ndarray, U) -> np.ndarray:
     return K_U
 
 
+def control_gram_product(X, U, sigma: float, Z: np.ndarray) -> np.ndarray:
+    """K_U @ Z for Z of shape (N, k), without forming K_U.
+
+    For K_U = control_gram(gram(X, sigma), U),
+    K_U Z = K_X Z + sum_m u_m * (K_X (u_m * Z)).  K_X is built
+    :data:`_PRODUCT_ROWS` rows at a time and multiplied into
+    [Z | u_1 * Z | ...] in one product, so a call evaluates each of the
+    N^2 kernel entries once and holds no N x N array.
+    """
+    X = _as_states(X, "X")
+    U = _as_states(U, "U")
+    Z = np.asarray(Z, dtype=float)
+    N = X.shape[1]
+    if U.shape[1] != N or Z.ndim != 2 or Z.shape[0] != N:
+        raise InputError(
+            f"shape mismatch: X with {N} columns, U {U.shape}, Z {Z.shape}"
+        )
+    k = Z.shape[1]
+    stacked = np.hstack([Z] + [u_m[:, None] * Z for u_m in U])
+    out = np.empty_like(Z)
+    for i in range(0, N, _PRODUCT_ROWS):
+        rows = slice(i, i + _PRODUCT_ROWS)
+        KZ = _exp_sq_dists(X[:, rows], X, sigma**2) @ stacked
+        block = out[rows]
+        block[:] = KZ[:, :k]
+        for m, u_m in enumerate(U, start=1):
+            block += u_m[rows, None] * KZ[:, m * k : (m + 1) * k]
+    return out
+
+
 def cross_gram_diffused(X, Y, cfg: KernelConfig) -> np.ndarray:
     """Cross-covariance matrix of the diffused kernel.
 
@@ -220,12 +256,13 @@ def cross_vector(x, X, sigma: float) -> np.ndarray:
     return _exp_sq_dists(x[:, None], X, sigma**2)[0]
 
 
-def _pivoted_cholesky(Z: np.ndarray, den: float) -> np.ndarray:
+def _pivoted_cholesky(Z: np.ndarray, den: float) -> tuple:
     """Thin factor L, (M, r), with exp(-||z_i - z_j||^2 / den) ~ (L L^T)_ij.
 
     Greedy on the largest residual diagonal; each step costs one kernel
     column, so the M x M matrix is never formed.  Stops once every
-    residual diagonal entry is at most :data:`CHOLESKY_TOL`.
+    residual diagonal entry is at most :data:`CHOLESKY_TOL`.  Returns L
+    and that residual diagonal, the diagonal of the PSD remainder.
     """
     M = Z.shape[1]
     d = np.ones(M)  # residual diagonal; the kernel's own diagonal is 1
@@ -244,11 +281,11 @@ def _pivoted_cholesky(Z: np.ndarray, den: float) -> np.ndarray:
         d -= col**2
         d[i] = 0.0
         r += 1
-    return rows[:r].T
+    return rows[:r].T, d
 
 
 def build_grams(X, U, Y, cfg: KernelConfig) -> GramBundle:
-    """Build K_U and the factored diffused cross-Gram in one call."""
+    """Factor the state Gram and the diffused cross-Gram in one call."""
     X = _as_states(X, "X")
     U = _as_states(U, "U")
     Y = _as_states(Y, "Y")
@@ -261,12 +298,13 @@ def build_grams(X, U, Y, cfg: KernelConfig) -> GramBundle:
             "Y must be finite: a fit needs the training successors, which "
             "a model restored from disk does not carry"
         )
-    K_U = control_gram(gram(X, cfg.sigma), U)
+    F, gap = _pivoted_cholesky(X, cfg.sigma**2)
     den = cfg.diffused_denominator
-    L = _pivoted_cholesky(np.hstack([X, Y]), den)
+    L, _ = _pivoted_cholesky(np.hstack([X, Y]), den)
     N = X.shape[1]
     return GramBundle(
-        K_U=K_U,
+        F=np.ascontiguousarray(F),
+        gap_trace=float(np.maximum(gap, 0.0) @ (1.0 + np.sum(U * U, axis=0))),
         L_X=np.ascontiguousarray(L[:N]),
         L_Y=np.ascontiguousarray(L[N:]),
         pref=(cfg.sigma**2 / den) ** (X.shape[0] / 2.0),

@@ -402,28 +402,33 @@ def _float_rows(path, numbered_rows, width=None) -> np.ndarray:
 def load_dataset_csv(path) -> Dataset:
     """Inverse of :func:`save_dataset_csv` (bit-exact round trip).
 
-    Malformed input raises InputError naming the file and the line.
+    Malformed input raises InputError naming the file and the line, and
+    undecodable text one naming the file.
     """
-    with open(path, newline="") as fh:
-        meta_line = fh.readline()
-        if not meta_line.startswith("#"):
-            raise InputError(f"{path}:1: dataset CSV missing the metadata line")
-        meta = dict(tok.partition("=")[::2] for tok in meta_line[1:].split())
-        try:
-            dt, epsilon = float(meta["dt"]), float(meta["epsilon"])
-            seed = int(meta["seed"])
-        except (KeyError, ValueError):
-            raise InputError(
-                f"{path}:1: metadata needs numeric dt=, epsilon= and seed=, "
-                f"got {meta_line.strip()!r}"
-            ) from None
-        rd = csv.reader(fh)
-        header = next(rd, [])
-        n_x = sum(1 for h in header if h.startswith("x"))
-        n_u = sum(1 for h in header if h.startswith("u"))
-        # The reader starts after the metadata line.
-        numbered = ((rd.line_num + 1, row) for row in rd if row)
-        data = _float_rows(path, numbered, len(header)).T
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    meta_line = lines[0] if lines else ""
+    if not meta_line.startswith("#"):
+        raise InputError(f"{path}:1: dataset CSV missing the metadata line")
+    meta = dict(tok.partition("=")[::2] for tok in meta_line[1:].split())
+    try:
+        dt, epsilon = float(meta["dt"]), float(meta["epsilon"])
+        seed = int(meta["seed"])
+    except (KeyError, ValueError):
+        raise InputError(
+            f"{path}:1: metadata needs numeric dt=, epsilon= and seed=, "
+            f"got {meta_line.strip()!r}"
+        ) from None
+    rd = csv.reader(lines[1:])
+    header = next(rd, [])
+    n_x = sum(1 for h in header if h.startswith("x"))
+    n_u = sum(1 for h in header if h.startswith("u"))
+    # The reader starts after the metadata line.
+    numbered = ((rd.line_num + 1, row) for row in rd if row)
+    data = _float_rows(path, numbered, len(header)).T
     X = data[:n_x]
     U = data[n_x : n_x + n_u]
     Y = data[n_x + n_u : 2 * n_x + n_u]

@@ -6,10 +6,12 @@ import json
 import logging
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import kmeoc.bench
 import kmeoc.cli
 import kmeoc.fpk
 from kmeoc import EstimatedOperators, LowRank, load, save
@@ -213,6 +215,19 @@ class TestIdentify:
         err = capsys.readouterr().err
         assert str(bad) in err and where in err
         assert "Traceback" not in err
+
+    def test_undecodable_dataset_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe")
+        rc = main(
+            [
+                "identify", "--dataset", str(bad), "--sigma", "1.0",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
 
     def test_singular_gram_with_zero_gamma_exits_3(self, tmp_path, capsys):
         # A dataset of identical rows with regularization disabled: the
@@ -609,6 +624,25 @@ class TestSweep:
         assert data["loglog_slope"] is not None
         assert len(data["points"]) == 2
 
+    def test_unset_reps_use_the_system_count(self, tmp_path, monkeypatch):
+        # As in `kmeoc bench`: an unset --reps reaches run_benchmark as
+        # None, which takes the system's own count (1 for vdp).
+        calls = []
+
+        def fake(name, reps=None, overrides=None, seed=0):
+            calls.append(reps)
+            return SimpleNamespace(rmse_mean=0.1)
+
+        monkeypatch.setattr(kmeoc.bench, "run_benchmark", fake)
+        rc = main(
+            ["sweep", "--system", "vdp", "--n-grid", "100,400",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        assert calls == [None, None]
+        data = json.loads((tmp_path / "sweep_vdp.json").read_text())
+        assert data["reps"] == 1
+
 
 class TestConfigPlumbing:
     def test_help_lists_settings(self, capsys):
@@ -643,7 +677,7 @@ class TestConfigPlumbing:
         "command, key, shown",
         [
             ("bench", "reps", "benchmark repetitions (default: per system)"),
-            ("sweep", "reps", "benchmark repetitions (default 10)"),
+            ("sweep", "reps", "benchmark repetitions (default: per system)"),
             ("identify", "dt", "snapshot time step (default: the dataset's)"),
             ("generate", "dt", "snapshot time step (default 0.01)"),
         ],
@@ -730,6 +764,19 @@ class TestConfigPlumbing:
         )
         assert rc == 2
         assert "bandwidth" in capsys.readouterr().err
+
+    def test_undecodable_config_file_exits_2(self, work, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        rc = main(
+            [
+                "identify", "--dataset", str(work / "s1_n400_seed3.csv"),
+                "--config", str(cfg), "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "Traceback" not in err
 
     def test_malformed_config_line_exits_2(self, work, tmp_path):
         cfg = tmp_path / "bad2.cfg"

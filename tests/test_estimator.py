@@ -1,6 +1,9 @@
 """KRR operator fitting, Markov projection, scoring, model selection."""
 
 import dataclasses
+import logging
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,8 +25,10 @@ from kmeoc import (
     model_select,
     validation_score,
 )
+from kmeoc.bench import bench_config
 from kmeoc.estimator import _ridge_cholesky
 from kmeoc.kernel import cross_gram_diffused
+from kmeoc.systems import generate_dataset, make_system
 
 from conftest import make_static_dataset
 
@@ -47,12 +52,19 @@ class TestFitKrr:
         ds = static_ops.dataset_ref
         cfg = static_ops.kernel_cfg
         grams = build_grams(ds.X, ds.U, ds.Y, cfg)
-        K_U = grams.K_U.copy()
+        F, L_X = grams.F.copy(), grams.L_X.copy()
         ops = fit_krr(ds, cfg, grams=grams)
         for a, b in zip([ops.A, *ops.B], [static_ops.A, *static_ops.B]):
             assert a.left.tobytes() == b.left.tobytes()
             assert a.right.tobytes() == b.right.tobytes()
-        assert grams.K_U.tobytes() == K_U.tobytes()  # left for fit_residual
+        # Left for fit_residual, which checks against the dense K_U.
+        assert grams.F.tobytes() == F.tobytes()
+        assert grams.L_X.tobytes() == L_X.tobytes()
+        K_U = control_gram(gram(ds.X, cfg.sigma), ds.U)
+        reg = K_U + ops.jitter * np.eye(ds.N)
+        target = cross_gram_diffused(ds.X, ds.Y, cfg)
+        dense = np.linalg.norm(reg @ ops.A_hat - target, "fro")
+        assert fit_residual(ops, grams) == pytest.approx(dense, abs=1e-8)
         with pytest.raises(InputError, match="N = "):
             fit_krr(make_static_dataset(N=30), cfg, grams=grams)
 
@@ -69,6 +81,50 @@ class TestFitKrr:
         c, _ = _ridge_cholesky(K, 1e-8, overwrite=True)
         assert np.shares_memory(c, K)
         assert c.tobytes(order="F") == c_ref.tobytes(order="F")
+
+    @pytest.mark.parametrize("name", ["s1", "s3"])
+    def test_matches_the_dense_solve_at_bench_size(self, name):
+        # The low-rank solve plus one refinement step against the exact
+        # K_U reproduces the dense Cholesky solve of (K_U + gamma I).
+        cfg = bench_config(name)
+        ds = generate_dataset(
+            make_system(name), cfg["N"],
+            SimpleNamespace(dt=cfg["dt"], epsilon=cfg["data_epsilon"]),
+            substeps=cfg["substeps"], sampler=cfg["sampler"], seed=0,
+        )
+        kcfg = KernelConfig(
+            sigma=cfg["sigma"], epsilon=cfg["epsilon"], dt=cfg["dt"],
+            gamma=cfg["gamma"],
+        )
+        grams = build_grams(ds.X, ds.U, ds.Y, kcfg)
+        ops = fit_krr(ds, kcfg, grams=grams)
+        assert ops.jitter == kcfg.gamma
+        K_U = control_gram(gram(ds.X, kcfg.sigma), ds.U)
+        reg = K_U + kcfg.gamma * np.eye(ds.N)
+        dense = cho_solve(cho_factor(reg), grams.L_X)
+        rel = np.linalg.norm(ops.A.left - dense) / np.linalg.norm(dense)
+        assert rel <= 1e-5
+
+    def test_peak_memory_below_one_dense_gram(self):
+        # No N x N array: a fit at N = 3000 peaks below the 72 MB one
+        # float64 Gram matrix would take.
+        ds = make_static_dataset(N=3000, seed=3)
+        cfg = KernelConfig(sigma=1.0, epsilon=0.0)
+        tracemalloc.start()
+        try:
+            fit_krr(ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.N * ds.N * 8
+
+    def test_debug_line_reports_the_refinement(self, caplog):
+        ds = make_static_dataset(N=40)
+        with caplog.at_level(logging.DEBUG, logger="kmeoc.estimator"):
+            fit_krr(ds, KernelConfig(sigma=1.0, epsilon=0.0))
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert "r_X = " in line and "capacitance" in line and "rho = " in line
+        assert "residual before refinement" in line
 
     def test_zero_controls_give_zero_b_blocks(self):
         ds = make_static_dataset(N=30)
@@ -134,6 +190,19 @@ class TestFitKrr:
             ops = fit_krr(ds, cfg)
         assert ops.jitter > 1e-30
         assert np.all(np.isfinite(ops.A_hat))
+
+    def test_jitter_escalates_above_the_low_rank_gap(self):
+        # A ridge below trace(K_U - W W^T) gives no contraction bound
+        # for the refinement step, so it escalates too.
+        ds = make_static_dataset(N=400, seed=2)
+        cfg = KernelConfig(sigma=0.6, epsilon=0.0)
+        gap = build_grams(ds.X, ds.U, ds.Y, cfg).gap_trace
+        floor = ds.N * np.finfo(float).eps * np.max(1.0 + ds.U**2)
+        assert floor < gap  # so the rounding floor does not trigger
+        cfg = dataclasses.replace(cfg, gamma=(floor + gap) / 2.0)
+        with pytest.warns(UserWarning, match="escalating"):
+            ops = fit_krr(ds, cfg)
+        assert ops.jitter > gap
 
     def test_zero_gamma_fails_with_pivot_report(self):
         X = np.zeros((1, 20))
@@ -216,7 +285,8 @@ class TestFactoredDiagnostics:
         ds, cfg = ops.dataset_ref, ops.kernel_cfg
         target = cross_gram_diffused(ds.X, ds.Y, cfg)
         bundle = build_grams(ds.X, ds.U, ds.Y, cfg)
-        reg = bundle.K_U + ops.jitter * np.eye(ops.N)
+        K_U = control_gram(gram(ds.X, cfg.sigma), ds.U)
+        reg = K_U + ops.jitter * np.eye(ops.N)
         dense = np.linalg.norm(reg @ ops.A_hat - target, "fro")
         got = fit_residual(ops, bundle)
         assert got == pytest.approx(dense, abs=1e-8)

@@ -20,6 +20,7 @@ from kmeoc import (
     KernelConfig,
     build_grams,
     control_gram,
+    control_gram_product,
     cross_gram_diffused,
     cross_vector,
     gram,
@@ -233,6 +234,30 @@ class TestControlGram:
         assert eig.min() > 0
 
 
+class TestControlGramProduct:
+    @pytest.mark.parametrize("n_u", [1, 2])
+    def test_matches_the_dense_product(self, n_u):
+        # N = 300 spans two row blocks, the second one partial.
+        rng = np.random.default_rng(60 + n_u)
+        X = rng.uniform(-3, 3, size=(2, 300))
+        U = rng.uniform(-1, 1, size=(n_u, 300))
+        Z = rng.normal(size=(300, 5))
+        K_U = control_gram(gram(X, 0.9), U)
+        got = control_gram_product(X, U, 0.9, Z)
+        assert got.shape == Z.shape
+        assert np.abs(got - K_U @ Z).max() <= 1e-12 * np.abs(K_U @ Z).max()
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(InputError):
+            control_gram_product(
+                np.zeros((1, 5)), np.zeros((1, 5)), 1.0, np.zeros((4, 2))
+            )
+        with pytest.raises(InputError):
+            control_gram_product(
+                np.zeros((1, 5)), np.zeros((1, 5)), 1.0, np.zeros(5)
+            )
+
+
 class TestBuildGrams:
     def test_bundle_shapes_and_consistency(self):
         rng = np.random.default_rng(6)
@@ -242,12 +267,22 @@ class TestBuildGrams:
         cfg = KernelConfig(sigma=1.0)
         bundle = build_grams(X, U, Y, cfg)
         assert bundle.N == 12
-        assert bundle.K_U.shape == (12, 12)
+        r_X = bundle.F.shape[1]
+        assert bundle.F.shape == (12, r_X)
         r = bundle.L_X.shape[1]
         assert bundle.L_Y.shape == (12, r)
-        assert bundle.eK_XY.shape == (12, 12)
-        assert np.array_equal(bundle.K_U, control_gram(gram(X, 1.0), U))
-        err = np.abs(bundle.eK_XY - cross_gram_diffused(X, Y, cfg)).max()
+        # K_U ~ W W^T with W = [F | u * F]; the gap is PSD, so each entry
+        # is within its largest diagonal entry, plus rounding.
+        K_U = control_gram(gram(X, 1.0), U)
+        W = np.hstack([bundle.F, U[0][:, None] * bundle.F])
+        gap = K_U - W @ W.T
+        scale = 1.0 + np.max(U * U)
+        assert np.abs(gap).max() <= (CHOLESKY_TOL + r_X * 2.2e-16) * scale
+        assert bundle.gap_trace == pytest.approx(
+            np.trace(gap), abs=12 * r_X * 2.2e-16 * scale
+        )
+        eK_XY = bundle.pref * bundle.L_X @ bundle.L_Y.T
+        err = np.abs(eK_XY - cross_gram_diffused(X, Y, cfg)).max()
         assert err <= bundle.pref * (CHOLESKY_TOL + r * 2.2e-16)
 
     @pytest.mark.parametrize("name", ["s1", "s2", "s4", "vdp"])
@@ -267,9 +302,8 @@ class TestBuildGrams:
         bundle = build_grams(ds.X, ds.U, ds.Y, kcfg)
         r = bundle.L_X.shape[1]
         assert r <= 60
-        err = np.abs(
-            bundle.eK_XY - cross_gram_diffused(ds.X, ds.Y, kcfg)
-        ).max()
+        eK_XY = bundle.pref * bundle.L_X @ bundle.L_Y.T
+        err = np.abs(eK_XY - cross_gram_diffused(ds.X, ds.Y, kcfg)).max()
         assert err <= bundle.pref * (CHOLESKY_TOL + r * 2.2e-16)
 
     def test_sample_count_mismatch_rejected(self):
