@@ -424,8 +424,10 @@ def cmd_identify(settings: _Settings) -> int:
     model_path = os.path.join(out, f"{_stem(ds_path)}_model.bin")
     store.save(ops, model_path)
 
+    # Paths relative to the summary's own directory, so the file does not
+    # depend on where the run directory lies.
     summary = {
-        "dataset": ds_path,
+        "dataset": os.path.relpath(ds_path, out),
         "system": ds.system,
         "N": ds.N,
         "sigma": sigma,
@@ -437,7 +439,7 @@ def cmd_identify(settings: _Settings) -> int:
         "markov_enforced": bool(settings.get("markov_enforce")),
         "fit_residual_fro": residual,
         "departure_from_normality": departure_from_normality(ops.A),
-        "model_path": model_path,
+        "model_path": os.path.relpath(model_path, out),
     }
     if scores is not None:
         summary["sigma_grid_scores"] = [

@@ -55,13 +55,18 @@ class IntegrationError(KmeocError):
 
 
 class EstimationError(KmeocError):
-    """The fit's ridge is zero, or too small even after jitter escalation.
+    """A ridge is zero or too small.
+
+    Raised by the fit when its ridge stays too small after jitter
+    escalation, and by a state-Gram solve when gamma does not exceed
+    the low-rank gap of K_X.
 
     Attributes
     ----------
     smallest_pivot : float
         Smallest eigenvalue of the low-rank control Gram W W^T the fit
-        would have regularized; advisory for choosing a larger gamma.
+        would have regularized (NaN from a state-Gram solve); advisory
+        for choosing a larger gamma.
     """
 
     def __init__(self, message: str, smallest_pivot: float = float("nan")):

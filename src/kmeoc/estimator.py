@@ -25,9 +25,13 @@ error by at most rho = trace(K_U - W W^T) / gamma, so the result
 matches a dense solve of (K_U + gamma I) to within rho^2 plus rounding.
 A fit costs O(N r^2) plus one pass over the N^2 kernel entries.
 
-The one factor a model keeps is that of the state Gram (K_X + gamma I),
-built on first use: measure embedding, policy interpolation and
-validation scoring solve against it.
+Measure embedding, policy interpolation and validation scoring solve
+with the state Gram (K_X + gamma I) the same way, through
+:meth:`EstimatedOperators.x_solve`: a Woodbury solve through the thin
+pivoted-Cholesky factor F of K_X and the r_X -square capacitance matrix
+gamma I + F^T F, which a model keeps once built, then one refinement
+step against the exact K_X, built for that solve only.  A model holds
+no N x N array.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .errors import (
 from .kernel import (
     GramBundle,
     KernelConfig,
+    _pivoted_cholesky,
     build_grams,
     control_gram_product,
     cross_gram_diffused,
@@ -139,19 +144,9 @@ class LowRank:
         return out
 
 
-def _ridge_cholesky(
-    K: np.ndarray, ridge: float, overwrite: bool = False
-) -> tuple:
-    """``cho_factor(K + ridge I)`` for a symmetric K, in place.
-
-    K is factored in a straight copy, or in its own memory when
-    ``overwrite`` is set.  Being symmetric, the C-ordered array's
-    transpose is the same matrix in the Fortran order LAPACK factors in
-    place, so no identity matrix and no transposing copy are formed.
-    """
-    reg = K if overwrite else K.copy()
-    reg[np.diag_indices_from(reg)] += ridge
-    return cho_factor(reg.T, overwrite_a=True)
+def _woodbury_solve(W, cap, ridge: float, b: np.ndarray) -> np.ndarray:
+    """(W W^T + ridge I)^{-1} b, with cap = cho_factor(ridge I + W^T W)."""
+    return (b - W @ cho_solve(cap, W.T @ b)) / ridge
 
 
 @dataclass
@@ -165,9 +160,10 @@ class EstimatedOperators:
     B : list of LowRank
         One control block per control coordinate.
     x_factor : tuple or None
-        Cholesky factor of (K_X + gamma I) as returned by
-        ``scipy.linalg.cho_factor``, or None until :meth:`x_gram_factor`
-        builds it.  Never persisted.
+        ``(F, cap, rho)`` from :meth:`x_gram_factor`, or None until it
+        is built: the thin factor F (N, r_X) of K_X, the Cholesky factor
+        of the r_X -square gamma I + F^T F, and the refinement's
+        contraction bound.  Never persisted.
     dataset_ref : Dataset
         The training data the fit was computed from.
     kernel_cfg : KernelConfig
@@ -218,13 +214,59 @@ class EstimatedOperators:
         return out
 
     def x_gram_factor(self) -> tuple:
-        """Cholesky factor of (K_X + gamma I), built on first use."""
+        """(F, cap, rho) for solves with (K_X + gamma I), built on first use.
+
+        F (N, r_X) is the pivoted-Cholesky factor of K_X ~ F F^T, rebuilt
+        from the training states alone, so a restored model gets the same
+        bits; ``cap`` is ``cho_factor(gamma I + F^T F)``; and
+        rho = trace(K_X - F F^T) / gamma bounds the contraction of the
+        refinement step in :meth:`x_solve`.
+
+        Raises
+        ------
+        EstimationError
+            If gamma is 0 or rho >= 1: the refinement would not contract.
+        """
         if self.x_factor is None:
-            K = gram(self.dataset_ref.X, self.kernel_cfg.sigma)
-            self.x_factor = _ridge_cholesky(
-                K, self.kernel_cfg.gamma, overwrite=True
-            )
+            X, sigma = self.dataset_ref.X, self.kernel_cfg.sigma
+            gamma = self.kernel_cfg.gamma
+            F, d = _pivoted_cholesky(X, sigma**2)
+            gap = float(np.sum(np.maximum(d, 0.0)))
+            rho = gap / gamma if gamma > 0.0 else np.inf
+            if not rho < 1.0:
+                raise EstimationError(
+                    f"gamma = {gamma:.1e} is not above the low-rank gap "
+                    f"{gap:.1e} of K_X (rho = {rho:.1e}); increase gamma"
+                )
+            F = np.ascontiguousarray(F)
+            cap = F.T @ F
+            cap[np.diag_indices_from(cap)] += gamma
+            self.x_factor = (F, cho_factor(cap, overwrite_a=True), rho)
         return self.x_factor
+
+    def x_solve(
+        self, b: np.ndarray, K_X: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """(K_X + gamma I)^{-1} b for b of shape (N,) or (N, k).
+
+        A Woodbury solve through :meth:`x_gram_factor`, then one step of
+        iterative refinement against the exact K_X, which contracts the
+        error by at most rho.  K_X is built by one :func:`gram` call
+        unless given, and dropped on return.
+        """
+        F, cap, rho = self.x_gram_factor()
+        gamma = self.kernel_cfg.gamma
+        if K_X is None:
+            K_X = gram(self.dataset_ref.X, self.kernel_cfg.sigma)
+        z = _woodbury_solve(F, cap, gamma, b)
+        resid = b - K_X @ z - gamma * z
+        b_norm = max(np.linalg.norm(b), np.finfo(float).tiny)
+        log.debug(
+            "state-Gram solve: r_X = %d, rho = %.1e, "
+            "relative residual before refinement %.1e",
+            F.shape[1], rho, np.linalg.norm(resid) / b_norm,
+        )
+        return z + _woodbury_solve(F, cap, gamma, resid)
 
     def closed_loop(self, u: np.ndarray) -> LowRank:
         """A + sum_m B_m diag(u_m) for a control table u (n_u, N).
@@ -333,10 +375,6 @@ def fit_krr(
     WtW[np.diag_indices_from(WtW)] += jitter
     factor = cho_factor(WtW, overwrite_a=True)
 
-    def solve(b):
-        """(W W^T + jitter I)^{-1} b by the Woodbury identity."""
-        return (b - W @ cho_solve(factor, W.T @ b)) / jitter
-
     L_X = bundle.L_X
     R = bundle.pref * bundle.L_Y
     zero = np.zeros(N)
@@ -346,7 +384,7 @@ def fit_krr(
         rhs = L_X
     # One step of iterative refinement against the exact K_U; it
     # contracts the error by at most rho = trace(K_U - W W^T) / jitter.
-    P = solve(rhs)
+    P = _woodbury_solve(W, factor, jitter, rhs)
     resid = rhs - control_gram_product(dataset.X, U, cfg.sigma, P) - jitter * P
     log.debug(
         "fit: r_X = %d, capacitance %d, rho = %.1e, "
@@ -354,7 +392,7 @@ def fit_krr(
         bundle.F.shape[1], W.shape[1], gap / jitter,
         np.linalg.norm(resid) / np.linalg.norm(rhs),
     )
-    P += solve(resid)
+    P += _woodbury_solve(W, factor, jitter, resid)
     if b_block_orientation == "row":
         P, *P_m = np.hsplit(P, 1 + dataset.n_u)
         B = [LowRank(left, R, zero) for left in P_m]
@@ -465,7 +503,8 @@ def validation_score(ops: EstimatedOperators, holdout: Dataset) -> float:
     and the predicted kernel section K_X c_pred is compared against the
     regression target eK(X, y) on the training points.  Returns the
     mean squared discrepancy over all (training point, holdout sample)
-    pairs.
+    pairs.  The weights come from :meth:`EstimatedOperators.x_solve`,
+    whose refinement step reuses the one K_X built here.
     """
     if holdout.N == 0:
         raise InputError("holdout dataset is empty")
@@ -477,7 +516,7 @@ def validation_score(ops: EstimatedOperators, holdout: Dataset) -> float:
     zero_diff = replace(cfg, epsilon=0.0)
     K_xq = cross_gram_diffused(X, holdout.X, zero_diff)
     K_X = gram(X, cfg.sigma)
-    W = cho_solve(_ridge_cholesky(K_X, cfg.gamma), K_xq)  # (N, M)
+    W = ops.x_solve(K_xq, K_X)  # (N, M)
     C = ops.A @ W
     for Bm, u_m in zip(ops.B, holdout.U):
         C += Bm @ (W * u_m[None, :])

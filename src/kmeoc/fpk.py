@@ -17,7 +17,9 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-# gram and cho_factor are unused: the benchmark tracer patches both here.
+# gram, cho_factor and cho_solve are unused: the benchmark tracer patches
+# them here.  They go when the benchmark's probes follow the program's
+# solves (ROADMAP item 2).
 from scipy.linalg import cho_factor, cho_solve  # noqa: F401
 
 from .errors import InputError, PropagationError
@@ -57,8 +59,10 @@ def embed_initial(ops: EstimatedOperators, X0) -> MeasureWeights:
     """Embed the empirical measure of initial samples into basis weights.
 
     Solves (K_X + gamma I) z0 = K_X(., X0) 1/N0 over the training
-    states.  The 1/N0 normalization makes z0 represent the empirical
-    probability measure, so total mass starts at ~1.
+    states, through :meth:`~kmeoc.estimator.EstimatedOperators.x_solve`
+    (the thin factor of K_X plus one refinement step).  The 1/N0
+    normalization makes z0 represent the empirical probability measure,
+    so total mass starts at ~1.
 
     Raises
     ------
@@ -82,7 +86,7 @@ def embed_initial(ops: EstimatedOperators, X0) -> MeasureWeights:
     for j in range(N0):
         rhs += cross_vector(X0[:, j], X, sigma)
     rhs /= N0
-    z0 = cho_solve(ops.x_gram_factor(), rhs)
+    z0 = ops.x_solve(rhs)
     return MeasureWeights(z=z0, step=0)
 
 

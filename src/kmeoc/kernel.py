@@ -18,7 +18,10 @@ Cholesky of the diffused kernel on the joint points ``[X Y]``, and the
 state Gram as a pivoted-Cholesky factor ``F`` with K_X ~ F F^T, so the
 control Gram K_U = K_X * (1 + U^T U) is approximately W W^T with
 W = [F | u_1 * F | ...].  The exact K_U is only ever applied, a block
-of rows at a time, by :func:`control_gram_product`.
+of rows at a time, by :func:`control_gram_product`.  Solves with the
+state Gram (K_X + gamma I) go through the same F
+(:meth:`kmeoc.estimator.EstimatedOperators.x_solve`); :func:`gram`
+builds the whole K_X only for one such solve's refinement step.
 """
 
 from __future__ import annotations

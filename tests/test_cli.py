@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import logging
+import os
+import shutil
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -122,6 +124,25 @@ class TestIdentify:
         summary = json.loads((tmp_path / "s1_n400_seed3_fit.json").read_text())
         expected = fit_residual(ops, build_grams(ds.X, ds.U, ds.Y, cfg))
         assert summary["fit_residual_fro"] == expected
+
+    def test_summary_does_not_depend_on_the_out_root(self, work, tmp_path):
+        # Paths in the summary are relative to its own directory.
+        summaries = []
+        for root in ("a", "a_much_longer_root_name"):
+            data = tmp_path / root / "data"
+            data.mkdir(parents=True)
+            shutil.copy(work / "s1_n400_seed3.csv", data)
+            out = tmp_path / root / "runs"
+            argv = [
+                "identify", "--dataset", str(data / "s1_n400_seed3.csv"),
+                "--sigma", "1.2", "--out", str(out),
+            ]
+            assert main(argv) == 0
+            summaries.append((out / "s1_n400_seed3_fit.json").read_bytes())
+        assert summaries[0] == summaries[1]
+        summary = json.loads(summaries[0])
+        assert summary["dataset"] == os.path.join("..", "data", "s1_n400_seed3.csv")
+        assert summary["model_path"] == "s1_n400_seed3_model.bin"
 
     def test_sigma_grid_selection_written(self, work, tmp_path, capsys):
         dataset = work / "s1_n400_seed3.csv"

@@ -25,8 +25,9 @@ from kmeoc import (
     model_select,
     validation_score,
 )
-from kmeoc.bench import bench_config
-from kmeoc.estimator import _ridge_cholesky
+from kmeoc.bench import bench_config, fit_and_solve
+from kmeoc.fpk import embed_initial
+from kmeoc.hjb import policy_interpolate
 from kmeoc.kernel import cross_gram_diffused
 from kmeoc.systems import generate_dataset, make_system
 
@@ -67,20 +68,6 @@ class TestFitKrr:
         assert fit_residual(ops, grams) == pytest.approx(dense, abs=1e-8)
         with pytest.raises(InputError, match="N = "):
             fit_krr(make_static_dataset(N=30), cfg, grams=grams)
-
-    def test_ridge_factor_in_place_equals_fortran_copy(self, static_ops):
-        # The factor of K's transpose view equals the one of a
-        # Fortran-ordered copy bit for bit, because K is symmetric.
-        K = gram(static_ops.dataset_ref.X, 1.0)
-        assert np.array_equal(K, K.T)
-        c_ref, _ = cho_factor(np.array(K, order="F") + 1e-8 * np.eye(len(K)))
-        kept = K.copy()
-        c, lower = _ridge_cholesky(K, 1e-8)
-        assert not lower and c.tobytes(order="F") == c_ref.tobytes(order="F")
-        assert K.tobytes() == kept.tobytes()
-        c, _ = _ridge_cholesky(K, 1e-8, overwrite=True)
-        assert np.shares_memory(c, K)
-        assert c.tobytes(order="F") == c_ref.tobytes(order="F")
 
     @pytest.mark.parametrize("name", ["s1", "s3"])
     def test_matches_the_dense_solve_at_bench_size(self, name):
@@ -290,6 +277,76 @@ class TestFactoredDiagnostics:
         dense = np.linalg.norm(reg @ ops.A_hat - target, "fro")
         got = fit_residual(ops, bundle)
         assert got == pytest.approx(dense, abs=1e-8)
+
+
+def _arrays(value):
+    """Every ndarray reachable from value through tuples, lists and dataclasses."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+
+
+class TestStateGramSolve:
+    """Solves with (K_X + gamma I) through the thin factor of K_X."""
+
+    @pytest.mark.parametrize("name", ["s1", "s3", "s4"])
+    def test_matches_the_dense_solve_at_bench_size(self, name):
+        system = make_system(name)
+        ops, sol = fit_and_solve(system, bench_config(name), data_seed=0)
+        X, cfg = ops.dataset_ref.X, ops.kernel_cfg
+        reg = gram(X, cfg.sigma) + cfg.gamma * np.eye(ops.N)
+        b = sol.policy_row(sol.stationary_step).T
+        z = ops.x_solve(b)
+        assert np.linalg.norm(b - reg @ z) / np.linalg.norm(b) <= 1e-8
+        # The interpolated stationary law against the dense solve's.
+        # Imported here: at module level pytest would collect test_grid.
+        from kmeoc.bench import test_grid
+
+        grid = test_grid(system)
+        K_q = np.exp(
+            -np.sum((X.T[:, None, :] - grid.T[None, :, :]) ** 2, axis=2)
+            / cfg.sigma**2
+        )
+        ref = (K_q.T @ cho_solve(cho_factor(reg), b)).T
+        if sol.box is not None:
+            ref = np.clip(ref, sol.box[0][:, None], sol.box[1][:, None])
+        got = policy_interpolate(grid, sol, ops)
+        assert np.max(np.abs(got - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+    def test_no_field_holds_an_n_by_n_array(self, s1_fit):
+        ops, sol = s1_fit
+        policy_interpolate(np.array([[0.5, -1.0]]), sol, ops)
+        embed_initial(ops, np.array([[1.0]]))
+        assert ops.x_factor is not None
+        sizes = [a.size for a in _arrays(ops)]
+        assert sizes and max(sizes) < ops.N**2
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-16])
+    def test_ridge_below_the_gap_fails_naming_gamma_and_rho(
+        self, static_ops, gamma
+    ):
+        cfg = dataclasses.replace(static_ops.kernel_cfg, gamma=gamma)
+        ops = dataclasses.replace(static_ops, kernel_cfg=cfg, x_factor=None)
+        with pytest.raises(EstimationError, match="gamma") as exc_info:
+            ops.x_solve(np.ones(ops.N))
+        assert "rho = " in str(exc_info.value)
+        assert ops.x_factor is None
+
+    def test_debug_line_reports_the_refinement(self, static_ops, caplog):
+        ops = dataclasses.replace(static_ops, x_factor=None)
+        with caplog.at_level(logging.DEBUG, logger="kmeoc.estimator"):
+            ops.x_solve(np.ones(ops.N))
+            ops.x_solve(np.ones(ops.N))
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 2  # one per solve, with or without a new factor
+        for line in lines:
+            assert "r_X = " in line and "rho = " in line
+            assert "residual before refinement" in line
 
 
 class TestValidationScore:
