@@ -59,7 +59,6 @@ __all__ = [
     "closed_loop_rollout",
     "riccati_reference",
     "convergence_sweep",
-    "save_report_csv",
     "save_report_json",
 ]
 
@@ -397,18 +396,6 @@ def _json_safe(value):
     if isinstance(value, list):
         return [_json_safe(v) for v in value]
     return value
-
-
-def save_report_csv(report: BenchReport, path) -> None:
-    """Per-rep rows: ``system,rep,sigma,N,H,dt,rmse,flagged``."""
-    with open(path, "w", newline="") as fh:
-        fh.write("system,rep,sigma,N,H,dt,rmse,flagged\n")
-        for r, rmse in enumerate(report.per_rep_rmse):
-            flagged = int(r in report.flagged_reps)
-            fh.write(
-                f"{report.system},{r},{report.sigma:.17g},{report.N},"
-                f"{report.H},{report.dt:.17g},{rmse:.17g},{flagged}\n"
-            )
 
 
 def save_report_json(report: BenchReport, path) -> None:

@@ -609,14 +609,12 @@ def cmd_bench(settings: _Settings) -> int:
         seed=int(settings.get("seed")),
     )
     out = _ensure_out(settings)
-    csv_path = os.path.join(out, f"bench_{report.system}.csv")
     json_path = os.path.join(out, f"bench_{report.system}.json")
-    bench_mod.save_report_csv(report, csv_path)
     bench_mod.save_report_json(report, json_path)
     print(
         f"{report.system}: rmse_mean = {report.rmse_mean:.6g} "
         f"(std {report.rmse_std:.2g}, {report.reps} reps, "
-        f"{len(report.flagged_reps)} flagged) -> {csv_path}, {json_path}"
+        f"{len(report.flagged_reps)} flagged) -> {json_path}"
     )
     return 0
 
@@ -633,11 +631,6 @@ def cmd_sweep(settings: _Settings) -> int:
         overrides=_bench_overrides(settings),
     )
     out = _ensure_out(settings)
-    csv_path = os.path.join(out, f"sweep_{system.lower()}.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("N,rmse_mean\n")
-        for n, rmse in points:
-            fh.write(f"{n},{rmse:.17g}\n")
     logs = [
         (np.log(n), np.log(r))
         for n, r in points
@@ -657,7 +650,7 @@ def cmd_sweep(settings: _Settings) -> int:
                     if reps is None else reps
                 ),
                 "seed": int(settings.get("seed")),
-                "points": [[n, r] for n, r in points],
+                "points": [[n, bench_mod._json_safe(r)] for n, r in points],
                 "loglog_slope": slope,
             },
             fh,
@@ -665,7 +658,7 @@ def cmd_sweep(settings: _Settings) -> int:
         )
         fh.write("\n")
     slope_text = "n/a" if slope is None else f"{slope:.3f}"
-    print(f"sweep {system}: loglog slope {slope_text} -> {csv_path}")
+    print(f"sweep {system}: loglog slope {slope_text} -> {json_path}")
     return 0
 
 

@@ -58,15 +58,16 @@ class EstimationError(KmeocError):
     """A ridge is zero or too small.
 
     Raised by the fit when its ridge stays too small after jitter
-    escalation, and by a state-Gram solve when gamma does not exceed
-    the low-rank gap of K_X.
+    escalation, and by the one ridge solver, in the fit or a state-Gram
+    solve, when the ridge is 0 or does not exceed the low-rank gap of
+    its Gram (rho >= 1).
 
     Attributes
     ----------
     smallest_pivot : float
         Smallest eigenvalue of the low-rank control Gram W W^T the fit
-        would have regularized (NaN from a state-Gram solve); advisory
-        for choosing a larger gamma.
+        would have regularized (NaN from the solver); advisory for
+        choosing a larger gamma.
     """
 
     def __init__(self, message: str, smallest_pivot: float = float("nan")):

@@ -15,23 +15,19 @@ and B_hat_m = P_m R^T with (K_U + gamma I) P_m = U_m * L_X.  The fit
 solves (1 + n_u) r right-hand sides instead of (1 + n_u) N, and
 applying an operator costs O(N r) instead of O(N^2).
 
-A fit forms no N x N array.  The control Gram is approximately W W^T
-with W = [F | u_1 * F | ...] and F the thin pivoted-Cholesky factor of
-K_X, so (W W^T + gamma I) is solved by the Woodbury identity through
-one Cholesky factor of the (1 + n_u) r_X -square capacitance matrix
-gamma I + W^T W.  One step of iterative refinement against the exact
-K_U, applied a block of rows at a time, follows; it contracts the
-error by at most rho = trace(K_U - W W^T) / gamma, so the result
-matches a dense solve of (K_U + gamma I) to within rho^2 plus rounding.
-A fit costs O(N r^2) plus one pass over the N^2 kernel entries.
-
-Measure embedding, policy interpolation and validation scoring solve
-with the state Gram (K_X + gamma I) the same way, through
-:meth:`EstimatedOperators.x_solve`: a Woodbury solve through the thin
-pivoted-Cholesky factor F of K_X and the r_X -square capacitance matrix
-gamma I + F^T F, which a model keeps once built, then one refinement
-step against the exact K_X, built for that solve only.  A model holds
-no N x N array.
+Every solve with a ridge goes through one solver.  The fit solves with
+the control Gram (K_U + gamma I), and measure embedding, policy
+interpolation and validation scoring solve with the state Gram
+(K_X + jitter I), where jitter is the ridge the fit settled on.  Each
+Gram is approximately W W^T for a thin W: the pivoted-Cholesky factor F
+of K_X, and W = [F | u_1 * F | ...] for K_U.  The solver applies the
+Woodbury identity through one Cholesky factor of the capacitance matrix
+ridge I + W^T W, then takes one step of iterative refinement against
+the exact Gram.  That step contracts the error by at most
+rho = trace(G - W W^T) / ridge, so the result matches a dense solve to
+within rho^2 plus rounding; a zero ridge or rho >= 1 fails.  A fit
+costs O(N r^2) plus one pass over the N^2 kernel entries, and no model
+holds an N x N array.
 """
 
 from __future__ import annotations
@@ -144,14 +140,63 @@ class LowRank:
         return out
 
 
-def _woodbury_solve(W, cap, ridge: float, b: np.ndarray) -> np.ndarray:
-    """(W W^T + ridge I)^{-1} b, with cap = cho_factor(ridge I + W^T W)."""
-    return (b - W @ cho_solve(cap, W.T @ b)) / ridge
+@dataclass(frozen=True, eq=False)
+class _RidgeSolver:
+    """Solves with (G + ridge I) for a Gram matrix G ~ W W^T.
+
+    ``cap`` is ``cho_factor(ridge I + W^T W)``, and
+    rho = trace(G - W W^T) / ridge bounds the contraction of the
+    refinement step.  ``name`` ("K_U" or "K_X") and ``r_X``, the rank of
+    K_X's factor inside W, are for messages.
+    """
+
+    name: str
+    r_X: int
+    W: np.ndarray
+    cap: tuple
+    ridge: float
+    rho: float
+
+    @classmethod
+    def build(cls, name: str, r_X: int, W, ridge: float, gap: float):
+        """Factor the capacitance matrix, given gap = trace(G - W W^T).
+
+        Raises EstimationError if the ridge is 0 or rho >= 1: the
+        refinement would not contract.
+        """
+        rho = gap / ridge if ridge > 0.0 else np.inf
+        if not rho < 1.0:
+            raise EstimationError(
+                f"gamma = {ridge:.1e} is not above the low-rank gap "
+                f"{gap:.1e} of {name} (rho = {rho:.1e}); increase gamma"
+            )
+        cap = W.T @ W
+        cap[np.diag_indices_from(cap)] += ridge
+        return cls(name, r_X, W, cho_factor(cap, overwrite_a=True), ridge, rho)
+
+    def _woodbury(self, b: np.ndarray) -> np.ndarray:
+        """(W W^T + ridge I)^{-1} b."""
+        return (b - self.W @ cho_solve(self.cap, self.W.T @ b)) / self.ridge
+
+    def solve(self, b: np.ndarray, apply_exact) -> np.ndarray:
+        """(G + ridge I)^{-1} b: a Woodbury solve, then one refinement step
+        against the exact G z = ``apply_exact(z)``."""
+        z = self._woodbury(b)
+        resid = b - apply_exact(z) - self.ridge * z
+        b_norm = max(np.linalg.norm(b), np.finfo(float).tiny)
+        log.debug(
+            "solve with %s: r_X = %d, capacitance %d, rho = %.1e, "
+            "relative residual before refinement %.1e",
+            self.name, self.r_X, self.W.shape[1], self.rho,
+            np.linalg.norm(resid) / b_norm,
+        )
+        z += self._woodbury(resid)
+        return z
 
 
 @dataclass
 class EstimatedOperators:
-    """Fitted operators, their training data and the state-Gram factor.
+    """Fitted operators, their training data and the state-Gram solver.
 
     Attributes
     ----------
@@ -159,22 +204,20 @@ class EstimatedOperators:
         The uncontrolled operator; a dense array M becomes LowRank(M, I, 0).
     B : list of LowRank
         One control block per control coordinate.
-    x_factor : tuple or None
-        ``(F, cap, rho)`` from :meth:`x_gram_factor`, or None until it
-        is built: the thin factor F (N, r_X) of K_X, the Cholesky factor
-        of the r_X -square gamma I + F^T F, and the refinement's
-        contraction bound.  Never persisted.
+    x_factor : _RidgeSolver or None
+        The solver for (K_X + jitter I) from :meth:`x_gram_factor`, or
+        None until it is built.  Never persisted.
     dataset_ref : Dataset
         The training data the fit was computed from.
     kernel_cfg : KernelConfig
     jitter : float
-        The ridge actually used (equals ``kernel_cfg.gamma`` unless the
-        factorization had to escalate).
+        The model's one ridge, for the fit and every state-Gram solve
+        (equals ``kernel_cfg.gamma`` unless the fit had to escalate).
     """
 
     A: LowRank
     B: List[LowRank]
-    x_factor: Optional[tuple] = field(repr=False, compare=False)
+    x_factor: Optional[_RidgeSolver] = field(repr=False, compare=False)
     dataset_ref: Dataset
     kernel_cfg: KernelConfig
     jitter: float
@@ -213,60 +256,41 @@ class EstimatedOperators:
             out += Bm @ (u_m * z)
         return out
 
-    def x_gram_factor(self) -> tuple:
-        """(F, cap, rho) for solves with (K_X + gamma I), built on first use.
+    def x_gram_factor(self) -> _RidgeSolver:
+        """The solver for (K_X + jitter I), built on first use.
 
-        F (N, r_X) is the pivoted-Cholesky factor of K_X ~ F F^T, rebuilt
-        from the training states alone, so a restored model gets the same
-        bits; ``cap`` is ``cho_factor(gamma I + F^T F)``; and
-        rho = trace(K_X - F F^T) / gamma bounds the contraction of the
-        refinement step in :meth:`x_solve`.
+        Its W is the pivoted-Cholesky factor F (N, r_X) of K_X ~ F F^T,
+        rebuilt from the training states alone, so a restored model gets
+        the same bits.  trace(K_X - F F^T) is at most the gap of K_U,
+        which the fit kept below ``jitter``.
 
         Raises
         ------
         EstimationError
-            If gamma is 0 or rho >= 1: the refinement would not contract.
+            If jitter is 0 or rho >= 1: the refinement would not contract.
         """
         if self.x_factor is None:
             X, sigma = self.dataset_ref.X, self.kernel_cfg.sigma
-            gamma = self.kernel_cfg.gamma
             F, d = _pivoted_cholesky(X, sigma**2)
             gap = float(np.sum(np.maximum(d, 0.0)))
-            rho = gap / gamma if gamma > 0.0 else np.inf
-            if not rho < 1.0:
-                raise EstimationError(
-                    f"gamma = {gamma:.1e} is not above the low-rank gap "
-                    f"{gap:.1e} of K_X (rho = {rho:.1e}); increase gamma"
-                )
-            F = np.ascontiguousarray(F)
-            cap = F.T @ F
-            cap[np.diag_indices_from(cap)] += gamma
-            self.x_factor = (F, cho_factor(cap, overwrite_a=True), rho)
+            self.x_factor = _RidgeSolver.build(
+                "K_X", F.shape[1], np.ascontiguousarray(F), self.jitter, gap
+            )
         return self.x_factor
 
     def x_solve(
         self, b: np.ndarray, K_X: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """(K_X + gamma I)^{-1} b for b of shape (N,) or (N, k).
+        """(K_X + jitter I)^{-1} b for b of shape (N,) or (N, k).
 
-        A Woodbury solve through :meth:`x_gram_factor`, then one step of
-        iterative refinement against the exact K_X, which contracts the
-        error by at most rho.  K_X is built by one :func:`gram` call
-        unless given, and dropped on return.
+        Through the solver of :meth:`x_gram_factor`, refined against the
+        exact K_X, which is built by one :func:`gram` call unless given
+        and dropped on return.
         """
-        F, cap, rho = self.x_gram_factor()
-        gamma = self.kernel_cfg.gamma
+        solver = self.x_gram_factor()
         if K_X is None:
             K_X = gram(self.dataset_ref.X, self.kernel_cfg.sigma)
-        z = _woodbury_solve(F, cap, gamma, b)
-        resid = b - K_X @ z - gamma * z
-        b_norm = max(np.linalg.norm(b), np.finfo(float).tiny)
-        log.debug(
-            "state-Gram solve: r_X = %d, rho = %.1e, "
-            "relative residual before refinement %.1e",
-            F.shape[1], rho, np.linalg.norm(resid) / b_norm,
-        )
-        return z + _woodbury_solve(F, cap, gamma, resid)
+        return solver.solve(b, lambda z: K_X @ z)
 
     def closed_loop(self, u: np.ndarray) -> LowRank:
         """A + sum_m B_m diag(u_m) for a control table u (n_u, N).
@@ -344,7 +368,6 @@ def fit_krr(
 
     U = dataset.U
     W = np.hstack([bundle.F] + [u_m[:, None] * bundle.F for u_m in U])
-    WtW = W.T @ W
     # Below this ridge, rounding in W^T W (of norm up to trace(K_U)) can
     # cost the capacitance matrix its definiteness.
     floor = N * np.finfo(float).eps * float(np.max(1.0 + np.sum(U * U, 0)))
@@ -356,7 +379,7 @@ def fit_krr(
         nxt = jitter * 10.0 if jitter > 0.0 else _JITTER_CAP * 10.0
         if nxt > _JITTER_CAP:
             # The smallest eigenvalue of W W^T; 0 when W has < N columns.
-            eig = eigvalsh(WtW)
+            eig = eigvalsh(W.T @ W)
             smallest = float(eig[-N]) if len(eig) >= N else 0.0
             raise EstimationError(
                 f"the ridge {jitter:.1e} is not above the rounding floor "
@@ -371,9 +394,7 @@ def fit_krr(
             stacklevel=2,
         )
         jitter = nxt
-
-    WtW[np.diag_indices_from(WtW)] += jitter
-    factor = cho_factor(WtW, overwrite_a=True)
+    solver = _RidgeSolver.build("K_U", bundle.F.shape[1], W, jitter, gap)
 
     L_X = bundle.L_X
     R = bundle.pref * bundle.L_Y
@@ -382,17 +403,9 @@ def fit_krr(
         rhs = np.hstack([L_X] + [u_m[:, None] * L_X for u_m in U])
     else:
         rhs = L_X
-    # One step of iterative refinement against the exact K_U; it
-    # contracts the error by at most rho = trace(K_U - W W^T) / jitter.
-    P = _woodbury_solve(W, factor, jitter, rhs)
-    resid = rhs - control_gram_product(dataset.X, U, cfg.sigma, P) - jitter * P
-    log.debug(
-        "fit: r_X = %d, capacitance %d, rho = %.1e, "
-        "relative residual before refinement %.1e",
-        bundle.F.shape[1], W.shape[1], gap / jitter,
-        np.linalg.norm(resid) / np.linalg.norm(rhs),
+    P = solver.solve(
+        rhs, lambda Z: control_gram_product(dataset.X, U, cfg.sigma, Z)
     )
-    P += _woodbury_solve(W, factor, jitter, resid)
     if b_block_orientation == "row":
         P, *P_m = np.hsplit(P, 1 + dataset.n_u)
         B = [LowRank(left, R, zero) for left in P_m]
@@ -498,7 +511,7 @@ def validation_score(ops: EstimatedOperators, holdout: Dataset) -> float:
     operator is applied to the interpolation weights of x,
 
         c_pred = (A_hat + sum_m B_hat_m u_m) w(x),
-        (K_X + gamma I) w(x) = k_X(x),
+        (K_X + jitter I) w(x) = k_X(x),
 
     and the predicted kernel section K_X c_pred is compared against the
     regression target eK(X, y) on the training points.  Returns the
@@ -536,7 +549,7 @@ def _subset(ds: Dataset, idx: np.ndarray) -> Dataset:
     return Dataset(
         X=ds.X[:, idx],
         U=ds.U[:, idx],
-        Y=ds.Y[:, idx],
+        Y=None if ds.Y is None else ds.Y[:, idx],
         cost=ds.cost[idx],
         dt=ds.dt,
         epsilon=ds.epsilon,

@@ -58,7 +58,7 @@ class MeasureWeights:
 def embed_initial(ops: EstimatedOperators, X0) -> MeasureWeights:
     """Embed the empirical measure of initial samples into basis weights.
 
-    Solves (K_X + gamma I) z0 = K_X(., X0) 1/N0 over the training
+    Solves (K_X + jitter I) z0 = K_X(., X0) 1/N0 over the training
     states, through :meth:`~kmeoc.estimator.EstimatedOperators.x_solve`
     (the thin factor of K_X plus one refinement step).  The 1/N0
     normalization makes z0 represent the empirical probability measure,

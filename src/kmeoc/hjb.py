@@ -613,7 +613,7 @@ def value_functional(v0, z0) -> float:
 def _coefficients_for_step(
     sol: ValueSolution, ops: "EstimatedOperators", k: int
 ) -> np.ndarray:
-    """(K_X + gamma I)^{-1} @ policy-row-k, cached per step together with
+    """(K_X + jitter I)^{-1} @ policy-row-k, cached per step together with
     a weak reference to the operators it was solved for."""
     cached = sol._interp_cache.get(k)
     if cached is None or cached[0]() is not ops:
@@ -630,8 +630,8 @@ def policy_interpolate(
 
     The policy row at step ``k`` is interpolated in the kernel
     basis over the training states: the returned control is
-    ``k_xX (K_X + gamma I)^{-1} u_k``, clipped to the control box when
-    one is configured.  The solve with (K_X + gamma I), through the thin
+    ``k_xX (K_X + jitter I)^{-1} u_k``, clipped to the control box when
+    one is configured.  The solve with (K_X + jitter I), through the thin
     factor of K_X plus one refinement step
     (:meth:`~kmeoc.estimator.EstimatedOperators.x_solve`), is performed
     once per step and set of operators, and cached.

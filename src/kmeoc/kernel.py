@@ -19,7 +19,7 @@ state Gram as a pivoted-Cholesky factor ``F`` with K_X ~ F F^T, so the
 control Gram K_U = K_X * (1 + U^T U) is approximately W W^T with
 W = [F | u_1 * F | ...].  The exact K_U is only ever applied, a block
 of rows at a time, by :func:`control_gram_product`.  Solves with the
-state Gram (K_X + gamma I) go through the same F
+state Gram (K_X + jitter I) go through the same F
 (:meth:`kmeoc.estimator.EstimatedOperators.x_solve`); :func:`gram`
 builds the whole K_X only for one such solve's refinement step.
 """
@@ -289,6 +289,11 @@ def _pivoted_cholesky(Z: np.ndarray, den: float) -> tuple:
 
 def build_grams(X, U, Y, cfg: KernelConfig) -> GramBundle:
     """Factor the state Gram and the diffused cross-Gram in one call."""
+    if Y is None:
+        raise InputError(
+            "Y is None: a fit needs the training successors, which a "
+            "model restored from disk does not carry"
+        )
     X = _as_states(X, "X")
     U = _as_states(U, "U")
     Y = _as_states(Y, "Y")
@@ -296,11 +301,6 @@ def build_grams(X, U, Y, cfg: KernelConfig) -> GramBundle:
         raise InputError("X, U, Y must have the same number of columns")
     if X.shape[0] != Y.shape[0]:
         raise InputError(f"shape mismatch: X {X.shape} vs Y {Y.shape}")
-    if not np.all(np.isfinite(Y)):
-        raise InputError(
-            "Y must be finite: a fit needs the training successors, which "
-            "a model restored from disk does not carry"
-        )
     F, gap = _pivoted_cholesky(X, cfg.sigma**2)
     den = cfg.diffused_denominator
     L, _ = _pivoted_cholesky(np.hstack([X, Y]), den)

@@ -165,12 +165,11 @@ def _decode_model(buf: bytes) -> EstimatedOperators:
         LowRank(factors[index[2 * i]], factors[index[2 * i + 1]], shifts[i])
         for i in range(1 + n_u)
     ]
-    # The successor snapshots are not persisted; the placeholder keeps
-    # shapes honest while making any accidental use loudly non-finite.
+    # The successor snapshots are not persisted.
     ds = Dataset(
         X=X,
         U=U,
-        Y=np.full_like(X, np.nan),
+        Y=None,
         cost=cost,
         dt=ds_dt,
         epsilon=ds_epsilon,

@@ -157,13 +157,13 @@ class Dataset:
     """One-step snapshot data (x^(i), u^(i)) -> x_+^(i) with stage costs.
 
     ``cost`` holds the pre-weighted products state_cost(x^(i)) * dt.
-    Every entry must be finite, except that Y may be all NaN: a model
-    restored from disk carries no successors and marks them so.
+    Every entry must be finite.  ``Y`` is None when the successors are
+    not carried, as in a model restored from disk.
     """
 
     X: np.ndarray
     U: np.ndarray
-    Y: np.ndarray
+    Y: Optional[np.ndarray]
     cost: np.ndarray
     dt: float
     epsilon: float
@@ -171,19 +171,19 @@ class Dataset:
     system: str = ""
 
     def __post_init__(self):
-        for name in ("X", "U", "Y", "cost"):
+        names = ("X", "U", "cost") if self.Y is None else ("X", "U", "Y", "cost")
+        for name in names:
             object.__setattr__(
                 self, name, np.asarray(getattr(self, name), dtype=float)
             )
         N = self.X.shape[1]
-        if self.U.shape[1] != N or self.Y.shape[1] != N or self.cost.size != N:
+        if self.U.shape[1] != N or self.cost.size != N:
             raise InputError("dataset arrays disagree on sample count")
-        if self.Y.shape[0] != self.X.shape[0]:
-            raise InputError("X and Y disagree on state dimension")
-        for name in ("X", "U", "Y", "cost"):
-            a = getattr(self, name)
-            bad = ~np.isfinite(a)
-            if bad.any() and not (name == "Y" and np.isnan(a).all()):
+        if self.Y is not None and self.Y.shape != self.X.shape:
+            raise InputError("X and Y disagree on shape")
+        for name in names:
+            bad = ~np.isfinite(getattr(self, name))
+            if bad.any():
                 i = int(np.nonzero(bad)[-1].min())
                 raise InputError(
                     f"dataset {name} is not finite at sample {i} "
@@ -354,6 +354,8 @@ def generate_dataset(
 
 def save_dataset_csv(ds: Dataset, path) -> None:
     """Write the one-row-per-sample CSV with a leading metadata line."""
+    if ds.Y is None:
+        raise InputError("a dataset without successors Y has no CSV form")
     with open(path, "w", newline="") as fh:
         fh.write(
             f"# dt={ds.dt:.17g} epsilon={ds.epsilon:.17g} "

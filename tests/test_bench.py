@@ -1,6 +1,5 @@
 """Benchmark harness: scoring, repetitions, rollouts, reference gains."""
 
-import csv
 import dataclasses
 import json
 import logging
@@ -24,7 +23,6 @@ from kmeoc.bench import (
     BENCH_DEFAULTS,
     bench_config,
     rmse_table,
-    save_report_csv,
     save_report_json,
 )
 from kmeoc.systems import make_system
@@ -256,22 +254,7 @@ class TestConvergenceSweep:
             convergence_sweep("s1", [], reps=1)
 
 
-@pytest.fixture(scope="module")
-def small_report():
-    return run_benchmark("s1", reps=2, overrides={"N": 150, "H": 60}, seed=3)
-
-
 class TestReportPersistence:
-    def test_csv_layout(self, tmp_path, small_report):
-        path = tmp_path / "report.csv"
-        save_report_csv(small_report, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["system", "rep", "sigma", "N", "H", "dt", "rmse", "flagged"]
-        assert len(rows) == 3
-        assert rows[1][0] == "s1" and rows[1][1] == "0"
-        assert float(rows[1][6]) == small_report.per_rep_rmse[0]
-
     def test_json_round_trip_with_nan(self, tmp_path):
         rep = run_benchmark(
             "s1",

@@ -208,7 +208,9 @@ class TestIdentify:
             ]
         )
         assert rc == 2
-        assert "successors" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "dataset Y is not finite at sample 0" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "text, where",
@@ -616,7 +618,7 @@ class TestBench:
         )
         assert rc == 0
         assert "rmse_mean" in capsys.readouterr().out
-        assert (tmp_path / "bench_s1.csv").exists()
+        assert not (tmp_path / "bench_s1.csv").exists()  # JSON only
         data = json.loads((tmp_path / "bench_s1.json").read_text())
         assert data["reps"] == 2 and data["N"] == 150
 
@@ -637,13 +639,10 @@ class TestSweep:
         )
         assert rc == 0
         assert "slope" in capsys.readouterr().out
-        with open(tmp_path / "sweep_s1.csv") as fh:
-            lines = fh.read().splitlines()
-        assert lines[0] == "N,rmse_mean"
-        assert len(lines) == 3
+        assert not (tmp_path / "sweep_s1.csv").exists()  # JSON only
         data = json.loads((tmp_path / "sweep_s1.json").read_text())
         assert data["loglog_slope"] is not None
-        assert len(data["points"]) == 2
+        assert [n for n, _ in data["points"]] == [60, 120]
 
     def test_unset_reps_use_the_system_count(self, tmp_path, monkeypatch):
         # As in `kmeoc bench`: an unset --reps reaches run_benchmark as
@@ -663,6 +662,24 @@ class TestSweep:
         assert calls == [None, None]
         data = json.loads((tmp_path / "sweep_vdp.json").read_text())
         assert data["reps"] == 1
+
+    def test_diverged_point_is_null(self, tmp_path, monkeypatch):
+        # The JSON is the sweep's only record, so it must stay strict
+        # JSON when every repetition at some N diverged.
+        def fake(name, reps=None, overrides=None, seed=0):
+            return SimpleNamespace(
+                rmse_mean=np.nan if overrides["N"] == 60 else 0.1
+            )
+
+        monkeypatch.setattr(kmeoc.bench, "run_benchmark", fake)
+        rc = main(
+            ["sweep", "--system", "s1", "--n-grid", "60,120", "--reps", "1",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        text = (tmp_path / "sweep_s1.json").read_text()
+        assert "NaN" not in text
+        assert json.loads(text)["points"] == [[60, None], [120, 0.1]]
 
 
 class TestConfigPlumbing:

@@ -186,10 +186,22 @@ class TestFitKrr:
         gap = build_grams(ds.X, ds.U, ds.Y, cfg).gap_trace
         floor = ds.N * np.finfo(float).eps * np.max(1.0 + ds.U**2)
         assert floor < gap  # so the rounding floor does not trigger
-        cfg = dataclasses.replace(cfg, gamma=(floor + gap) / 2.0)
-        with pytest.warns(UserWarning, match="escalating"):
-            ops = fit_krr(ds, cfg)
-        assert ops.jitter > gap
+        # Below the floor, and between the floor and the gap.
+        for gamma in [floor / 10.0, (floor + gap) / 2.0]:
+            with pytest.warns(UserWarning, match="escalating"):
+                ops = fit_krr(ds, dataclasses.replace(cfg, gamma=gamma))
+            assert ops.jitter > gap
+            # The state-Gram solve uses the escalated ridge, so the model
+            # still serves it.  One refinement step leaves an error of at
+            # most rho^2, up to 0.015 at these ridges; the dense solve of a
+            # matrix this ill-conditioned is itself 2e-3 off.
+            b = np.ones(ds.N)
+            z = ops.x_solve(b)
+            reg = gram(ds.X, cfg.sigma) + ops.jitter * np.eye(ds.N)
+            dense = np.linalg.solve(reg, b)
+            rho = ops.x_gram_factor().rho
+            assert rho < 1.0
+            assert np.linalg.norm(z - dense) <= rho**2 * np.linalg.norm(dense)
 
     def test_zero_gamma_fails_with_pivot_report(self):
         X = np.zeros((1, 20))
@@ -330,8 +342,7 @@ class TestStateGramSolve:
     def test_ridge_below_the_gap_fails_naming_gamma_and_rho(
         self, static_ops, gamma
     ):
-        cfg = dataclasses.replace(static_ops.kernel_cfg, gamma=gamma)
-        ops = dataclasses.replace(static_ops, kernel_cfg=cfg, x_factor=None)
+        ops = dataclasses.replace(static_ops, jitter=gamma, x_factor=None)
         with pytest.raises(EstimationError, match="gamma") as exc_info:
             ops.x_solve(np.ones(ops.N))
         assert "rho = " in str(exc_info.value)

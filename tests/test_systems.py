@@ -14,6 +14,7 @@ from kmeoc import (
     InputError,
     IntegrationError,
     KernelConfig,
+    build_grams,
     euler_maruyama_step,
     generate_dataset,
     load_dataset_csv,
@@ -381,18 +382,23 @@ class TestDatasetValidation:
         with pytest.raises(InputError, match=f"{name} is not finite at sample 4"):
             Dataset(**arrays, dt=1e-2, epsilon=0.0, seed=0)
 
-    def test_all_nan_successors_mark_a_restored_model(self):
+    def test_missing_successors_are_none(self, tmp_path):
         ds = Dataset(
-            X=np.zeros((1, 3)), U=np.zeros((1, 3)),
-            Y=np.full((1, 3), np.nan), cost=np.zeros(3),
+            X=np.zeros((1, 3)), U=np.zeros((1, 3)), Y=None, cost=np.zeros(3),
             dt=1e-2, epsilon=0.0, seed=0,
         )
-        assert np.isnan(ds.Y).all()
-        with pytest.raises(InputError, match="Y is not finite at sample 0"):
-            Dataset(
-                X=ds.X, U=ds.U, Y=np.full((1, 3), np.inf), cost=ds.cost,
-                dt=1e-2, epsilon=0.0, seed=0,
-            )
+        assert ds.Y is None
+        with pytest.raises(InputError, match="successors"):
+            build_grams(ds.X, ds.U, ds.Y, KernelConfig(sigma=1.0))
+        with pytest.raises(InputError, match="successors"):
+            save_dataset_csv(ds, tmp_path / "none.csv")
+        # All-NaN successors are refused like any other non-finite entry.
+        for value in [np.nan, np.inf]:
+            with pytest.raises(InputError, match="Y is not finite at sample 0"):
+                Dataset(
+                    X=ds.X, U=ds.U, Y=np.full((1, 3), value), cost=ds.cost,
+                    dt=1e-2, epsilon=0.0, seed=0,
+                )
 
 
 class TestCsvRoundTrip:
