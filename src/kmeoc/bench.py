@@ -71,7 +71,7 @@ _SHARED_DEFAULTS = dict(
     stop_tol=1e-6,
     markov_enforce=True,
     diffused_mode="plus_2eps_dt",
-    b_block_orientation="row",
+    b_block_orientation="row",  # the only value fit_krr takes
 )
 
 #: Per-system benchmark settings reproducing the reference experiments.

@@ -169,7 +169,6 @@ _KEYS: Dict[str, tuple] = {
         "diffused-kernel denominator: " + " | ".join(DIFFUSED_MODES),
     ),
     "markov_enforce": (_parse_bool, False, "project onto Markov constraints"),
-    "b_block_orientation": (str, "row", "control scaling side: row | column"),
     "sigma_grid": (_parse_floats, None, "comma list of sigmas to select from"),
     "val_fraction": (float, 0.2, "holdout fraction for model selection"),
     "penalty_weights": (_parse_floats, [1.0], "diagonal control penalty"),
@@ -195,7 +194,6 @@ _KEYS: Dict[str, tuple] = {
 _BENCH_KEYS = (
     "sigma", "dt", "horizon", "gamma", "epsilon", "data_epsilon", "substeps",
     "stop_tol", "markov_enforce", "sampler", "diffused_mode",
-    "b_block_orientation",
 )
 
 
@@ -413,10 +411,7 @@ def cmd_identify(settings: _Settings) -> int:
         sigma=sigma, epsilon=epsilon, dt=dt, gamma=gamma, diffused_mode=mode
     )
     grams = build_grams(ds.X, ds.U, ds.Y, cfg)
-    ops = fit_krr(
-        ds, cfg, b_block_orientation=str(settings.get("b_block_orientation")),
-        grams=grams,
-    )
+    ops = fit_krr(ds, cfg, grams=grams)
     if settings.get("markov_enforce"):
         ops = enforce_markov(ops)
 
@@ -461,9 +456,26 @@ def cmd_identify(settings: _Settings) -> int:
 
 def cmd_control(settings: _Settings) -> int:
     ops = _load_model(settings)
-    out = _ensure_out(settings)
     penalty = _parse_penalty(settings)
     H = int(settings.get("horizon"))
+    which = str(settings.get("export_steps")).lower()
+    if which not in ("stationary", "all"):
+        raise ConfigError(
+            f"export_steps must be 'stationary' or 'all', got {which!r}"
+        )
+    # Every query is parsed and checked before anything runs or is written.
+    query_text = settings.get("query")
+    queries = [
+        (chunk.strip(), np.asarray(_parse_floats(chunk), dtype=float))
+        for chunk in (str(query_text).split(";") if query_text else [])
+    ]
+    n_x = ops.dataset_ref.n_x
+    for chunk, x in queries:
+        if x.size != n_x:
+            raise ConfigError(
+                f"query {chunk!r} has {x.size} coordinates, state has {n_x}"
+            )
+    out = _ensure_out(settings)
     sol = khjb_recursion(
         ops,
         ops.dataset_ref.cost / ops.dataset_ref.dt,
@@ -472,15 +484,7 @@ def cmd_control(settings: _Settings) -> int:
         stop_tol=float(settings.get("stop_tol")),
     )
     stem = _stem(settings.get("model"))
-    which = str(settings.get("export_steps")).lower()
-    if which == "all":
-        steps = None
-    elif which == "stationary":
-        steps = [sol.stationary_step]
-    else:
-        raise ConfigError(
-            f"export_steps must be 'stationary' or 'all', got {which!r}"
-        )
+    steps = None if which == "all" else [sol.stationary_step]
     csv_path = os.path.join(out, f"{stem}_policy.csv")
     export_value_policy_csv(sol, ops.dataset_ref.X, csv_path, steps=steps)
     lines = [f"wrote policy/value table to {csv_path}"]
@@ -490,21 +494,17 @@ def cmd_control(settings: _Settings) -> int:
         sol_path = os.path.join(out, f"{stem}_solution.bin")
         store.save(sol, sol_path)
         lines.append(f"wrote value solution to {sol_path}")
-    query_text = settings.get("query")
-    if query_text:
+    if queries:
         qpath = os.path.join(out, f"{stem}_queries.csv")
         with open(qpath, "w") as fh:
-            n_x = ops.dataset_ref.n_x
-            n_u = ops.n_u
             header = [f"x{d+1}" for d in range(n_x)]
-            header += [f"u{m+1}" for m in range(n_u)]
+            header += [f"u{m+1}" for m in range(ops.n_u)]
             fh.write(",".join(header) + "\n")
-            for chunk in str(query_text).split(";"):
-                x = np.asarray(_parse_floats(chunk), dtype=float)
+            for chunk, x in queries:
                 u = policy_interpolate(x, sol, ops)
                 row = [f"{v:.17g}" for v in x] + [f"{v:.17g}" for v in u]
                 fh.write(",".join(row) + "\n")
-                lines.append(f"pi({chunk.strip()}) = {u}")
+                lines.append(f"pi({chunk}) = {u}")
         lines.append(f"wrote queries to {qpath}")
     print("\n".join(lines))
     return 0
@@ -675,7 +675,6 @@ _COMMANDS: Dict[str, tuple] = {
         (
             "dataset", "out", "sigma", "sigma_grid", "val_fraction",
             "epsilon", "dt", "gamma", "diffused_mode", "markov_enforce",
-            "b_block_orientation",
         ),
     ),
     "control": (

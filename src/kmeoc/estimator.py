@@ -25,9 +25,9 @@ Woodbury identity through one Cholesky factor of the capacitance matrix
 ridge I + W^T W, then takes one step of iterative refinement against
 the exact Gram.  That step contracts the error by at most
 rho = trace(G - W W^T) / ridge, so the result matches a dense solve to
-within rho^2 plus rounding; a zero ridge or rho >= 1 fails.  A fit
-costs O(N r^2) plus one pass over the N^2 kernel entries, and no model
-holds an N x N array.
+within rho^2 plus rounding; a zero ridge or rho >= 1 fails, and the fit
+raises its ridge until rho <= 0.1.  A fit costs O(N r^2) plus one pass
+over the N^2 kernel entries, and no model holds an N x N array.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _JITTER_CAP = 1e-4
+_RHO_MAX = 0.1  # largest gap / ridge a fit settles on
 
 
 @dataclass(frozen=True)
@@ -327,20 +328,22 @@ def fit_krr(
 ) -> EstimatedOperators:
     """Fit the transition operators by kernel ridge regression.
 
+    Each control block scales the sample rows of the cross Gram matrix
+    by its control coordinate: B_m = P_m R^T with
+    (K_U + jitter I) P_m = u_m * L_X, the algebra that makes the
+    closed-loop operator consistent with the control Gram matrix.
+
     Parameters
     ----------
     dataset : Dataset
     cfg : KernelConfig
-    b_block_orientation : {"row", "column"}
-        How the control coordinate scales the cross Gram matrix on the
-        right-hand side of the B-blocks: "row" (default) scales sample
-        rows, matching the algebra that makes the closed-loop operator
-        consistent with the control Gram matrix, and so scales the left
-        factor; "column" scales the columns, i.e. the right factor.
+    b_block_orientation : {"row"}
+        The only value left; any other raises InputError.
 
     The ridge escalates tenfold, with a warning, while it is below the
-    rounding floor N eps max_i(1 + ||u_i||^2) of K_U or not above the
-    gap trace(K_U - W W^T) that bounds the refinement's contraction.
+    rounding floor N eps max_i(1 + ||u_i||^2) of K_U or while
+    rho = gap / ridge, with gap = trace(K_U - W W^T), exceeds 0.1, so
+    the one refinement step leaves at most rho^2 <= 0.01 of the error.
 
     Raises
     ------
@@ -351,10 +354,10 @@ def fit_krr(
     """
     if dataset.N < 2:
         raise InputError(f"need at least 2 samples, got {dataset.N}")
-    if b_block_orientation not in ("row", "column"):
+    if b_block_orientation != "row":
         raise InputError(
-            f"b_block_orientation must be 'row' or 'column', "
-            f"got {b_block_orientation!r}"
+            f"b_block_orientation {b_block_orientation!r} is not supported; "
+            'only "row" remains'
         )
     if grams is None:
         bundle = build_grams(dataset.X, dataset.U, dataset.Y, cfg)
@@ -373,7 +376,7 @@ def fit_krr(
     floor = N * np.finfo(float).eps * float(np.max(1.0 + np.sum(U * U, 0)))
     gap = bundle.gap_trace
     jitter = cfg.gamma
-    while not (jitter >= floor and gap < jitter):
+    while not (jitter >= floor and gap / jitter <= _RHO_MAX):
         # A literal zero ridge means the caller disabled regularization
         # on purpose; fail with advice instead of silently adding one.
         nxt = jitter * 10.0 if jitter > 0.0 else _JITTER_CAP * 10.0
@@ -383,13 +386,13 @@ def fit_krr(
             smallest = float(eig[-N]) if len(eig) >= N else 0.0
             raise EstimationError(
                 f"the ridge {jitter:.1e} is not above the rounding floor "
-                f"{floor:.1e} of K_U and the low-rank gap {gap:.1e} "
-                f"(smallest pivot {smallest:.3e}); increase gamma",
+                f"{floor:.1e} of K_U and ten times its low-rank gap "
+                f"{gap:.1e} (smallest pivot {smallest:.3e}); increase gamma",
                 smallest_pivot=smallest,
             )
         warnings.warn(
             f"the ridge {jitter:.1e} is not above the rounding floor "
-            f"{floor:.1e} of K_U and the low-rank gap {gap:.1e}; "
+            f"{floor:.1e} of K_U and ten times its low-rank gap {gap:.1e}; "
             f"escalating to {nxt:.1e}",
             stacklevel=2,
         )
@@ -399,22 +402,14 @@ def fit_krr(
     L_X = bundle.L_X
     R = bundle.pref * bundle.L_Y
     zero = np.zeros(N)
-    if b_block_orientation == "row":
-        rhs = np.hstack([L_X] + [u_m[:, None] * L_X for u_m in U])
-    else:
-        rhs = L_X
+    rhs = np.hstack([L_X] + [u_m[:, None] * L_X for u_m in U])
     P = solver.solve(
         rhs, lambda Z: control_gram_product(dataset.X, U, cfg.sigma, Z)
     )
-    if b_block_orientation == "row":
-        P, *P_m = np.hsplit(P, 1 + dataset.n_u)
-        B = [LowRank(left, R, zero) for left in P_m]
-    else:
-        B = [LowRank(P, u_m[:, None] * R, zero) for u_m in U]  # P shared
-
+    P, *P_m = np.hsplit(P, 1 + dataset.n_u)
     return EstimatedOperators(
         A=LowRank(P, R, zero),
-        B=B,
+        B=[LowRank(left, R, zero) for left in P_m],
         x_factor=None,
         dataset_ref=dataset,
         kernel_cfg=cfg,

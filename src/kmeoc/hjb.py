@@ -20,11 +20,13 @@ Z_j = [R_j s_j] and y = [P_0 1 | ... | P_{n_u} 1]^T v
 through its D = sum_j (r_j + 1) coordinates y, and
 :class:`ValueSolution` keeps just those, expanding value and policy
 rows on demand.  :func:`khjb_recursion` steps y backwards in blocks of
-steps with one of two kinds of step: per point, forming v on all N
+steps with one of two kinds of free step: per point, forming v on all N
 points and projecting it, or, under an unboxed penalty, in coordinates,
 where the closed form makes y obey a quadratic recursion of its own
 (:func:`_use_coordinates` chooses).  Both kinds share one finite check,
 stop rule and freeze, and on the same operators agree to rounding.
+Once the policy is frozen a step is linear in [y; 1], and every frozen
+step, on either path, goes through that one linear map.
 """
 
 from __future__ import annotations
@@ -402,17 +404,19 @@ def _coordinate_map(P_bar, Z, stage, w, dt):
 def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
     """Fill y_k = P_bar^T v_k for k = H, ..., 0, a block of steps at a time.
 
-    A step computes y_k from y_{k+1}.  Per point it expands v_k and u_k
-    on all N points (:func:`_expand`) and projects y_k = P_bar^T v_k; in
-    coordinates it is one GEMV on the pair products of [y_{k+1}; 1]
+    A free step computes y_k from y_{k+1}.  Per point it expands v_k and
+    u_k on all N points (:func:`_expand`) and projects y_k = P_bar^T v_k;
+    in coordinates it is one GEMV on the pair products of [y_{k+1}; 1]
     (:func:`_coordinate_map`), and each free block then forms its policy
     rows u_k = -Z_m y_{m,k+1} / (2 w_m dt) by one GEMM per channel.
     After each block the highest non-finite y_k, if any, is the
     divergence step, unless the stop rule fired above it: then the policy
     row there is frozen and the steps below are recomputed from y_k under
-    it (in coordinates its map is linear in [y; 1]).  Returns (coords,
-    converged_at, frozen, diverged_at), the last None unless some y_k
-    became non-finite.
+    it.  Under a frozen policy the step is linear in [y; 1] on either
+    path, one GEMV by
+    M_frozen = P_bar^T [Z_0 | u_1 * Z_1 | ... | stage + sum_m w_m u_m^2 dt].
+    Returns (coords, converged_at, frozen, diverged_at), the last None
+    unless some y_k became non-finite.
     """
     w = penalty.weights
     N, D = P_bar.shape
@@ -442,14 +446,15 @@ def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
         us[n] = us[0]
         for k in range(k_hi, k_lo - 1, -1):
             x = ys[k + 1]
-            if not coordinates:
-                v, u = _expand(Z, part, x[:D], stage, penalty, dt, frozen, lam)
-                ys[k, :D] = v @ P_bar
-                us[k - k_lo] = u
-            elif frozen is None:
+            if frozen is not None:
+                np.dot(M_frozen, x, out=ys[k, :D])
+            elif coordinates:
                 np.dot(M, x.take(pair_a) * x.take(pair_b), out=ys[k, :D])
             else:
-                np.dot(M_frozen, x, out=ys[k, :D])
+                v, us[k - k_lo] = _expand(
+                    Z, part, x[:D], stage, penalty, dt, None, lam
+                )
+                ys[k, :D] = v @ P_bar
         computed += n
         if coordinates and frozen is None:
             Y = ys[k_lo + 1 : k_hi + 2]
@@ -474,14 +479,9 @@ def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
             log.debug(
                 "policy stationary at step %d (tol %.1e)", k_stop, stop_tol
             )
-            if coordinates:
-                # y_k = sum_j P_bar^T (u_j * Z_j) y_{j,k+1} + c' with
-                # u_0 = 1 and c' = P_bar^T (stage + sum_m w_m u_m^2 dt).
-                held = [Z[0]] + [
-                    frozen[m - 1][:, None] * Z[m] for m in range(1, n_u + 1)
-                ]
-                accrued = np.sum(w[:, None] * frozen**2 * dt, axis=0)
-                M_frozen = P_bar.T @ np.column_stack(held + [stage + accrued])
+            held = [u_m[:, None] * Zm for u_m, Zm in zip(frozen, Z[1:])]
+            accrued = stage + np.sum(w[:, None] * frozen**2 * dt, axis=0)
+            M_frozen = P_bar.T @ np.column_stack([Z[0], *held, accrued])
             k_hi = k_stop - 1
         elif k_bad >= 0:
             return ys[:, :D], converged_at, frozen, k_bad
@@ -510,13 +510,14 @@ def khjb_recursion(
     the horizon long enough to repay building the coordinate maps
     (:func:`_use_coordinates`); otherwise it runs per point, O(N r)
     through the same factors.  Both kinds of step give the same rows up
-    to rounding and fire the stop rule at the same step.  They raise
-    :class:`DivergenceError` at the same step too, unless rounding is
-    amplified in the steps just before a blow-up (s2 data seed 57:
-    k = 4589 in coordinates, 4591 per point).  At debug level the
-    ``kmeoc.hjb`` logger names the path with r, n_u and N, the steps
-    computed and recomputed, and the step at which the policy became
-    stationary.
+    to rounding and fire the stop rule at the same step; below it every
+    step, on either path, is one D x (D + 1) product with the frozen
+    map.  Both raise :class:`DivergenceError` at the same step too,
+    unless rounding is amplified in the steps just before a blow-up
+    (s2 data seed 57: k = 4589 in coordinates, 4591 per point).  At
+    debug level the ``kmeoc.hjb`` logger names the path with r, n_u and
+    N, the steps computed and recomputed, and the step at which the
+    policy became stationary.
 
     Parameters
     ----------

@@ -164,6 +164,18 @@ class TestIdentify:
                 "departure_from_normality", "combined",
             }
 
+    def test_b_block_orientation_is_no_setting(self, work, tmp_path):
+        base = [
+            "identify", "--dataset", str(work / "s1_n400_seed3.csv"),
+            "--sigma", "1.2", "--out", str(tmp_path),
+        ]
+        with pytest.raises(SystemExit) as exc_info:
+            main(base + ["--b-block-orientation", "row"])
+        assert exc_info.value.code == 2
+        cfg = tmp_path / "orientation.cfg"
+        cfg.write_text("b_block_orientation=row\n")
+        assert main(base + ["--config", str(cfg)]) == 2
+
     def test_needs_sigma_or_grid(self, work, tmp_path, capsys):
         rc = main(
             [
@@ -405,6 +417,24 @@ class TestControl:
             ]
         )
         assert rc == 2
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("query", ["1.0;abc", "1.0;0.5,2.0"])
+    def test_bad_query_exits_2_before_writing(
+        self, model_path, tmp_path, capsys, query
+    ):
+        # Every query is checked before the recursion runs, so a bad one
+        # leaves no policy table, solution or half-written queries file.
+        rc = main(
+            [
+                "control", "--model", str(model_path), "--horizon", "5",
+                "--save-solution", "true", "--query", query,
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert query.split(";")[1] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestPredict:

@@ -378,8 +378,15 @@ class TestRowsFromCoordinates:
         )
         fires_at = {"identity-fires": 28, "s4-fires-below-a-block": 100}
         assert sol.converged_at == converged_at == fires_at.get(case)
-        assert sol.values.tobytes() == values.tobytes()
         assert sol.policy.tobytes() == policy.tobytes()
+        # Value rows expanded from free steps match bit for bit.  Below
+        # the stop rule the recursion steps y through one linear map
+        # where the tables project each frozen value row, so the rows
+        # expanded from frozen steps agree to rounding.
+        top = 0 if converged_at is None else max(converged_at - 1, 0)
+        assert sol.values[top:].tobytes() == values[top:].tobytes()
+        err = np.max(np.abs(sol.values[:top] - values[:top]), initial=0.0)
+        assert err <= 1e-12 * np.max(np.abs(values))
 
     def test_tables_are_read_only_and_rows_checked(self, static_ops):
         penalty = ControlPenalty(weights=np.array([1.0]))
@@ -493,6 +500,34 @@ class TestFactoredMatchesDense:
         assert np.any(np.abs(table) == 0.8)  # the box binds
         assert sol.converged_at == converged_at
         assert np.max(np.abs(table - policy)) <= 1e-5
+
+    def test_s2_boxed_per_point_path_where_the_stop_rule_fires(self):
+        # The stop rule fires far above step 0, so the per-point path
+        # takes over a thousand frozen steps, each through one linear map.
+        ops = _bench_ops("s2", 0)
+        ds = ops.dataset_ref
+        penalty = ControlPenalty(
+            weights=make_system("s2").penalty.weights, box=(-0.8, 0.8)
+        )
+        H = 2000
+        assert not hjb._use_coordinates(ops, penalty, H)
+        args = (ds.cost / ds.dt, penalty, H)
+        sol = khjb_recursion(ops, *args, stop_tol=1e-6)
+        policy, converged_at = _dense_recursion(
+            ops.A_hat, ops.B_hat_blocks, *args, ops.kernel_cfg.dt, 1e-6
+        )
+        assert sol.converged_at == converged_at
+        assert converged_at > hjb._BLOCK_ROWS
+        stationary = sol.stationary_policy()
+        assert np.any(np.abs(stationary) == 0.8)  # the box binds
+        assert np.max(np.abs(stationary - policy[converged_at])) <= 1e-5
+        # Every frozen step is y_k = P_bar^T v_k for the value row v_k
+        # expanded from y_{k+1}.
+        P_bar, _ = hjb._factor_layout(ops)
+        for k in range(converged_at):
+            want = sol.value_row(k) @ P_bar
+            err = np.linalg.norm(sol.coords[k] - want)
+            assert err <= 1e-10 * np.linalg.norm(want), k
 
 
 @functools.lru_cache(maxsize=1)  # the cases sharing a fit are adjacent
