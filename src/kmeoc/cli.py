@@ -38,6 +38,7 @@ import contextlib
 import json
 import logging
 import os
+import re
 import sys
 from typing import Dict, List, Optional
 
@@ -475,7 +476,6 @@ def cmd_control(settings: _Settings) -> int:
             raise ConfigError(
                 f"query {chunk!r} has {x.size} coordinates, state has {n_x}"
             )
-    out = _ensure_out(settings)
     sol = khjb_recursion(
         ops,
         ops.dataset_ref.cost / ops.dataset_ref.dt,
@@ -483,6 +483,7 @@ def cmd_control(settings: _Settings) -> int:
         H,
         stop_tol=float(settings.get("stop_tol")),
     )
+    out = _ensure_out(settings)
     stem = _stem(settings.get("model"))
     steps = None if which == "all" else [sol.stationary_step]
     csv_path = os.path.join(out, f"{stem}_policy.csv")
@@ -512,16 +513,14 @@ def cmd_control(settings: _Settings) -> int:
 
 def cmd_predict(settings: _Settings) -> int:
     ops = _load_model(settings)
-    out = _ensure_out(settings)
     x0 = settings.get("x0")
     init_csv = settings.get("init_csv")
     if (x0 is None) == (init_csv is None):
         raise ConfigError("predict: provide exactly one of x0 or init_csv")
-    if x0 is not None:
-        X0 = np.asarray(x0, dtype=float)[:, None]
-    else:
-        X0 = _read_states(str(init_csv))
-    z0 = embed_initial(ops, X0)
+    # Every setting is checked before anything runs or is written.
+    steps = int(settings.get("steps"))
+    if steps < 0:
+        raise ConfigError(f"steps must be >= 0, got {steps}")
 
     policy_name = str(settings.get("policy")).lower()
     if policy_name == "zero":
@@ -557,7 +556,13 @@ def cmd_predict(settings: _Settings) -> int:
     else:
         raise ConfigError(f"observable must be x2 or one, got {obs_name!r}")
 
-    steps = int(settings.get("steps"))
+    if x0 is not None:
+        X0 = np.asarray(x0, dtype=float)[:, None]
+    else:
+        X0 = _read_states(str(init_csv))
+    out = _ensure_out(settings)
+    z0 = embed_initial(ops, X0)
+
     if settings.get("dump_weights"):
         # One pass keeps every step's weights for the dump.
         zs = [z0]
@@ -706,10 +711,35 @@ _COMMANDS: Dict[str, tuple] = {
 }
 
 
+def _join_signed_values(argv: List[str]) -> List[str]:
+    """``--key value`` joined as ``--key=value`` for a value like ``-0.8,0.8``.
+
+    argparse reads a value that starts with ``-`` as an option unless it
+    is one plain negative number, so ``--penalty-box -0.8,0.8`` or
+    ``--query "-2.0;1.0"`` would exit 2.  Every key of ``_KEYS`` takes
+    exactly one value, so a token after its flag that starts with ``-``
+    and a digit or ``.`` is always that value.
+    """
+    out: List[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (
+            prev.startswith("--")
+            and prev[2:].replace("-", "_") in _KEYS
+            and re.match(r"-[0-9.]", tok)
+        ):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_signed_values(sys.argv[1:] if argv is None else argv)
+    )
     with _log_to_stderr(args.log_level):
         try:
             settings = _Settings(args, args.command)

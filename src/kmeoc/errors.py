@@ -96,7 +96,9 @@ class DivergenceError(KmeocError):
         The backward time index k at which the blow-up was detected.
     spectral_radius : float
         Spectral radius of the closed-loop operator under the last
-        finite policy row (NaN when not computed).
+        finite policy row, read from the D-square block of that row's
+        policy map in the operators' rank-r coordinates (NaN when not
+        computed).  That row may already be far into the blow-up.
     max_control : float
         Largest |u| in that policy row.
     max_training_control : float

@@ -80,9 +80,9 @@ class LowRank:
     """The N x N operator ``left @ right.T + outer(ones(N), shift)``.
 
     The rank-1 term adds ``shift[j]`` to every entry of column j: the
-    uniform column shift of the Markov projection.  ``M @ x`` and
-    ``v @ M`` cost O(N r) and never form the N x N matrix; a numpy
-    array on the left of ``@`` defers to :meth:`__rmatmul__`.
+    uniform column shift of the Markov projection.  ``M @ x`` costs
+    O(N r) and never forms the N x N matrix; products from the left go
+    through the factors (:meth:`augmented`).
 
     Attributes
     ----------
@@ -93,8 +93,6 @@ class LowRank:
     left: np.ndarray
     right: np.ndarray
     shift: np.ndarray
-
-    __array_ufunc__ = None  # make ``ndarray @ LowRank`` use __rmatmul__
 
     def __post_init__(self):
         # C order throughout, so a fitted and a reloaded operator feed
@@ -115,11 +113,6 @@ class LowRank:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """M x for x of shape (N,) or (N, k)."""
         return self.left @ (self.right.T @ x) + self.shift @ x
-
-    def __rmatmul__(self, v: np.ndarray) -> np.ndarray:
-        """v M, i.e. M^T v, for v of shape (N,) or (k, N)."""
-        total = np.sum(v, axis=-1)[..., None]
-        return (v @ self.left) @ self.right.T + total * self.shift
 
     def augmented(self) -> Tuple[np.ndarray, np.ndarray]:
         """([left 1], [right shift]): the operator as one product L R^T.
@@ -293,22 +286,6 @@ class EstimatedOperators:
             K_X = gram(self.dataset_ref.X, self.kernel_cfg.sigma)
         return solver.solve(b, lambda z: K_X @ z)
 
-    def closed_loop(self, u: np.ndarray) -> LowRank:
-        """A + sum_m B_m diag(u_m) for a control table u (n_u, N).
-
-        A LowRank of rank (1 + n_u) r.
-        """
-        u = np.asarray(u, dtype=float).reshape(self.n_u, self.N)
-        return LowRank(
-            left=np.hstack([self.A.left] + [Bm.left for Bm in self.B]),
-            right=np.hstack(
-                [self.A.right]
-                + [u_m[:, None] * Bm.right for Bm, u_m in zip(self.B, u)]
-            ),
-            shift=self.A.shift
-            + sum(u_m * Bm.shift for Bm, u_m in zip(self.B, u)),
-        )
-
 
 @dataclass(frozen=True)
 class ModelScore:
@@ -420,7 +397,7 @@ def fit_krr(
 def _shift_columns(op: LowRank, target: float) -> LowRank:
     """op plus the uniform column shift that makes every column sum ``target``."""
     N = op.shape[0]
-    sums = np.ones(N) @ op
+    sums = (np.ones(N) @ op.left) @ op.right.T + N * op.shift
     return replace(op, shift=op.shift + (target - sums) / N)
 
 

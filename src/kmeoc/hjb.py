@@ -261,20 +261,23 @@ def fenchel_conjugate(lam, penalty: ControlPenalty, dt: float):
     return float(value[0]), u[:, 0]
 
 
-def _diverged(ops, sol: ValueSolution, k: int) -> DivergenceError:
+def _diverged(ops, sol: ValueSolution, P_bar, k: int) -> DivergenceError:
     """The error for a non-finite v_k, with the closed loop that led there.
 
-    The closed loop is A + sum_m B_m diag(u_m) under the lowest policy
-    row at or above k that is still finite; its nonzero eigenvalues are
-    those of the ((1 + n_u) r + 1)-square core of its factors.
+    The closed loop A + sum_m B_m diag(u_m) under the lowest policy row
+    at or above k that is still finite has the nonzero eigenvalues of
+    the D-square block M_u of that row's :func:`_policy_map`.  Its
+    accrual column, which such a row may overflow, is not read.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(k, sol.horizon):
             u = sol.policy_row(j)
             if np.all(np.isfinite(u)):
                 break
-    left, right = ops.closed_loop(u).augmented()
-    radius = float(np.max(np.abs(np.linalg.eigvals(right.T @ left))))
+        M = _policy_map(
+            P_bar, sol.factors, sol.stage, u, sol.penalty.weights, sol.dt
+        )
+    radius = float(np.max(np.abs(np.linalg.eigvals(M[:, :-1]))))
     u_max = float(np.max(np.abs(u)))
     U_max = float(np.max(np.abs(ops.dataset_ref.U)))
     return DivergenceError(
@@ -401,6 +404,21 @@ def _coordinate_map(P_bar, Z, stage, w, dt):
     return M, np.concatenate(pair_a + [[D]]), np.concatenate(pair_b + [[D]])
 
 
+def _policy_map(P_bar, Z, stage, u, w, dt):
+    """[M_u | c_u], shape D x (D + 1): the step under a fixed policy u.
+
+    Under a fixed policy row u (n_u, N) a step is linear in y,
+    y_k = M_u y_{k+1} + c_u, with M_u = P_bar^T [Z_0 | u_1 * Z_1 | ...]
+    and c_u = P_bar^T (stage + sum_m w_m u_m^2 dt).  M_u is also the
+    transposed core of the closed loop A + sum_m B_m diag(u_m) =
+    P_bar [Z_0 | u_1 * Z_1 | ...]^T, so the two share their nonzero
+    eigenvalues.
+    """
+    held = [u_m[:, None] * Zm for u_m, Zm in zip(u, Z[1:])]
+    accrued = stage + np.sum(w[:, None] * u**2 * dt, axis=0)
+    return P_bar.T @ np.column_stack([Z[0], *held, accrued])
+
+
 def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
     """Fill y_k = P_bar^T v_k for k = H, ..., 0, a block of steps at a time.
 
@@ -413,8 +431,7 @@ def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
     divergence step, unless the stop rule fired above it: then the policy
     row there is frozen and the steps below are recomputed from y_k under
     it.  Under a frozen policy the step is linear in [y; 1] on either
-    path, one GEMV by
-    M_frozen = P_bar^T [Z_0 | u_1 * Z_1 | ... | stage + sum_m w_m u_m^2 dt].
+    path, one GEMV by the frozen row's policy map (:func:`_policy_map`).
     Returns (coords, converged_at, frozen, diverged_at), the last None
     unless some y_k became non-finite.
     """
@@ -479,9 +496,7 @@ def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
             log.debug(
                 "policy stationary at step %d (tol %.1e)", k_stop, stop_tol
             )
-            held = [u_m[:, None] * Zm for u_m, Zm in zip(frozen, Z[1:])]
-            accrued = stage + np.sum(w[:, None] * frozen**2 * dt, axis=0)
-            M_frozen = P_bar.T @ np.column_stack([Z[0], *held, accrued])
+            M_frozen = _policy_map(P_bar, Z, stage, frozen, w, dt)
             k_hi = k_stop - 1
         elif k_bad >= 0:
             return ys[:, :D], converged_at, frozen, k_bad
@@ -538,7 +553,7 @@ def khjb_recursion(
         with the second computed row (the terminal row is always zero,
         so comparing anything against an implicit zero-filled "previous
         policy" would fire the rule immediately and vacuously).  Pass 0
-        to disable.
+        to disable; a negative or non-finite value raises InputError.
 
     Returns
     -------
@@ -549,11 +564,11 @@ def khjb_recursion(
     DivergenceError
         If an iterate stops being finite.  The error carries the
         spectral radius of the closed loop under the last finite policy
-        row and that row's largest control against the training
-        controls'.  This usually signals an unstable learned operator
-        spectrum; enforcing the Markov constraints (``enforce_markov``)
-        or picking a different kernel scale sigma are the usual
-        remedies.
+        row, from the D-square block of that row's policy map, and that
+        row's largest control against the training controls'.  This
+        usually signals an unstable learned operator spectrum; enforcing
+        the Markov constraints (``enforce_markov``) or picking a
+        different kernel scale sigma are the usual remedies.
     """
     cost = np.asarray(cost, dtype=float).ravel()
     N = ops.N
@@ -561,6 +576,8 @@ def khjb_recursion(
         raise InputError(f"cost has length {cost.size}, expected N = {N}")
     if H < 1:
         raise InputError(f"H must be >= 1, got {H}")
+    if not 0.0 <= stop_tol < np.inf:
+        raise InputError(f"stop_tol must be finite and >= 0, got {stop_tol}")
     n_u = ops.n_u
     if penalty.n_u != n_u:
         raise InputError(
@@ -592,7 +609,7 @@ def khjb_recursion(
         frozen=frozen,
     )
     if diverged_at is not None:
-        raise _diverged(ops, sol, diverged_at)
+        raise _diverged(ops, sol, P_bar, diverged_at)
     return sol
 
 

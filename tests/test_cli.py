@@ -16,7 +16,14 @@ import pytest
 import kmeoc.bench
 import kmeoc.cli
 import kmeoc.fpk
-from kmeoc import EstimatedOperators, LowRank, load, save
+from kmeoc import (
+    EstimatedOperators,
+    KernelConfig,
+    LowRank,
+    fit_krr,
+    load,
+    save,
+)
 from kmeoc.cli import main
 from kmeoc.fpk import (
     embed_initial,
@@ -26,6 +33,8 @@ from kmeoc.fpk import (
     propagate,
 )
 from kmeoc.systems import load_dataset_csv
+
+from conftest import make_static_dataset
 
 
 @pytest.fixture(scope="module")
@@ -437,7 +446,70 @@ class TestControl:
         assert not any(tmp_path.iterdir())
 
 
+    @pytest.mark.parametrize("stop_tol", ["-1", "nan"])
+    def test_bad_stop_tol_exits_2(self, model_path, tmp_path, capsys, stop_tol):
+        # A negative or NaN tolerance would turn the stop rule off.
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "control", "--model", str(model_path), "--horizon", "5",
+                "--stop-tol", stop_tol, "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "stop_tol" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _outputs(argv, out, capsys):
+    """(exit code, stdout with ``out`` masked, {file name: bytes})."""
+    rc = main(argv + ["--out", str(out)])
+    text = capsys.readouterr().out.replace(str(out), "OUT")
+    return rc, text, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestSignedValues:
+    """A value that starts with '-' follows its flag with or without '='."""
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--penalty-box", "-0.8,0.8"), ("--query", "-2.0;1.0")]
+    )
+    def test_control(self, model_path, tmp_path, capsys, flag, value):
+        base = ["control", "--model", str(model_path), "--horizon", "50"]
+        separate = _outputs(base + [flag, value], tmp_path / "a", capsys)
+        joined = _outputs(base + [f"{flag}={value}"], tmp_path / "b", capsys)
+        assert separate[0] == 0
+        assert separate == joined
+
+    def test_x0_on_a_2d_model(self, tmp_path, capsys):
+        ds = make_static_dataset(N=60, n_x=2)
+        cfg = KernelConfig(sigma=1.0, epsilon=0.0, dt=1e-2, gamma=1e-8)
+        model = tmp_path / "plane_model.bin"
+        save(fit_krr(ds, cfg), model)
+        base = ["predict", "--model", str(model), "--steps", "5"]
+        separate = _outputs(base + ["--x0", "-1.0,0.5"], tmp_path / "a", capsys)
+        joined = _outputs(base + ["--x0=-1.0,0.5"], tmp_path / "b", capsys)
+        assert separate[0] == 0
+        assert separate == joined
+
+
 class TestPredict:
+    @pytest.mark.parametrize("dump", [[], ["--dump-weights", "true"]])
+    def test_negative_steps_exit_2_before_writing(
+        self, model_path, tmp_path, capsys, dump
+    ):
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "predict", "--model", str(model_path), "--x0", "1.0",
+                "--steps", "-1", "--out", str(out),
+            ]
+            + dump
+        )
+        assert rc == 2
+        assert "steps must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_constant_observable_mass_is_conserved(
         self, model_path, tmp_path
     ):

@@ -41,7 +41,9 @@ class TestFitKrr:
         ds = static_ops.dataset_ref
         K_U = control_gram(gram(ds.X, 1.0), ds.U)
         expected = solve(K_U + static_ops.jitter * np.eye(ds.N), K_U)
-        CL = static_ops.closed_loop(ds.U).dense()
+        CL = static_ops.A_hat + sum(
+            B_m * u_m for B_m, u_m in zip(static_ops.B_hat_blocks, ds.U)
+        )
         # cho_solve and scipy.solve agree only up to the 1e8 condition
         # number of (K_U + 1e-8 I).
         assert np.max(np.abs(CL - expected)) <= 1e-6

@@ -240,6 +240,34 @@ class TestKhjbRecursion:
         assert f"spectral radius {err.spectral_radius:.6g}" in str(err)
         assert f"max |U| = {err.max_training_control:.4g}" in str(err)
 
+    def test_divergence_radius_is_the_dense_closed_loops(self, s1_fit):
+        # Factored operators with a nonzero control block, under a finite
+        # row of moderate size: five times the learned law, where the
+        # closed loop's radius (1.32) is neither A's (1.04) nor the 1 of
+        # the learned loop.  The radius read from the policy map's
+        # D-square block is max |eig| of A + B diag(u), formed densely.
+        ops, sol = s1_fit
+        u = 5.0 * sol.policy_row(0)
+        held = dataclasses.replace(sol, converged_at=0, frozen=u)
+        P_bar, _ = hjb._factor_layout(ops)
+        err = hjb._diverged(ops, held, P_bar, 0)
+        closed = ops.A_hat + ops.B_hat_blocks[0] * u[0]
+        want = np.max(np.abs(np.linalg.eigvals(closed)))
+        assert want > 1.2
+        assert err.spectral_radius == pytest.approx(want, rel=1e-10)
+        assert err.max_control == np.max(np.abs(u))
+
+    @pytest.mark.parametrize("stop_tol", [-1.0, -1e-12, np.nan, np.inf])
+    def test_stop_tol_must_be_finite_and_non_negative(
+        self, static_ops, stop_tol
+    ):
+        penalty = ControlPenalty(weights=np.array([1.0]))
+        with pytest.raises(InputError, match="stop_tol"):
+            khjb_recursion(
+                static_ops, np.ones(static_ops.N), penalty, H=10,
+                stop_tol=stop_tol,
+            )
+
     def test_input_validation(self, static_ops):
         penalty = ControlPenalty(weights=np.array([1.0]))
         with pytest.raises(InputError):
