@@ -318,6 +318,9 @@ def closed_loop_rollout(
     escape = Box(center - 10.0 * half, center + 10.0 * half)
     rng = np.random.default_rng(seed)
     x = np.asarray(x0, dtype=float).reshape(system.n_x)
+    # Every later state is finite, or the step that made it raised.
+    if not np.all(np.isfinite(x)):
+        raise RolloutError(f"the initial state {x} is not finite")
     traj = np.empty((system.n_x, steps + 1))
     traj[:, 0] = x
     zero_u = np.zeros(system.n_u)

@@ -364,7 +364,6 @@ def cmd_generate(settings: _Settings) -> int:
     system = make_system(str(settings.get("system", required=True)))
     n = int(settings.get("n", required=True))
     seed = int(settings.get("seed"))
-    out = _ensure_out(settings)
     cfg = KernelConfig(
         sigma=1.0,  # irrelevant to generation; only dt/epsilon are read
         epsilon=float(settings.get("epsilon")),
@@ -378,6 +377,7 @@ def cmd_generate(settings: _Settings) -> int:
         sampler=str(settings.get("sampler")),
         seed=seed,
     )
+    out = _ensure_out(settings)
     path = os.path.join(out, f"{system.name}_n{ds.N}_seed{seed}.csv")
     save_dataset_csv(ds, path)
     print(f"wrote {ds.N} samples to {path}")
@@ -387,7 +387,6 @@ def cmd_generate(settings: _Settings) -> int:
 def cmd_identify(settings: _Settings) -> int:
     ds_path = str(settings.get("dataset", required=True))
     ds = load_dataset_csv(ds_path)
-    out = _ensure_out(settings)
     gamma = float(settings.get("gamma"))
     epsilon = float(settings.get("epsilon"))
     dt = float(settings.get("dt")) if settings.was_set("dt") else ds.dt
@@ -417,6 +416,7 @@ def cmd_identify(settings: _Settings) -> int:
         ops = enforce_markov(ops)
 
     residual = fit_residual(ops, grams)
+    out = _ensure_out(settings)
     model_path = os.path.join(out, f"{_stem(ds_path)}_model.bin")
     store.save(ops, model_path)
 
@@ -464,7 +464,8 @@ def cmd_control(settings: _Settings) -> int:
         raise ConfigError(
             f"export_steps must be 'stationary' or 'all', got {which!r}"
         )
-    # Every query is parsed and checked before anything runs or is written.
+    # Every query is parsed and its dimension checked before anything
+    # runs; policy_interpolate checks its values before anything is written.
     query_text = settings.get("query")
     queries = [
         (chunk.strip(), np.asarray(_parse_floats(chunk), dtype=float))
@@ -483,6 +484,9 @@ def cmd_control(settings: _Settings) -> int:
         H,
         stop_tol=float(settings.get("stop_tol")),
     )
+    answers = [
+        (chunk, x, policy_interpolate(x, sol, ops)) for chunk, x in queries
+    ]
     out = _ensure_out(settings)
     stem = _stem(settings.get("model"))
     steps = None if which == "all" else [sol.stationary_step]
@@ -501,8 +505,7 @@ def cmd_control(settings: _Settings) -> int:
             header = [f"x{d+1}" for d in range(n_x)]
             header += [f"u{m+1}" for m in range(ops.n_u)]
             fh.write(",".join(header) + "\n")
-            for chunk, x in queries:
-                u = policy_interpolate(x, sol, ops)
+            for chunk, x, u in answers:
                 row = [f"{v:.17g}" for v in x] + [f"{v:.17g}" for v in u]
                 fh.write(",".join(row) + "\n")
                 lines.append(f"pi({chunk}) = {u}")
@@ -560,7 +563,6 @@ def cmd_predict(settings: _Settings) -> int:
         X0 = np.asarray(x0, dtype=float)[:, None]
     else:
         X0 = _read_states(str(init_csv))
-    out = _ensure_out(settings)
     z0 = embed_initial(ops, X0)
 
     if settings.get("dump_weights"):
@@ -572,6 +574,7 @@ def cmd_predict(settings: _Settings) -> int:
     else:
         zs = None
         values = forecast_observable_path(ops, z0, table, steps, psi)
+    out = _ensure_out(settings)
     stem = _stem(settings.get("model"))
     fpath = os.path.join(out, f"{stem}_forecast.csv")
     export_forecast_csv(values, ops.kernel_cfg.dt, fpath)

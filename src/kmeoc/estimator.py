@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigvalsh
+from numpy.linalg import LinAlgError
 
 from .errors import (
     EstimationError,
@@ -50,6 +50,7 @@ from .kernel import (
     GramBundle,
     KernelConfig,
     _pivoted_cholesky,
+    _scipy_linalg_getattr,
     build_grams,
     control_gram_product,
     cross_gram_diffused,
@@ -73,6 +74,16 @@ log = logging.getLogger(__name__)
 
 _JITTER_CAP = 1e-4
 _RHO_MAX = 0.1  # largest gap / ridge a fit settles on
+
+__getattr__ = _scipy_linalg_getattr(
+    globals(), ("cho_factor", "cho_solve", "eigvalsh")
+)
+
+
+def _linalg(name: str):
+    """The function bound to ``name`` here, which a caller may have
+    patched; scipy.linalg's own on first use."""
+    return globals().get(name) or __getattr__(name)
 
 
 @dataclass(frozen=True)
@@ -166,11 +177,13 @@ class _RidgeSolver:
             )
         cap = W.T @ W
         cap[np.diag_indices_from(cap)] += ridge
-        return cls(name, r_X, W, cho_factor(cap, overwrite_a=True), ridge, rho)
+        cap = _linalg("cho_factor")(cap, overwrite_a=True)
+        return cls(name, r_X, W, cap, ridge, rho)
 
     def _woodbury(self, b: np.ndarray) -> np.ndarray:
         """(W W^T + ridge I)^{-1} b."""
-        return (b - self.W @ cho_solve(self.cap, self.W.T @ b)) / self.ridge
+        y = _linalg("cho_solve")(self.cap, self.W.T @ b)
+        return (b - self.W @ y) / self.ridge
 
     def solve(self, b: np.ndarray, apply_exact) -> np.ndarray:
         """(G + ridge I)^{-1} b: a Woodbury solve, then one refinement step
@@ -359,7 +372,7 @@ def fit_krr(
         nxt = jitter * 10.0 if jitter > 0.0 else _JITTER_CAP * 10.0
         if nxt > _JITTER_CAP:
             # The smallest eigenvalue of W W^T; 0 when W has < N columns.
-            eig = eigvalsh(W.T @ W)
+            eig = _linalg("eigvalsh")(W.T @ W)
             smallest = float(eig[-N]) if len(eig) >= N else 0.0
             raise EstimationError(
                 f"the ridge {jitter:.1e} is not above the rounding floor "

@@ -17,14 +17,16 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-# gram, cho_factor and cho_solve are unused: the benchmark tracer patches
-# them here.  They go when the benchmark's probes follow the program's
-# solves (ROADMAP item 2).
-from scipy.linalg import cho_factor, cho_solve  # noqa: F401
 
 from .errors import InputError, PropagationError
 from .estimator import EstimatedOperators
-from .kernel import cross_vector, gram  # noqa: F401
+from .kernel import _scipy_linalg_getattr, cross_vector, gram  # noqa: F401
+
+# gram, cho_factor and cho_solve are unused: the benchmark tracer patches
+# them here, and this resolves the last two without importing
+# scipy.linalg.  They go when the benchmark's probes follow the program's
+# solves (ROADMAP item 2).
+__getattr__ = _scipy_linalg_getattr(globals(), ("cho_factor", "cho_solve"))
 
 __all__ = [
     "MeasureWeights",
@@ -67,7 +69,7 @@ def embed_initial(ops: EstimatedOperators, X0) -> MeasureWeights:
     Raises
     ------
     InputError
-        Empty X0, or X0 of the wrong state dimension.
+        Empty X0, X0 of the wrong state dimension, or a non-finite X0.
     """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim == 1:
@@ -79,6 +81,8 @@ def embed_initial(ops: EstimatedOperators, X0) -> MeasureWeights:
             f"X0 dimension {X0.shape[0]} != state dimension "
             f"{ops.dataset_ref.n_x}"
         )
+    if not np.all(np.isfinite(X0)):
+        raise InputError("X0 has a non-finite entry")
     N0 = X0.shape[1]
     sigma = ops.kernel_cfg.sigma
     X = ops.dataset_ref.X

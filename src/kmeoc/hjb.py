@@ -38,15 +38,17 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-# Unused: the benchmark tracer patches cho_solve here.  It goes when the
-# benchmark's probes follow the program's solves (ROADMAP item 2).
-from scipy.linalg import cho_solve  # noqa: F401
 
 from .errors import DivergenceError, InputError
-from .kernel import cross_vector
+from .kernel import _scipy_linalg_getattr, cross_vector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .estimator import EstimatedOperators
+
+# Unused: the benchmark tracer patches cho_solve here, and this resolves
+# it without importing scipy.linalg.  It goes when the benchmark's probes
+# follow the program's solves (ROADMAP item 2).
+__getattr__ = _scipy_linalg_getattr(globals(), ("cho_solve",))
 
 __all__ = [
     "ControlPenalty",
@@ -658,7 +660,7 @@ def policy_interpolate(
     ----------
     query : array_like
         A single state (length n_x) or a batch of M states as an
-        ``n_x x M`` array.
+        ``n_x x M`` array, all finite (else ``InputError``).
     sol, ops :
         The recursion output and the operators it was computed from;
         an ``InputError`` is raised when their N differ.
@@ -690,6 +692,8 @@ def policy_interpolate(
         raise InputError(
             f"query dimension {Q.shape[0]} != state dimension {X.shape[0]}"
         )
+    if not np.all(np.isfinite(Q)):
+        raise InputError("the query has a non-finite entry")
     C = _coefficients_for_step(sol, ops, k)
     K_q = np.stack([cross_vector(Q[:, j], X, sigma) for j in range(Q.shape[1])])
     out = (K_q @ C).T  # (n_u, M)

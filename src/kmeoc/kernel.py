@@ -69,6 +69,27 @@ _BLOCK_ROWS = 64
 _PRODUCT_ROWS = 256
 
 
+def _scipy_linalg_getattr(namespace: dict, names):
+    """A module ``__getattr__`` (PEP 562) for the scipy.linalg ``names``.
+
+    scipy.linalg takes longer to import than the rest of the package,
+    and only a factorization needs it, so it loads on the first access
+    to one of ``names``.  The function is bound in ``namespace``, the
+    module's globals, unless a name is bound there already.
+    """
+
+    def __getattr__(name: str):
+        if name not in names:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            )
+        import scipy.linalg
+
+        return namespace.setdefault(name, getattr(scipy.linalg, name))
+
+    return __getattr__
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     """Kernel and regression hyperparameters.
@@ -76,13 +97,14 @@ class KernelConfig:
     Parameters
     ----------
     sigma : float
-        RBF length scale, > 0.
+        RBF length scale, finite and > 0.
     epsilon : float
-        Diffusion parameter, >= 0.  Enters only the diffused kernel.
+        Diffusion parameter, finite and >= 0.  Enters only the diffused
+        kernel.
     dt : float
-        Sampling time of the snapshot data, > 0.
+        Sampling time of the snapshot data, finite and > 0.
     gamma : float
-        Tikhonov regularization, >= 0.
+        Tikhonov regularization, finite and >= 0.
     diffused_mode : str
         One of :data:`DIFFUSED_MODES`.
     """
@@ -94,14 +116,16 @@ class KernelConfig:
     diffused_mode: str = "plus_2eps_dt"
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise InputError(f"sigma must be > 0, got {self.sigma}")
-        if not self.dt > 0:
-            raise InputError(f"dt must be > 0, got {self.dt}")
-        if self.epsilon < 0:
-            raise InputError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.gamma < 0:
-            raise InputError(f"gamma must be >= 0, got {self.gamma}")
+        for name in ("sigma", "dt"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise InputError(
+                    f"{name} must be finite and > 0, got {getattr(self, name)}"
+                )
+        for name in ("epsilon", "gamma"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise InputError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}"
+                )
         if self.diffused_mode not in DIFFUSED_MODES:
             raise InputError(
                 f"diffused_mode must be one of {DIFFUSED_MODES}, "

@@ -226,10 +226,10 @@ def euler_maruyama_step(
     """
     if substeps < 1:
         raise InputError(f"substeps must be >= 1, got {substeps}")
-    if not dt > 0:
-        raise InputError(f"dt must be > 0, got {dt}")
-    if epsilon < 0:
-        raise InputError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0 < dt < math.inf:
+        raise InputError(f"dt must be finite and > 0, got {dt}")
+    if not 0 <= epsilon < math.inf:
+        raise InputError(f"epsilon must be finite and >= 0, got {epsilon}")
     if epsilon > 0 and rng is None:
         raise InputError("epsilon > 0 needs a random generator")
     x = np.asarray(x, dtype=float).reshape(system.n_x).copy()

@@ -198,6 +198,13 @@ class TestClosedLoopRollout:
         )
         assert abs(open_traj[0, -1]) > 1.0
 
+    def test_non_finite_initial_state_is_a_rollout_error(self, s1_fit):
+        ops, sol = s1_fit
+        with pytest.raises(RolloutError, match="not finite"):
+            closed_loop_rollout(
+                make_system("s1"), sol, ops, np.array([np.nan]), T=1.0, dt=0.1
+            )
+
     def test_mismatched_pair_rejected(self, s1_fit):
         ops, sol = s1_fit
         with pytest.raises(InputError):

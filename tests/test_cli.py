@@ -89,6 +89,28 @@ class TestGenerate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--epsilon", "nan", "epsilon"),
+            ("--epsilon", "inf", "epsilon"),
+            ("--dt", "inf", "dt"),
+            ("--n", "0", "N"),
+        ],
+    )
+    def test_bad_setting_exits_2_before_writing(
+        self, tmp_path, capsys, flag, value, name
+    ):
+        out = tmp_path / "out"
+        settings = {"--n": "20", flag: value}
+        rc = main(
+            ["generate", "--system", "s1", "--out", str(out)]
+            + [t for item in settings.items() for t in item]
+        )
+        assert rc == 2
+        assert f"{name} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_written_dataset_loads(self, work):
         ds = load_dataset_csv(work / "s1_n400_seed3.csv")
         assert ds.N == 400 and ds.system == "s1" and ds.seed == 3
@@ -194,6 +216,33 @@ class TestIdentify:
         )
         assert rc == 2
         assert "sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--sigma", "nan"),
+            ("--sigma", "inf"),
+            ("--gamma", "nan"),
+            ("--gamma", "inf"),
+            ("--epsilon", "nan"),
+            ("--dt", "inf"),
+        ],
+    )
+    def test_non_finite_setting_exits_2_before_writing(
+        self, work, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "out"
+        settings = {"--sigma": "1.2", flag: value}
+        rc = main(
+            [
+                "identify", "--dataset", str(work / "s1_n400_seed3.csv"),
+                "--out", str(out),
+            ]
+            + [t for item in settings.items() for t in item]
+        )
+        assert rc == 2
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def _with_y1(self, work, tmp_path, rows, value):
         """The generated dataset with y1 of the given data rows replaced."""
@@ -446,6 +495,23 @@ class TestControl:
         assert not any(tmp_path.iterdir())
 
 
+    @pytest.mark.parametrize("query", ["nan;1.0", "1.0;inf"])
+    def test_non_finite_query_exits_2_before_writing(
+        self, model_path, tmp_path, capsys, query
+    ):
+        # Far off the training states the kernel row is 0, so inf would
+        # otherwise read as the control 0.
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "control", "--model", str(model_path), "--horizon", "5",
+                "--save-solution", "true", "--query", query, "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("stop_tol", ["-1", "nan"])
     def test_bad_stop_tol_exits_2(self, model_path, tmp_path, capsys, stop_tol):
         # A negative or NaN tolerance would turn the stop rule off.
@@ -644,6 +710,26 @@ class TestPredict:
         init.write_text("0.1\n0.2\n-0.3\n")
         assert main(base + ["--init-csv", str(init)]) == 0
         assert main(base + ["--x0", "0.1", "--init-csv", str(init)]) == 2
+
+    @pytest.mark.parametrize(
+        "source",
+        [["--x0", "nan"], ["--x0", "inf"], ["--init-csv"]],
+        ids=["x0-nan", "x0-inf", "init-csv"],
+    )
+    def test_non_finite_state_exits_2_before_writing(
+        self, model_path, tmp_path, capsys, source
+    ):
+        if source == ["--init-csv"]:
+            init = tmp_path / "init.csv"
+            init.write_text("0.1\nnan\n")
+            source = source + [str(init)]
+        out = tmp_path / "out"
+        rc = main(
+            ["predict", "--model", str(model_path), "--out", str(out)] + source
+        )
+        assert rc == 2
+        assert "X0 has a non-finite entry" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_numeric_init_csv_exits_2(self, model_path, tmp_path, capsys):
         init = tmp_path / "init.csv"

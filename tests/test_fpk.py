@@ -73,6 +73,11 @@ class TestEmbedInitial:
         with pytest.raises(InputError):
             embed_initial(static_ops, np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_rejected(self, static_ops, bad):
+        with pytest.raises(InputError, match="non-finite"):
+            embed_initial(static_ops, np.array([[0.3, bad]]))
+
 
 class TestPropagate:
     def test_zero_policy_is_plain_transition(self, static_ops):

@@ -825,6 +825,16 @@ class TestPolicyInterpolate:
         with pytest.raises(InputError):
             policy_interpolate(np.array([0.0, 1.0]), sol, ops)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, s1_fit, bad):
+        # Far off the training states the kernel row is 0, so an
+        # infinite query would read as the control 0.
+        ops, sol = s1_fit
+        with pytest.raises(InputError, match="non-finite"):
+            policy_interpolate(np.array([bad]), sol, ops)
+        with pytest.raises(InputError, match="non-finite"):
+            policy_interpolate(np.array([[1.0, bad]]), sol, ops)
+
     def test_interpolation_cache_reused(self, s1_fit):
         ops, sol = s1_fit
         sol._interp_cache.clear()

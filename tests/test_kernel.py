@@ -57,6 +57,14 @@ class TestKernelConfig:
         with pytest.raises(InputError):
             KernelConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["sigma", "epsilon", "dt", "gamma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, name, value):
+        kwargs = dict(sigma=1.0)
+        kwargs[name] = value
+        with pytest.raises(InputError, match=f"^{name} must be finite"):
+            KernelConfig(**kwargs)
+
     def test_denominator_bumps(self):
         c2 = KernelConfig(sigma=2.0, epsilon=0.1, dt=0.5)
         assert c2.diffused_denominator == pytest.approx(4.0 + 2 * 0.1 * 0.5)
@@ -131,12 +139,70 @@ class TestSquaredDistances:
             "print(sorted(m for m in sys.modules "
             "if m.startswith(('scipy.spatial', 'scipy.special'))))"
         )
-        src = str(Path(kmeoc.__file__).resolve().parents[1])
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            check=True, env=dict(os.environ, PYTHONPATH=src),
+        assert _run_fresh(code) == "[]"
+
+
+def _run_fresh(code: str, cwd=None) -> str:
+    """The standard output of ``code`` run in a fresh interpreter."""
+    src = str(Path(kmeoc.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+    )
+    return out.stdout.strip()
+
+
+class TestScipyLinalgLoadsOnFirstUse:
+    """scipy.linalg loads with the first factorization, not with kmeoc."""
+
+    def test_cli_import_leaves_it_out(self):
+        code = "import sys, kmeoc.cli; print('scipy.linalg' in sys.modules)"
+        assert _run_fresh(code) == "False"
+
+    def test_generate_leaves_it_out_and_identify_loads_it(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from kmeoc.cli import main\n"
+            "main(['generate', '--system', 's1', '--n', '50', '--out', 'w'])\n"
+            "print('scipy.linalg' in sys.modules)\n"
+            "main(['identify', '--dataset', 'w/s1_n50_seed0.csv',\n"
+            "      '--sigma', '1.2', '--out', 'w'])\n"
+            "print('scipy.linalg' in sys.modules)\n"
         )
-        assert out.stdout.strip() == "[]"
+        lines = _run_fresh(code, cwd=tmp_path).splitlines()
+        assert [t for t in lines if t in ("False", "True")] == ["False", "True"]
+        assert (tmp_path / "w" / "s1_n50_seed0_model.bin").exists()
+
+    def test_module_names_are_scipys_functions(self):
+        # The benchmark's tracer requires these very objects.
+        code = (
+            "import scipy.linalg as la\n"
+            "from kmeoc import estimator, fpk, hjb\n"
+            "print([estimator.cho_factor is la.cho_factor,\n"
+            "       estimator.cho_solve is la.cho_solve,\n"
+            "       estimator.eigvalsh is la.eigvalsh,\n"
+            "       hjb.cho_solve is la.cho_solve,\n"
+            "       fpk.cho_factor is la.cho_factor,\n"
+            "       fpk.cho_solve is la.cho_solve])\n"
+        )
+        assert _run_fresh(code) == str([True] * 6)
+
+    def test_unknown_attribute_raises(self):
+        code = (
+            "import sys, kmeoc\n"
+            "for mod in (kmeoc.estimator, kmeoc.fpk, kmeoc.hjb):\n"
+            "    try:\n"
+            "        mod.cho_nothing\n"
+            "    except AttributeError as exc:\n"
+            "        print(exc)\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        assert _run_fresh(code).splitlines() == [
+            "module 'kmeoc.estimator' has no attribute 'cho_nothing'",
+            "module 'kmeoc.fpk' has no attribute 'cho_nothing'",
+            "module 'kmeoc.hjb' has no attribute 'cho_nothing'",
+            "False",
+        ]
 
 
 class TestRbf:

@@ -192,6 +192,18 @@ class TestEulerMaruyama:
                 )
         assert exc_info.value.step == first
 
+    @pytest.mark.parametrize("name", ["dt", "epsilon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_dt_or_epsilon_rejected(self, name, value):
+        # NaN noise would be silently off, an infinite one a blow-up.
+        kw = dict(dt=0.1, epsilon=0.1)
+        kw[name] = value
+        with pytest.raises(InputError, match=f"^{name} must be finite"):
+            euler_maruyama_step(
+                make_static_system(), np.zeros(1), np.zeros(1),
+                kw["dt"], kw["epsilon"], 1, np.random.default_rng(0),
+            )
+
     def test_substep_refinement_converges(self):
         s4 = make_system("s4")
         x0 = np.array([0.5])
