@@ -40,6 +40,7 @@ import logging
 import os
 import re
 import sys
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -161,7 +162,12 @@ _KEYS: Dict[str, tuple] = {
         "bench default 0, noise enters through the kernel instead",
     ),
     "sigma": (float, None, "RBF kernel scale"),
-    "epsilon": (float, 0.02, "diffusion parameter of the kernel"),
+    "epsilon": (
+        float,
+        0.02,
+        "diffusion parameter: the simulated noise for generate, the "
+        "kernel's diffusion for the other commands",
+    ),
     "dt": (float, 1e-2, "snapshot time step"),
     "gamma": (float, 1e-8, "ridge regularization"),
     "diffused_mode": (
@@ -293,8 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 key in _BENCH_KEYS or key == "reps"
             ):
                 help_text += " (default: per system)"
-            elif (command, key) == ("identify", "dt"):
-                help_text += " (default: the dataset's)"
             elif default is not None:
                 help_text += f" (default {_show(default)})"
             flag = "--" + key.replace("_", "-")
@@ -387,29 +391,23 @@ def cmd_generate(settings: _Settings) -> int:
 def cmd_identify(settings: _Settings) -> int:
     ds_path = str(settings.get("dataset", required=True))
     ds = load_dataset_csv(ds_path)
-    gamma = float(settings.get("gamma"))
-    epsilon = float(settings.get("epsilon"))
-    dt = float(settings.get("dt")) if settings.was_set("dt") else ds.dt
-    mode = str(settings.get("diffused_mode"))
-
     sigma_grid = settings.get("sigma_grid")
+    if not sigma_grid and not settings.was_set("sigma"):
+        raise ConfigError("identify: provide either sigma or sigma_grid")
+    # One kernel, at the data's own time step, scores the grid and fits.
+    cfg = KernelConfig(
+        sigma=sigma_grid[0] if sigma_grid else float(settings.get("sigma")),
+        epsilon=float(settings.get("epsilon")),
+        dt=ds.dt,
+        gamma=float(settings.get("gamma")),
+        diffused_mode=str(settings.get("diffused_mode")),
+    )
     scores = None
     if sigma_grid:
-        sigma, scores = model_select(
-            ds,
-            sigma_grid,
-            val_fraction=float(settings.get("val_fraction")),
-            gamma=gamma,
-            diffused_mode=mode,
+        best, scores = model_select(
+            ds, sigma_grid, cfg, float(settings.get("val_fraction"))
         )
-    elif settings.was_set("sigma"):
-        sigma = float(settings.get("sigma"))
-    else:
-        raise ConfigError("identify: provide either sigma or sigma_grid")
-
-    cfg = KernelConfig(
-        sigma=sigma, epsilon=epsilon, dt=dt, gamma=gamma, diffused_mode=mode
-    )
+        cfg = replace(cfg, sigma=best)
     grams = build_grams(ds.X, ds.U, ds.Y, cfg)
     ops = fit_krr(ds, cfg, grams=grams)
     if settings.get("markov_enforce"):
@@ -426,11 +424,11 @@ def cmd_identify(settings: _Settings) -> int:
         "dataset": os.path.relpath(ds_path, out),
         "system": ds.system,
         "N": ds.N,
-        "sigma": sigma,
-        "gamma": gamma,
-        "epsilon": epsilon,
-        "dt": dt,
-        "diffused_mode": mode,
+        "sigma": cfg.sigma,
+        "gamma": cfg.gamma,
+        "epsilon": cfg.epsilon,
+        "dt": cfg.dt,
+        "diffused_mode": cfg.diffused_mode,
         "jitter": ops.jitter,
         "markov_enforced": bool(settings.get("markov_enforce")),
         "fit_residual_fro": residual,
@@ -682,7 +680,7 @@ _COMMANDS: Dict[str, tuple] = {
         "fit transition operators from a dataset",
         (
             "dataset", "out", "sigma", "sigma_grid", "val_fraction",
-            "epsilon", "dt", "gamma", "diffused_mode", "markov_enforce",
+            "epsilon", "gamma", "diffused_mode", "markov_enforce",
         ),
     ),
     "control": (

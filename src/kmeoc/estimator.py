@@ -74,6 +74,7 @@ log = logging.getLogger(__name__)
 
 _JITTER_CAP = 1e-4
 _RHO_MAX = 0.1  # largest gap / ridge a fit settles on
+_SCORE_WEIGHTS = (1.0, 0.1)  # model selection: validation, normality
 
 __getattr__ = _scipy_linalg_getattr(
     globals(), ("cho_factor", "cho_solve", "eigvalsh")
@@ -524,9 +525,16 @@ def validation_score(ops: EstimatedOperators, holdout: Dataset) -> float:
 
 
 def _split_indices(N: int, val_fraction: float, seed: int):
+    if not 0 < val_fraction < 1:
+        raise InputError(f"val_fraction must be in (0, 1), got {val_fraction}")
+    n_val = int(round(val_fraction * N))
+    if not 1 <= n_val <= N - 2:
+        raise InputError(
+            f"val_fraction {val_fraction} holds out {n_val} of {N} samples; "
+            f"the split needs 1 to {N - 2}"
+        )
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5E1EC7]))
     perm = rng.permutation(N)
-    n_val = min(N - 2, max(1, int(round(val_fraction * N))))
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
@@ -553,20 +561,20 @@ def _minmax(vals: np.ndarray) -> np.ndarray:
 def model_select(
     dataset: Dataset,
     sigma_grid: Sequence[float],
-    weights: Tuple[float, float] = (1.0, 0.1),
+    cfg: KernelConfig,
     val_fraction: float = 0.2,
-    gamma: float = 1e-8,
-    diffused_mode: str = "plus_2eps_dt",
 ) -> Tuple[float, List[ModelScore]]:
     """Pick the kernel scale minimizing a weighted two-part score.
 
     The dataset is split deterministically (by its own seed) into a
-    training part and a ``val_fraction`` holdout.  For every sigma in
-    the grid the operators are fitted on the training part and scored
-    by the held-out embedding residual and by the departure from
-    normality of A_hat.  Both score vectors are min-max normalized
-    across the grid, combined with the given weights, and the argmin is
-    returned; ties break toward the smaller sigma.
+    training part and a ``val_fraction`` holdout, 0 < val_fraction < 1.
+    For every sigma in the grid the operators are fitted on the
+    training part with ``replace(cfg, sigma=sigma)``, the kernel the
+    final fit uses, and scored by the held-out embedding residual and
+    by the departure from normality of A_hat.  Both score vectors are
+    min-max normalized across the grid, combined with
+    ``_SCORE_WEIGHTS``, and the argmin is returned; ties break toward
+    the smaller sigma.
 
     Returns
     -------
@@ -576,6 +584,9 @@ def model_select(
 
     Raises
     ------
+    InputError
+        If the grid is empty or the split leaves no holdout sample or
+        fewer than two training samples.
     SelectionError
         If every fit fails.
     """
@@ -585,27 +596,15 @@ def model_select(
     train_idx, val_idx = _split_indices(dataset.N, val_fraction, dataset.seed)
     train, val = _subset(dataset, train_idx), _subset(dataset, val_idx)
 
-    def _one(sig: float):
-        cfg = KernelConfig(
-            sigma=sig,
-            epsilon=dataset.epsilon,
-            dt=dataset.dt,
-            gamma=gamma,
-            diffused_mode=diffused_mode,
-        )
-        ops = fit_krr(train, cfg)
-        return (
-            sig,
-            validation_score(ops, val),
-            departure_from_normality(ops.A),
-        )
-
     # One sigma after another: each fit already keeps every core busy
     # through BLAS, so a pool on top only makes them compete.
     results = []
     for sig in sigmas:
         try:
-            results.append(_one(sig))
+            ops = fit_krr(train, replace(cfg, sigma=sig))
+            results.append(
+                (sig, validation_score(ops, val), departure_from_normality(ops.A))
+            )
         except (EstimationError, LinAlgError) as exc:
             log.warning("fit failed for sigma=%g: %s", sig, exc)
 
@@ -613,7 +612,7 @@ def model_select(
         raise SelectionError("all candidate fits failed across the sigma grid")
     val_norm = _minmax(np.array([r[1] for r in results]))
     dep_norm = _minmax(np.array([r[2] for r in results]))
-    w1, w2 = weights
+    w1, w2 = _SCORE_WEIGHTS
     combined = w1 * val_norm + w2 * dep_norm
 
     scores = [

@@ -312,14 +312,6 @@ def generate_dataset(
 
     if sampler == "uniform_iid":
         X = system.domain.sample(draw_rng, N)
-        if system.state_filter is not None:
-            for _ in range(1000):
-                bad = ~np.asarray(system.state_filter(X), dtype=bool)
-                if not bad.any():
-                    break
-                X[:, bad] = system.domain.sample(draw_rng, int(bad.sum()))
-            else:  # pragma: no cover - filter admits ~all of the domain
-                raise InputError("state filter rejected too many draws")
     else:
         X, actual = _lattice(system.domain, N)
         if actual != N:
@@ -330,11 +322,15 @@ def generate_dataset(
                 int(round(actual ** (1.0 / system.n_x))),
             )
         N = actual
-        if system.state_filter is not None:
+    # Both samplers redraw rejected states uniformly until all pass.
+    if system.state_filter is not None:
+        for _ in range(1000):
             bad = ~np.asarray(system.state_filter(X), dtype=bool)
-            if bad.any():
-                X = X.copy()
-                X[:, bad] = system.domain.sample(draw_rng, int(bad.sum()))
+            if not bad.any():
+                break
+            X[:, bad] = system.domain.sample(draw_rng, int(bad.sum()))
+        else:  # pragma: no cover - filter admits ~all of the domain
+            raise InputError("state filter rejected too many draws")
     U = system.control_box.sample(draw_rng, N)
 
     Y = np.empty_like(X)

@@ -22,6 +22,7 @@ from kmeoc import (
     LowRank,
     fit_krr,
     load,
+    model_select,
     save,
 )
 from kmeoc.cli import main
@@ -195,6 +196,53 @@ class TestIdentify:
                 "departure_from_normality", "combined",
             }
 
+    def test_sigma_grid_is_scored_with_the_fitted_kernel(self, work, tmp_path):
+        # The data are noise-free (epsilon 0); the grid is scored with
+        # the kernel the written model carries (epsilon 0.02).
+        dataset = work / "s1_n400_seed3.csv"
+        rc = main(
+            [
+                "identify", "--dataset", str(dataset),
+                "--sigma-grid", "0.8,1.6", "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        summary = json.loads((tmp_path / "s1_n400_seed3_fit.json").read_text())
+        cfg = load(tmp_path / "s1_n400_seed3_model.bin").kernel_cfg
+        ds = load_dataset_csv(dataset)
+        assert ds.epsilon == 0.0 and cfg.epsilon == 0.02 and cfg.dt == ds.dt
+        best, scores = model_select(ds, [0.8, 1.6], cfg)
+        assert summary["sigma"] == best == cfg.sigma
+        assert summary["sigma_grid_scores"] == [
+            dataclasses.asdict(s) for s in scores
+        ]
+
+    @pytest.mark.parametrize("fraction", ["nan", "0", "-1", "5", "0.999"])
+    def test_bad_val_fraction_exits_2_before_writing(
+        self, work, tmp_path, capsys, fraction
+    ):
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "identify", "--dataset", str(work / "s1_n400_seed3.csv"),
+                "--sigma-grid", "1.0,1.2", "--val-fraction", fraction,
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "val_fraction" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dt_is_the_datasets(self, work, tmp_path):
+        with pytest.raises(SystemExit) as exc_info:
+            main(
+                [
+                    "identify", "--dataset", str(work / "s1_n400_seed3.csv"),
+                    "--sigma", "1.2", "--dt", "0.5", "--out", str(tmp_path),
+                ]
+            )
+        assert exc_info.value.code == 2
+
     def test_b_block_orientation_is_no_setting(self, work, tmp_path):
         base = [
             "identify", "--dataset", str(work / "s1_n400_seed3.csv"),
@@ -225,7 +273,6 @@ class TestIdentify:
             ("--gamma", "nan"),
             ("--gamma", "inf"),
             ("--epsilon", "nan"),
-            ("--dt", "inf"),
         ],
     )
     def test_non_finite_setting_exits_2_before_writing(
@@ -904,7 +951,6 @@ class TestConfigPlumbing:
         [
             ("bench", "reps", "benchmark repetitions (default: per system)"),
             ("sweep", "reps", "benchmark repetitions (default: per system)"),
-            ("identify", "dt", "snapshot time step (default: the dataset's)"),
             ("generate", "dt", "snapshot time step (default 0.01)"),
         ],
     )

@@ -448,27 +448,47 @@ class TestValidationScore:
 
 
 class TestModelSelect:
+    # The static data's own noise and step: epsilon 0, dt 1e-2.
+    cfg = KernelConfig(sigma=1.0, epsilon=0.0)
+
     def test_single_candidate(self):
         ds = make_static_dataset(N=40)
-        best, scores = model_select(ds, [1.5])
+        best, scores = model_select(ds, [1.5], self.cfg)
         assert best == 1.5
         assert len(scores) == 1
         assert scores[0].combined == 0.0  # min-max of a singleton
 
-    def test_tie_breaks_to_smaller_sigma(self):
+    def test_tie_breaks_to_smaller_sigma(self, monkeypatch):
         ds = make_static_dataset(N=40)
-        # Zero weights force an exact tie at combined = 0 for every sigma.
-        best, scores = model_select(ds, [2.0, 0.5, 1.0], weights=(0.0, 0.0))
+        # Constant scores force an exact tie at combined = 0 for every sigma.
+        monkeypatch.setattr(
+            "kmeoc.estimator.validation_score", lambda ops, holdout: 1.0
+        )
+        monkeypatch.setattr(
+            "kmeoc.estimator.departure_from_normality", lambda A: 1.0
+        )
+        best, scores = model_select(ds, [2.0, 0.5, 1.0], self.cfg)
         assert best == 0.5
         assert [s.sigma for s in scores] == [0.5, 1.0, 2.0]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError):
-            model_select(make_static_dataset(N=20), [])
+            model_select(make_static_dataset(N=20), [], self.cfg)
+
+    def test_scores_use_the_callers_kernel(self):
+        # The grid is scored with the caller's epsilon, not the data's.
+        ds = make_static_dataset(N=50, seed=3)
+        _, plain = model_select(ds, [0.5, 1.0], self.cfg)
+        _, diffused = model_select(
+            ds, [0.5, 1.0], dataclasses.replace(self.cfg, epsilon=0.05)
+        )
+        for a, b in zip(plain, diffused):
+            assert a.validation_error != b.validation_error
+            assert a.departure_from_normality != b.departure_from_normality
 
     def test_scores_are_finite_and_ordered(self):
         ds = make_static_dataset(N=50, seed=3)
-        best, scores = model_select(ds, [0.5, 1.0, 2.0])
+        best, scores = model_select(ds, [0.5, 1.0, 2.0], self.cfg)
         assert best in {0.5, 1.0, 2.0}
         sigmas = [s.sigma for s in scores]
         assert sigmas == sorted(sigmas)
@@ -501,8 +521,14 @@ class TestModelSelect:
             SimpleNamespace(dt=cfg["dt"], epsilon=cfg["data_epsilon"]),
             seed=321,
         )
-        ds = dataclasses.replace(ds, epsilon=cfg["epsilon"])
-        best, _ = model_select(ds, [0.3, 1.2, 30.0], gamma=cfg["gamma"])
+        kernel = KernelConfig(
+            sigma=1.0,
+            epsilon=cfg["epsilon"],
+            dt=cfg["dt"],
+            gamma=cfg["gamma"],
+            diffused_mode=cfg["diffused_mode"],
+        )
+        best, _ = model_select(ds, [0.3, 1.2, 30.0], kernel)
         assert best != 0.3
 
         ops, sol = fit_and_solve(system, dict(cfg, sigma=best), data_seed=321)

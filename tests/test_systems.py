@@ -283,6 +283,23 @@ class TestGenerateDataset:
         assert ds.X[0].min() == pytest.approx(vdp.domain.lo[0])
         assert ds.X[0].max() == pytest.approx(vdp.domain.hi[0])
 
+    def test_grid_sampler_re_checks_redrawn_states(self):
+        # The filter rejects half of the domain: the 9-point lattice on
+        # [-2, 2] loses its 4 negative points, and the first uniform
+        # redraw of this seed lands two of them below 0 again.
+        system = dataclasses.replace(
+            make_static_system(), state_filter=lambda pts: pts[0] >= 0.0
+        )
+        seed = 0
+        draw_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        assert np.any(system.domain.sample(draw_rng, 4) < 0.0)
+        ds = generate_dataset(
+            system, 9, KernelConfig(sigma=1.0, epsilon=0.0),
+            sampler="grid", seed=seed,
+        )
+        assert ds.N == 9
+        assert np.all(ds.X[0] >= 0.0)
+
     @pytest.mark.parametrize("sampler", ["uniform_iid", "grid"])
     @pytest.mark.parametrize("name", SYSTEM_NAMES)
     def test_noise_free_data_needs_no_sample_generators(self, name, sampler):
