@@ -47,7 +47,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import store
-from .errors import ConfigError, InputError, KmeocError
+from .errors import InputError, KmeocError
 from .estimator import (
     EstimatedOperators,
     departure_from_normality,
@@ -123,21 +123,21 @@ def _parse_bool(text: str) -> bool:
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"cannot parse boolean from {text!r}")
+    raise InputError(f"cannot parse boolean from {text!r}")
 
 
 def _parse_floats(text: str) -> List[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"cannot parse float list from {text!r}") from None
+        raise InputError(f"cannot parse float list from {text!r}") from None
 
 
 def _parse_ints(text: str) -> List[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"cannot parse int list from {text!r}") from None
+        raise InputError(f"cannot parse int list from {text!r}") from None
 
 
 # Every settable key: its value parser, its default (None: none, or
@@ -195,6 +195,10 @@ _KEYS: Dict[str, tuple] = {
     "n_grid": (_parse_ints, None, "comma list of sample counts to sweep"),
 }
 
+# The metavar --help shows for a value parsed by one of the parsers
+# above; other values show the flag's own name.
+_METAVARS = {_parse_bool: "BOOL", _parse_floats: "LIST", _parse_ints: "LIST"}
+
 # The keys that name a bench setting, shared by bench and sweep.  Only
 # the ones set by flag or config file reach the bench, as overrides;
 # the rest keep the system's benchmark defaults.
@@ -222,7 +226,7 @@ class _Settings:
         if val is None:
             val = _KEYS[key][1]
         if val is None and required:
-            raise ConfigError(
+            raise InputError(
                 f"{self.command}: required setting {key!r} is missing "
                 f"(pass --{key.replace('_', '-')} or set it in --config)"
             )
@@ -237,7 +241,7 @@ def _read_config_file(path: str) -> Dict[str, object]:
         with open(path) as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+        raise InputError(f"cannot read config file {path!r}: {exc}") from exc
     out: Dict[str, object] = {}
     for lineno, line in enumerate(lines, 1):
         stripped = line.split("#", 1)[0].strip()
@@ -246,16 +250,16 @@ def _read_config_file(path: str) -> Dict[str, object]:
         key, sep, value = stripped.partition("=")
         key = key.strip()
         if not sep or not key:
-            raise ConfigError(
+            raise InputError(
                 f"{path}:{lineno}: expected 'key=value', got {line.rstrip()!r}"
             )
         if key not in _KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
         parser = _KEYS[key][0]
         try:
             out[key] = parser(value.strip())
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(
+        except ValueError as exc:
+            raise InputError(
                 f"{path}:{lineno}: bad value for {key!r}: {exc}"
             ) from None
     return out
@@ -301,15 +305,12 @@ def _build_parser() -> argparse.ArgumentParser:
                 help_text += " (default: per system)"
             elif default is not None:
                 help_text += f" (default {_show(default)})"
-            flag = "--" + key.replace("_", "-")
-            if parse is _parse_bool:
-                p.add_argument(
-                    flag, type=_parse_bool, metavar="BOOL", help=help_text
-                )
-            elif parse in (_parse_floats, _parse_ints):
-                p.add_argument(flag, type=parse, metavar="LIST", help=help_text)
-            else:
-                p.add_argument(flag, type=parse, help=help_text)
+            p.add_argument(
+                "--" + key.replace("_", "-"),
+                type=parse,
+                metavar=_METAVARS.get(parse),
+                help=help_text,
+            )
     return parser
 
 
@@ -326,7 +327,7 @@ def _parse_penalty(settings: _Settings) -> ControlPenalty:
     if box_text not in ("none", ""):
         vals = _parse_floats(box_text)
         if len(vals) != 2:
-            raise ConfigError(
+            raise InputError(
                 f"penalty_box must be 'lo,hi' or 'none', got {box_text!r}"
             )
         box = (np.full(len(weights), vals[0]), np.full(len(weights), vals[1]))
@@ -337,7 +338,7 @@ def _load_model(settings: _Settings) -> EstimatedOperators:
     path = settings.get("model", required=True)
     artifact = store.load(path)
     if not isinstance(artifact, EstimatedOperators):
-        raise ConfigError(
+        raise InputError(
             f"{path!r} is a {type(artifact).__name__} artifact, not a model"
         )
     return artifact
@@ -392,8 +393,8 @@ def cmd_identify(settings: _Settings) -> int:
     ds_path = str(settings.get("dataset", required=True))
     ds = load_dataset_csv(ds_path)
     sigma_grid = settings.get("sigma_grid")
-    if not sigma_grid and not settings.was_set("sigma"):
-        raise ConfigError("identify: provide either sigma or sigma_grid")
+    if bool(sigma_grid) == settings.was_set("sigma"):
+        raise InputError("identify: set exactly one of sigma or sigma_grid")
     # One kernel, at the data's own time step, scores the grid and fits.
     cfg = KernelConfig(
         sigma=sigma_grid[0] if sigma_grid else float(settings.get("sigma")),
@@ -459,7 +460,7 @@ def cmd_control(settings: _Settings) -> int:
     H = int(settings.get("horizon"))
     which = str(settings.get("export_steps")).lower()
     if which not in ("stationary", "all"):
-        raise ConfigError(
+        raise InputError(
             f"export_steps must be 'stationary' or 'all', got {which!r}"
         )
     # Every query is parsed and its dimension checked before anything
@@ -472,7 +473,7 @@ def cmd_control(settings: _Settings) -> int:
     n_x = ops.dataset_ref.n_x
     for chunk, x in queries:
         if x.size != n_x:
-            raise ConfigError(
+            raise InputError(
                 f"query {chunk!r} has {x.size} coordinates, state has {n_x}"
             )
     sol = khjb_recursion(
@@ -517,11 +518,11 @@ def cmd_predict(settings: _Settings) -> int:
     x0 = settings.get("x0")
     init_csv = settings.get("init_csv")
     if (x0 is None) == (init_csv is None):
-        raise ConfigError("predict: provide exactly one of x0 or init_csv")
+        raise InputError("predict: provide exactly one of x0 or init_csv")
     # Every setting is checked before anything runs or is written.
     steps = int(settings.get("steps"))
     if steps < 0:
-        raise ConfigError(f"steps must be >= 0, got {steps}")
+        raise InputError(f"steps must be >= 0, got {steps}")
 
     policy_name = str(settings.get("policy")).lower()
     if policy_name == "zero":
@@ -531,20 +532,20 @@ def cmd_predict(settings: _Settings) -> int:
     elif policy_name == "learned":
         sol_path = settings.get("solution")
         if not sol_path:
-            raise ConfigError("predict: policy=learned needs --solution")
+            raise InputError("predict: policy=learned needs --solution")
         sol = store.load(sol_path)
         if not isinstance(sol, ValueSolution):
-            raise ConfigError(
+            raise InputError(
                 f"{sol_path!r} is a {type(sol).__name__} artifact, "
                 "not a value-solution"
             )
         table = sol.stationary_policy()
         if table.shape[1] != ops.N:
-            raise ConfigError(
+            raise InputError(
                 "solution and model disagree on the training basis size"
             )
     else:
-        raise ConfigError(
+        raise InputError(
             f"policy must be zero, training, or learned, got {policy_name!r}"
         )
 
@@ -555,7 +556,7 @@ def cmd_predict(settings: _Settings) -> int:
     elif obs_name == "one":
         psi = np.ones(ops.N)
     else:
-        raise ConfigError(f"observable must be x2 or one, got {obs_name!r}")
+        raise InputError(f"observable must be x2 or one, got {obs_name!r}")
 
     if x0 is not None:
         X0 = np.asarray(x0, dtype=float)[:, None]
@@ -602,7 +603,7 @@ def _reps(settings: _Settings) -> Optional[int]:
     """The repetition count that was set, or None for the system's own."""
     reps = settings.get("reps")
     if reps is not None and reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
+        raise InputError(f"reps must be >= 1, got {reps}")
     return reps
 
 
@@ -745,13 +746,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             settings = _Settings(args, args.command)
             return _COMMANDS[args.command][0](settings)
-        except (ConfigError, InputError) as exc:
+        except InputError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except KmeocError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        except OSError as exc:
+        except (KmeocError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
 

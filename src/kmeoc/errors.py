@@ -10,7 +10,6 @@ from __future__ import annotations
 
 __all__ = [
     "KmeocError",
-    "ConfigError",
     "InputError",
     "IntegrationError",
     "EstimationError",
@@ -30,10 +29,6 @@ __all__ = [
 
 class KmeocError(Exception):
     """Base class for all library errors."""
-
-
-class ConfigError(KmeocError):
-    """Invalid or unknown configuration key/value."""
 
 
 class InputError(KmeocError, ValueError):

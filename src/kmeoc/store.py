@@ -1,8 +1,8 @@
 """Persistence of fitted models and value solutions.
 
 These are the two binary artifact kinds; datasets are CSV files
-(:func:`kmeoc.systems.save_dataset_csv`) and bench reports are JSON or
-CSV (:mod:`kmeoc.bench`).  Both kinds share one framing: a 16-byte
+(:func:`kmeoc.systems.save_dataset_csv`) and bench reports are JSON
+(:mod:`kmeoc.bench`).  Both kinds share one framing: a 16-byte
 header (8-byte magic tag, little-endian u32 version, little-endian u32
 kind), an 8-byte BLAKE2b checksum of the payload, then the payload
 itself.  The version is kept per kind (:data:`VERSIONS`); a model is

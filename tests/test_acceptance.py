@@ -183,35 +183,50 @@ class TestVanDerPol:
 
 
 
+_DIVERGES = pytest.mark.xfail(
+    strict=True,
+    raises=DivergenceError,
+    reason=(
+        "seed-fragile identification: at bench settings the backward"
+        " recursion blows up on these data seeds (s2 at k = 3962, 3773,"
+        " 4631, 4589; vdp at k = 1492, 1036).  After the uniform column"
+        " shift rho(A_hat) exceeds 1 on every seed, the converging seed 0"
+        " included (1.026 on s2, 1.052 on vdp), so whether the recursion"
+        " stays finite depends on the data draw; see ROADMAP item 7"
+    ),
+)
+
+_OVER_BOUND = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "seed-fragile accuracy: at bench settings vdp data seeds 4 and 5"
+        " converge above AC-4's policy RMSE bound 0.15 (0.314, the stop"
+        " rule never firing in H = 2000, and 0.167); see ROADMAP item 7"
+    ),
+)
+
+
 class TestSeedRobustness:
     """The AC-2 and AC-4 settings on data seeds the gates do not draw.
 
     They land red: on each seed below ``fit_and_solve`` raises
-    ``DivergenceError``.  Once a fix makes one pass, its strict xfail
-    fails, and the marker goes.
+    ``DivergenceError`` or the policy RMSE exceeds the system's bound.
+    Once a fix makes one pass, its strict xfail fails, and the marker
+    goes.
     """
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=DivergenceError,
-        reason=(
-            "seed-fragile identification: at bench settings the backward"
-            " recursion blows up on these data seeds (s2 at k = 3962, 3773,"
-            " 4631, 4589; vdp at k = 1492, 1036).  After the uniform column"
-            " shift rho(A_hat) exceeds 1 on every seed, the converging seed 0"
-            " included (1.026 on s2, 1.052 on vdp), so whether the recursion"
-            " stays finite depends on the data draw; see ROADMAP item 3"
-        ),
-    )
     @pytest.mark.parametrize(
         "name, seed, bound",
         [
-            ("s2", 16, 4e-1),
-            ("s2", 27, 4e-1),
-            ("s2", 30, 4e-1),
-            ("s2", 57, 4e-1),
-            ("vdp", 1, 0.15),
-            ("vdp", 2, 0.15),
+            pytest.param("s2", 16, 4e-1, marks=_DIVERGES),
+            pytest.param("s2", 27, 4e-1, marks=_DIVERGES),
+            pytest.param("s2", 30, 4e-1, marks=_DIVERGES),
+            pytest.param("s2", 57, 4e-1, marks=_DIVERGES),
+            pytest.param("vdp", 1, 0.15, marks=_DIVERGES),
+            pytest.param("vdp", 2, 0.15, marks=_DIVERGES),
+            pytest.param("vdp", 4, 0.15, marks=_OVER_BOUND),
+            pytest.param("vdp", 5, 0.15, marks=_OVER_BOUND),
         ],
     )
     def test_bench_settings_hold_on_seed(self, name, seed, bound):

@@ -233,6 +233,31 @@ class TestIdentify:
         assert "val_fraction" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--sigma", "0.5", "--sigma-grid", "0.8,1.6"], ""),
+            (["--sigma-grid", "0.8,1.6"], "sigma=0.5\n"),
+            (["--sigma", "0.5"], "sigma_grid=0.8,1.6\n"),
+        ],
+    )
+    def test_sigma_with_sigma_grid_exits_2_before_writing(
+        self, work, tmp_path, capsys, flags, config
+    ):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        rc = main(
+            [
+                "identify", "--dataset", str(work / "s1_n400_seed3.csv"),
+                "--config", str(cfg), "--out", str(out),
+            ]
+            + flags
+        )
+        assert rc == 2
+        assert "exactly one of sigma or sigma_grid" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dt_is_the_datasets(self, work, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
             main(
@@ -915,6 +940,69 @@ class TestSweep:
         text = (tmp_path / "sweep_s1.json").read_text()
         assert "NaN" not in text
         assert json.loads(text)["points"] == [[60, None], [120, 0.1]]
+
+
+class TestMalformedValues:
+    """A bool or list value that does not parse is a configuration error.
+
+    As a flag argparse reports it, naming the flag; in a config file the
+    message names the file and line.  Either way: exit 2, no traceback,
+    and nothing written.
+    """
+
+    # Each bool or list key: its command, the valid arguments it runs
+    # with otherwise, and a malformed value.
+    CASES = {
+        "markov_enforce": ("identify", ["--sigma", "1.2"], "maybe"),
+        "sigma_grid": ("identify", [], "0.8,x"),
+        "save_solution": ("control", [], "maybe"),
+        "penalty_weights": ("control", [], "abc"),
+        "dump_weights": ("predict", ["--x0", "1.0"], "maybe"),
+        "x0": ("predict", [], "1,x"),
+        "n_grid": ("sweep", ["--system", "s1"], "1,x"),
+    }
+
+    def test_cases_cover_every_bool_and_list_key(self):
+        assert set(self.CASES) == {
+            key
+            for key, (parse, _, _) in kmeoc.cli._KEYS.items()
+            if parse in kmeoc.cli._METAVARS
+        }
+
+    def _argv(self, work, key, out):
+        command, extra, _ = self.CASES[key]
+        inputs = {
+            "identify": ["--dataset", str(work / "s1_n400_seed3.csv")],
+            "control": ["--model", str(work / "s1_n400_seed3_model.bin")],
+            "predict": ["--model", str(work / "s1_n400_seed3_model.bin")],
+            "sweep": [],
+        }
+        return [command] + inputs[command] + extra + ["--out", str(out)]
+
+    @pytest.mark.parametrize("key", sorted(CASES))
+    def test_flag_exits_2_before_writing(self, work, tmp_path, capsys, key):
+        out = tmp_path / "out"
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc_info:
+            main(self._argv(work, key, out) + [flag, self.CASES[key][2]])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", sorted(CASES))
+    def test_config_value_exits_2_before_writing(
+        self, work, tmp_path, capsys, key
+    ):
+        out = tmp_path / "out"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# one bad value\n{key}={self.CASES[key][2]}\n")
+        rc = main(self._argv(work, key, out) + ["--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: bad value for {key!r}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestConfigPlumbing:
