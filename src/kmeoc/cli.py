@@ -117,27 +117,37 @@ def _log_to_stderr(level: Optional[str]):
         package_log.propagate = saved_propagate
 
 
+class _BadValue(InputError, argparse.ArgumentTypeError):
+    """A value that does not parse; argparse reports its message as is."""
+
+
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise InputError(f"cannot parse boolean from {text!r}")
+    raise _BadValue(
+        f"expected a boolean (true/false, yes/no, on/off, 1/0), got {text!r}"
+    )
 
 
 def _parse_floats(text: str) -> List[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise InputError(f"cannot parse float list from {text!r}") from None
+        raise _BadValue(
+            f"expected a comma list of numbers, got {text!r}"
+        ) from None
 
 
 def _parse_ints(text: str) -> List[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise InputError(f"cannot parse int list from {text!r}") from None
+        raise _BadValue(
+            f"expected a comma list of integers, got {text!r}"
+        ) from None
 
 
 # Every settable key: its value parser, its default (None: none, or

@@ -4,11 +4,13 @@ All systems are control-affine,
 
     dX = (f(X) + G(X) u) dt + sqrt(2 eps) dW,
 
-and a dataset is a cloud of one-step transitions: initial states drawn
-over the system's state box, controls drawn over its control box, and
-successors produced by Euler--Maruyama substepping.  Every sample owns
-its own reproducibly derived RNG substream, so the result depends only
-on (system, N, seed) — never on sharding or evaluation order.
+given as one column-batched map ``dynamics(x, u) = f(x) + G(x) u`` and
+a column-batched stage cost; nothing reads f or G apart.  A dataset is
+a cloud of one-step transitions: initial states drawn over the
+system's state box, controls drawn over its control box, and successors
+produced by Euler--Maruyama substepping.  Every sample owns its own
+reproducibly derived RNG substream, so the result depends only on
+(system, N, seed) — never on sharding or evaluation order.
 """
 
 from __future__ import annotations
@@ -82,13 +84,13 @@ class ControlAffineSystem:
     ----------
     name : str
     n_x, n_u : int
-    drift : callable
-        f: state -> state velocity, length n_x.
-    input_map : callable
-        G: state -> (n_x, n_u) matrix.
+    dynamics : callable
+        (x, u) -> f(x) + G(x) u, column by column: x of shape (n_x, M)
+        and u of shape (n_u, M) give an (n_x, M) array, and one state,
+        x of shape (n_x,) with u of shape (n_u,), gives (n_x,).
     state_cost : callable
-        State-dependent stage cost, state -> float, bounded below on
-        the domain.
+        State-dependent stage cost, column by column: (n_x, M) -> (M,),
+        bounded below on the domain.
     penalty : ControlPenalty
         The control penalty r.
     domain : Box
@@ -101,15 +103,14 @@ class ControlAffineSystem:
     state_filter : callable, optional
         Vectorized predicate over a (n_x, M) batch returning a length-M
         bool mask of admissible states; sampling rejects and redraws
-        the rest (used to keep drifts with isolated singularities away
+        the rest (used to keep dynamics with isolated singularities away
         from them).
     """
 
     name: str
     n_x: int
     n_u: int
-    drift: Callable
-    input_map: Callable
+    dynamics: Callable
     state_cost: Callable
     penalty: ControlPenalty
     domain: Box
@@ -124,32 +125,6 @@ class ControlAffineSystem:
             raise InputError("control box dimension != n_u")
         if self.penalty.n_u != self.n_u:
             raise InputError("penalty dimension != n_u")
-
-    def f(self, x) -> np.ndarray:
-        return np.asarray(self.drift(x), dtype=float).reshape(self.n_x)
-
-    def G(self, x) -> np.ndarray:
-        return np.asarray(self.input_map(x), dtype=float).reshape(
-            self.n_x, self.n_u
-        )
-
-    def check_wellposed(self, n: int = 256, seed: int = 0) -> None:
-        """Sample the domain and verify f, G finite and cost bounded below."""
-        rng = np.random.default_rng(seed)
-        pts = self.domain.sample(rng, n)
-        if self.state_filter is not None:
-            pts = pts[:, self.state_filter(pts)]
-        costs = []
-        for j in range(pts.shape[1]):
-            x = pts[:, j]
-            if not np.all(np.isfinite(self.f(x))):
-                raise InputError(f"{self.name}: drift not finite at {x}")
-            if not np.all(np.isfinite(self.G(x))):
-                raise InputError(f"{self.name}: input map not finite at {x}")
-            costs.append(float(self.state_cost(x)))
-        costs = np.asarray(costs)
-        if not np.all(np.isfinite(costs)):
-            raise InputError(f"{self.name}: state cost not finite on domain")
 
 
 @dataclass(frozen=True)
@@ -232,12 +207,12 @@ def euler_maruyama_step(
         raise InputError(f"epsilon must be finite and >= 0, got {epsilon}")
     if epsilon > 0 and rng is None:
         raise InputError("epsilon > 0 needs a random generator")
-    x = np.asarray(x, dtype=float).reshape(system.n_x).copy()
+    x = np.asarray(x, dtype=float).reshape(system.n_x)
     u = np.asarray(u, dtype=float).reshape(system.n_u)
     h = dt / substeps
     noise_scale = np.sqrt(2.0 * epsilon * h)
     for j in range(substeps):
-        x = x + h * (system.f(x) + system.G(x) @ u)
+        x = x + h * system.dynamics(x, u)
         if noise_scale > 0.0:
             x = x + noise_scale * rng.standard_normal(system.n_x)
         # Checked on Python floats: for a state of one or two entries
@@ -334,17 +309,25 @@ def generate_dataset(
     U = system.control_box.sample(draw_rng, N)
 
     Y = np.empty_like(X)
-    cost = np.empty(N)
     for i in range(N):
         rng_i = np.random.default_rng(children[1 + i]) if noisy else None
         Y[:, i] = euler_maruyama_step(
             system, X[:, i], U[:, i], dt, epsilon, substeps, rng_i
         )
-        cost[i] = float(system.state_cost(X[:, i])) * dt
+    cost = system.state_cost(X) * dt
 
     return Dataset(
         X=X, U=U, Y=Y, cost=cost, dt=dt, epsilon=epsilon, seed=seed,
         system=system.name,
+    )
+
+
+def _csv_header(n_x: int, n_u: int) -> list:
+    return (
+        [f"x{d+1}" for d in range(n_x)]
+        + [f"u{m+1}" for m in range(n_u)]
+        + [f"y{d+1}" for d in range(n_x)]
+        + ["cost"]
     )
 
 
@@ -358,13 +341,7 @@ def save_dataset_csv(ds: Dataset, path) -> None:
             f"seed={ds.seed} system={ds.system}\n"
         )
         wr = csv.writer(fh)
-        header = (
-            [f"x{d+1}" for d in range(ds.n_x)]
-            + [f"u{m+1}" for m in range(ds.n_u)]
-            + [f"y{d+1}" for d in range(ds.n_x)]
-            + ["cost"]
-        )
-        wr.writerow(header)
+        wr.writerow(_csv_header(ds.n_x, ds.n_u))
         for i in range(ds.N):
             row = [f"{v:.17g}" for v in ds.X[:, i]]
             row += [f"{v:.17g}" for v in ds.U[:, i]]
@@ -400,8 +377,9 @@ def _float_rows(path, numbered_rows, width=None) -> np.ndarray:
 def load_dataset_csv(path) -> Dataset:
     """Inverse of :func:`save_dataset_csv` (bit-exact round trip).
 
-    Malformed input raises InputError naming the file and the line, and
-    undecodable text one naming the file.
+    The header must be exactly the one it writes; columns are read by
+    position.  Malformed input raises InputError naming the file and the
+    line, and undecodable text one naming the file.
     """
     try:
         with open(path, newline="") as fh:
@@ -424,6 +402,11 @@ def load_dataset_csv(path) -> Dataset:
     header = next(rd, [])
     n_x = sum(1 for h in header if h.startswith("x"))
     n_u = sum(1 for h in header if h.startswith("u"))
+    if not (n_x and n_u) or header != _csv_header(n_x, n_u):
+        raise InputError(
+            f"{path}:2: expected the header x1..xn,u1..um,y1..yn,cost, "
+            f"got {','.join(header)!r}"
+        )
     # The reader starts after the metadata line.
     numbered = ((rd.line_num + 1, row) for row in rd if row)
     data = _float_rows(path, numbered, len(header)).T
@@ -452,9 +435,8 @@ def _make_s1() -> ControlAffineSystem:
         name="s1",
         n_x=1,
         n_u=1,
-        drift=lambda x: 0.5 * x,
-        input_map=lambda x: np.array([[np.sqrt(2.0)]]),
-        state_cost=lambda x: float(x[0] ** 2),
+        dynamics=lambda x, u: 0.5 * x + np.sqrt(2.0) * u,
+        state_cost=lambda x: x[0] ** 2,
         penalty=ControlPenalty(weights=np.array([1.0])),
         domain=_box1(-3.0, 3.0),
         control_box=_box1(-1.0, 1.0),
@@ -463,19 +445,16 @@ def _make_s1() -> ControlAffineSystem:
 
 
 def _make_s2() -> ControlAffineSystem:
-    def drift(x):
-        return -0.5 * x * (1.0 - np.log(x**2) ** 2)
-
-    def gmap(x):
-        return np.array([[np.log(float(x[0]) ** 2)]])
+    def dynamics(x, u):
+        log_sq = np.log(x**2)
+        return -0.5 * x * (1.0 - log_sq**2) + log_sq * u
 
     return ControlAffineSystem(
         name="s2",
         n_x=1,
         n_u=1,
-        drift=drift,
-        input_map=gmap,
-        state_cost=lambda x: float(x[0] ** 2),
+        dynamics=dynamics,
+        state_cost=lambda x: x[0] ** 2,
         penalty=ControlPenalty(weights=np.array([1.0])),
         domain=_box1(-3.0, 3.0),
         control_box=_box1(-1.0, 1.0),
@@ -486,12 +465,9 @@ def _make_s2() -> ControlAffineSystem:
 
 
 def _make_s3() -> ControlAffineSystem:
-    def drift(x):
+    def dynamics(x, u):
         s = np.sin(2.0 * x)
-        return -0.375 * x + 0.5 * x * s + 0.5 * x * s**2
-
-    def gmap(x):
-        return np.array([[0.5 + np.sin(2.0 * float(x[0]))]])
+        return -0.375 * x + 0.5 * x * s + 0.5 * x * s**2 + (0.5 + s) * u
 
     def truth(x):
         x = np.atleast_1d(x)
@@ -501,9 +477,8 @@ def _make_s3() -> ControlAffineSystem:
         name="s3",
         n_x=1,
         n_u=1,
-        drift=drift,
-        input_map=gmap,
-        state_cost=lambda x: float(x[0] ** 2),
+        dynamics=dynamics,
+        state_cost=lambda x: x[0] ** 2,
         penalty=ControlPenalty(weights=np.array([1.0])),
         domain=_box1(-3.0, 3.0),
         control_box=_box1(-1.0, 1.0),
@@ -520,9 +495,8 @@ def _make_s4() -> ControlAffineSystem:
         name="s4",
         n_x=1,
         n_u=1,
-        drift=lambda x: -(x**3),
-        input_map=lambda x: np.array([[1.0]]),
-        state_cost=lambda x: float(x[0] ** 2),
+        dynamics=lambda x, u: -(x**3) + u,
+        state_cost=lambda x: x[0] ** 2,
         penalty=ControlPenalty(weights=np.array([1.0])),
         domain=_box1(-5.0, 5.0),
         control_box=_box1(-1.0, 1.0),
@@ -531,24 +505,20 @@ def _make_s4() -> ControlAffineSystem:
 
 
 def _make_vdp() -> ControlAffineSystem:
-    def drift(x):
-        x1, x2 = float(x[0]), float(x[1])
-        return np.array([x2, -x1 - 0.5 * x2 * (1.0 - x1**2)])
-
-    def gmap(x):
-        return np.array([[0.0], [float(x[0])]])
+    def dynamics(x, u):
+        x1, x2 = x[0], x[1]
+        return np.array([x2, (-x1 - 0.5 * x2 * (1.0 - x1**2)) + x1 * u[0]])
 
     return ControlAffineSystem(
         name="vdp",
         n_x=2,
         n_u=1,
-        drift=drift,
-        input_map=gmap,
-        state_cost=lambda x: 0.5 * float(x[1]) ** 2,
+        dynamics=dynamics,
+        state_cost=lambda x: 0.5 * x[1] ** 2,
         penalty=ControlPenalty(weights=np.array([0.5])),
         domain=Box(np.array([-3.0, -3.0]), np.array([3.0, 3.0])),
         control_box=_box1(-1.0, 1.0),
-        ground_truth_policy=lambda x: np.array([-float(x[0]) * float(x[1])]),
+        ground_truth_policy=lambda x: np.array([-x[0] * x[1]]),
     )
 
 

@@ -69,9 +69,8 @@ def make_static_system():
         name="static",
         n_x=1,
         n_u=1,
-        drift=lambda x: np.zeros(1),
-        input_map=lambda x: np.zeros((1, 1)),
-        state_cost=lambda x: float(x[0] ** 2),
+        dynamics=lambda x, u: np.zeros_like(x),
+        state_cost=lambda x: x[0] ** 2,
         penalty=ControlPenalty(weights=np.array([1.0])),
         domain=Box(np.array([-2.0]), np.array([2.0])),
         control_box=Box(np.array([-1.0]), np.array([1.0])),

@@ -159,7 +159,7 @@ class TestClosedLoopRollout:
 
     def test_escape_raises_rollout_error(self):
         system = dataclasses.replace(
-            make_static_system(), drift=lambda x: x
+            make_static_system(), dynamics=lambda x, u: x
         )
         # x(t) = 2 e^t crosses the 10x domain bound (|x| = 20) near
         # t = ln 10 ~ 2.3, well inside the 5 second horizon.
@@ -170,7 +170,7 @@ class TestClosedLoopRollout:
 
     def test_blowup_raises_rollout_error(self):
         system = dataclasses.replace(
-            make_static_system(), drift=lambda x: x**5
+            make_static_system(), dynamics=lambda x, u: x**5
         )
         with pytest.raises(RolloutError):
             closed_loop_rollout(

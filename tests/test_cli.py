@@ -381,6 +381,33 @@ class TestIdentify:
         assert str(bad) in err and where in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "header",
+        ["x1,u1,y1", "y1,u1,x1,cost", "x1,u1,y1,z1,cost"],
+        ids=["missing-cost", "swapped", "unknown-column"],
+    )
+    def test_dataset_header_other_than_written_exits_2(
+        self, tmp_path, capsys, header
+    ):
+        # Columns are read by position, so any header but the one
+        # save_dataset_csv writes would load columns under wrong names.
+        bad = tmp_path / "bad.csv"
+        width = header.count(",") + 1
+        rows = [",".join(["0.5"] * width)] * 4
+        lines = ["# dt=0.01 epsilon=0 seed=0", header, *rows]
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "identify", "--dataset", str(bad), "--sigma", "1.0",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2:" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_undecodable_dataset_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"\xff\xfe")
@@ -988,6 +1015,13 @@ class TestMalformedValues:
         assert exc_info.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}:" in err and "Traceback" not in err
+        # The message names the expected form, not the parser function.
+        form = {
+            kmeoc.cli._parse_bool: "a boolean",
+            kmeoc.cli._parse_floats: "a comma list of numbers",
+            kmeoc.cli._parse_ints: "a comma list of integers",
+        }[kmeoc.cli._KEYS[key][0]]
+        assert f"expected {form}" in err and "_parse_" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("key", sorted(CASES))

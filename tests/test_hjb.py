@@ -580,9 +580,8 @@ def _two_input_system():
         name="two-input",
         n_x=1,
         n_u=2,
-        drift=lambda x: np.array([x[0] - x[0] ** 3]),
-        input_map=lambda x: np.array([[1.0, 0.5]]),
-        state_cost=lambda x: float(x[0] ** 2),
+        dynamics=lambda x, u: x - x**3 + (u[0] + 0.5 * u[1]),
+        state_cost=lambda x: x[0] ** 2,
         penalty=ControlPenalty(weights=np.array([1.0, 0.5])),
         domain=Box(np.array([-3.0]), np.array([3.0])),
         control_box=Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),

@@ -47,7 +47,22 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", SYSTEM_NAMES)
     def test_wellposed(self, name):
-        make_system(name).check_wellposed()
+        # Dynamics and stage cost are finite on a sample of the domain,
+        # evaluated column by column, and one state gives its column.
+        system = make_system(name)
+        rng = np.random.default_rng(0)
+        X = system.domain.sample(rng, 256)
+        if system.state_filter is not None:
+            X = X[:, system.state_filter(X)]
+        U = system.control_box.sample(rng, X.shape[1])
+        F = system.dynamics(X, U)
+        cost = system.state_cost(X)
+        assert F.shape == X.shape and cost.shape == (X.shape[1],)
+        assert np.all(np.isfinite(F)) and np.all(np.isfinite(cost))
+        for j in range(X.shape[1]):
+            np.testing.assert_allclose(
+                system.dynamics(X[:, j], U[:, j]), F[:, j], rtol=1e-13
+            )
 
     def test_unknown_name_lists_options(self):
         with pytest.raises(InputError, match="s1"):
@@ -62,9 +77,10 @@ class TestRegistry:
                 atol=1e-12,
             )
         # Linear drift with gain 1/2 and constant input sqrt(2).
-        np.testing.assert_allclose(s1.f(np.array([2.0])), [1.0], atol=1e-15)
+        x, u = np.array([2.0]), np.ones(1)
+        np.testing.assert_allclose(s1.dynamics(x, 0 * u), [1.0], atol=1e-15)
         np.testing.assert_allclose(
-            s1.G(np.array([2.0])), [[np.sqrt(2.0)]], atol=1e-15
+            s1.dynamics(x, u), [1.0 + np.sqrt(2.0)], atol=1e-15
         )
 
     def test_s2_truth_and_filter(self):
@@ -86,14 +102,16 @@ class TestRegistry:
             [-(0.5 + np.sin(2.0)) * x],
             atol=1e-12,
         )
-        np.testing.assert_allclose(
-            s3.G(np.array([x])), [[0.5 + np.sin(2.0)]], atol=1e-12
-        )
+        # The input gain is the response to a unit control.
+        x, u = np.array([x]), np.ones(1)
+        gain = s3.dynamics(x, u) - s3.dynamics(x, 0 * u)
+        np.testing.assert_allclose(gain, [0.5 + np.sin(2.0)], atol=1e-12)
 
     def test_s4_cubic_drift(self):
         s4 = make_system("s4")
-        np.testing.assert_allclose(s4.f(np.array([2.0])), [-8.0], atol=1e-12)
-        np.testing.assert_allclose(s4.G(np.array([2.0])), [[1.0]])
+        x, u = np.array([2.0]), np.ones(1)
+        np.testing.assert_allclose(s4.dynamics(x, 0 * u), [-8.0], atol=1e-12)
+        np.testing.assert_allclose(s4.dynamics(x, u), [-7.0], atol=1e-12)
         # The known optimal feedback at x=1: 1 - sqrt(2).
         np.testing.assert_allclose(
             s4.ground_truth_policy(np.array([1.0])),
@@ -104,10 +122,11 @@ class TestRegistry:
     def test_vdp_structure(self):
         vdp = make_system("vdp")
         assert vdp.n_x == 2 and vdp.n_u == 1
-        x = np.array([1.0, 2.0])
-        # (x2, -x1 - x2 (1 - x1^2) / 2) = (2, -1) at (1, 2).
-        np.testing.assert_allclose(vdp.f(x), [2.0, -1.0], atol=1e-12)
-        np.testing.assert_allclose(vdp.G(x), [[0.0], [1.0]], atol=1e-12)
+        x, u = np.array([1.0, 2.0]), np.ones(1)
+        # (x2, -x1 - x2 (1 - x1^2) / 2) = (2, -1) at (1, 2); the control
+        # enters the second coordinate with gain x1 = 1.
+        np.testing.assert_allclose(vdp.dynamics(x, 0 * u), [2.0, -1.0])
+        np.testing.assert_allclose(vdp.dynamics(x, u), [2.0, 0.0])
         np.testing.assert_allclose(vdp.penalty.weights, [0.5])
         assert vdp.state_cost(x) == pytest.approx(2.0)
         np.testing.assert_allclose(
@@ -155,7 +174,7 @@ class TestEulerMaruyama:
         import dataclasses
 
         sys_bad = dataclasses.replace(
-            make_static_system(), drift=lambda x: x**3
+            make_static_system(), dynamics=lambda x, u: x**3
         )
         with pytest.raises(IntegrationError) as exc_info:
             euler_maruyama_step(
@@ -169,7 +188,7 @@ class TestEulerMaruyama:
         # Pure-Python reference on floats: x*x*x overflows to inf (and
         # then inf - inf to nan) without raising, as numpy's does.
         sys_bad = dataclasses.replace(
-            make_static_system(), drift=lambda x: x * x * x
+            make_static_system(), dynamics=lambda x, u: x * x * x
         )
         dt, substeps, seed = 10.0, 200, 4
         h = dt / substeps
@@ -177,7 +196,7 @@ class TestEulerMaruyama:
         rng = np.random.default_rng(seed)
         x, first = 5.0, None
         for j in range(substeps):
-            x = x + h * (x * x * x + 0.0)
+            x = x + h * (x * x * x)
             if noise_scale > 0.0:
                 x = x + noise_scale * float(rng.standard_normal(1)[0])
             if not math.isfinite(x):
@@ -337,17 +356,25 @@ class TestGenerateDataset:
         # The reference integrates each sample with numpy's own finite
         # check, the way the simulator did before it checked on floats.
         def reference_step(system, x, u, dt, epsilon, substeps, rng):
-            x = np.asarray(x, dtype=float).reshape(system.n_x).copy()
+            x = np.asarray(x, dtype=float).reshape(system.n_x)
             h = dt / substeps
             noise_scale = np.sqrt(2.0 * epsilon * h)
             for j in range(substeps):
-                x = x + h * (system.f(x) + system.G(x) @ u)
+                x = x + h * system.dynamics(x, u)
                 if noise_scale > 0.0:
                     x = x + noise_scale * rng.standard_normal(system.n_x)
                 if not np.all(np.isfinite(x)):
                     raise IntegrationError("non-finite", step=j)
             return x
 
+        # Each system's stage cost in closed form, on the whole of X.
+        closed_form_cost = {
+            "s1": lambda X: X[0] ** 2,
+            "s2": lambda X: X[0] ** 2,
+            "s3": lambda X: X[0] ** 2,
+            "s4": lambda X: X[0] ** 2,
+            "vdp": lambda X: 0.5 * X[1] ** 2,
+        }
         system = make_system(name)
         N, seed, dt = 49, 5, 1e-2
         ds = generate_dataset(
@@ -356,13 +383,12 @@ class TestGenerateDataset:
         )
         children = np.random.SeedSequence(seed).spawn(ds.N + 1)
         Y = np.empty_like(ds.X)
-        cost = np.empty(ds.N)
         for i in range(ds.N):
             rng_i = np.random.default_rng(children[1 + i]) if epsilon else None
             Y[:, i] = reference_step(
                 system, ds.X[:, i], ds.U[:, i], dt, epsilon, 10, rng_i
             )
-            cost[i] = float(system.state_cost(ds.X[:, i])) * dt
+        cost = closed_form_cost[name](ds.X) * dt
         assert ds.Y.tobytes() == Y.tobytes()
         assert ds.cost.tobytes() == cost.tobytes()
 
