@@ -12,16 +12,16 @@ the process noise enters the estimator through the diffusion parameter
 of the kernel, not through the snapshots themselves.  Injecting
 integration noise into the targets is still available via the
 ``data_epsilon`` override, but it inflates the learned spectrum and can
-make the long-horizon recursion diverge.
+make the long-horizon recursion diverge.  The bench and sweep
+summaries are written as JSON by :func:`kmeoc.store.write_json`.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -40,9 +40,9 @@ from .kernel import KernelConfig
 from .systems import (
     Box,
     ControlAffineSystem,
-    _lattice,
     euler_maruyama_step,
     generate_dataset,
+    lattice,
     make_system,
 )
 
@@ -59,7 +59,6 @@ __all__ = [
     "closed_loop_rollout",
     "riccati_reference",
     "convergence_sweep",
-    "save_report_json",
 ]
 
 log = logging.getLogger(__name__)
@@ -269,7 +268,7 @@ def run_benchmark(
     # Grid sampling may round the sample count down to a full lattice.
     actual_N = cfg["N"]
     if cfg["sampler"] == "grid":
-        actual_N = _lattice(system.domain, actual_N)[1]
+        actual_N = lattice(system.domain, actual_N)[1]
 
     return BenchReport(
         system=name.lower(),
@@ -305,6 +304,9 @@ def closed_loop_rollout(
 
     Raises
     ------
+    InputError
+        T not finite and >= 0, dt not finite and > 0, or an x0 of
+        another size than the state.
     RolloutError
         If the state escapes ten times the training domain (measured
         from the domain's center) or stops being finite — both are
@@ -312,12 +314,18 @@ def closed_loop_rollout(
     """
     if (sol is None) != (ops is None):
         raise InputError("pass both sol and ops, or neither")
+    if not 0 <= T < math.inf:
+        raise InputError(f"T must be finite and >= 0, got {T}")
+    if not 0 < dt < math.inf:
+        raise InputError(f"dt must be finite and > 0, got {dt}")
+    x = np.asarray(x0, dtype=float).ravel()
+    if x.size != system.n_x:
+        raise InputError(f"x0 has {x.size} entries, state has {system.n_x}")
     steps = int(round(T / dt))
     center = 0.5 * (system.domain.lo + system.domain.hi)
     half = 0.5 * (system.domain.hi - system.domain.lo)
     escape = Box(center - 10.0 * half, center + 10.0 * half)
     rng = np.random.default_rng(seed)
-    x = np.asarray(x0, dtype=float).reshape(system.n_x)
     # Every later state is finite, or the step that made it raised.
     if not np.all(np.isfinite(x)):
         raise RolloutError(f"the initial state {x} is not finite")
@@ -391,19 +399,3 @@ def convergence_sweep(
         report = run_benchmark(name, reps=reps, overrides=merged, seed=seed)
         out.append((n, report.rmse_mean))
     return out
-
-
-def _json_safe(value):
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    if isinstance(value, list):
-        return [_json_safe(v) for v in value]
-    return value
-
-
-def save_report_json(report: BenchReport, path) -> None:
-    """Summary JSON with every report field (NaN encoded as null)."""
-    payload = {k: _json_safe(v) for k, v in asdict(report).items()}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

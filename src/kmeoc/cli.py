@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import logging
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -58,8 +57,6 @@ from .estimator import (
 )
 from .fpk import (
     embed_initial,
-    export_forecast_csv,
-    export_weights_csv,
     forecast_observable_path,
     observable_forecast,
     propagate,
@@ -67,19 +64,11 @@ from .fpk import (
 from .hjb import (
     ControlPenalty,
     ValueSolution,
-    export_value_policy_csv,
     khjb_recursion,
     policy_interpolate,
 )
 from .kernel import DIFFUSED_MODES, KernelConfig, build_grams
-from .systems import (
-    SYSTEM_NAMES,
-    _float_rows,
-    generate_dataset,
-    load_dataset_csv,
-    make_system,
-    save_dataset_csv,
-)
+from .systems import SYSTEM_NAMES, generate_dataset, make_system
 
 __all__ = ["main"]
 
@@ -358,23 +347,6 @@ def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(str(path)))[0]
 
 
-def _read_states(path: str) -> np.ndarray:
-    """The n_x x M states of a CSV with one state per row.
-
-    ``#`` starts a comment; blank lines are skipped.  A bad row raises
-    InputError naming its line in the file, and undecodable text one
-    naming the file.
-    """
-    try:
-        with open(path) as fh:
-            lines = [
-                (n, t.split("#", 1)[0].strip()) for n, t in enumerate(fh, 1)
-            ]
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    return _float_rows(path, ((n, t.split(",")) for n, t in lines if t)).T
-
-
 def cmd_generate(settings: _Settings) -> int:
     system = make_system(str(settings.get("system", required=True)))
     n = int(settings.get("n", required=True))
@@ -394,14 +366,14 @@ def cmd_generate(settings: _Settings) -> int:
     )
     out = _ensure_out(settings)
     path = os.path.join(out, f"{system.name}_n{ds.N}_seed{seed}.csv")
-    save_dataset_csv(ds, path)
+    store.save_dataset_csv(ds, path)
     print(f"wrote {ds.N} samples to {path}")
     return 0
 
 
 def cmd_identify(settings: _Settings) -> int:
     ds_path = str(settings.get("dataset", required=True))
-    ds = load_dataset_csv(ds_path)
+    ds = store.load_dataset_csv(ds_path)
     sigma_grid = settings.get("sigma_grid")
     if bool(sigma_grid) == settings.was_set("sigma"):
         raise InputError("identify: set exactly one of sigma or sigma_grid")
@@ -447,19 +419,9 @@ def cmd_identify(settings: _Settings) -> int:
         "model_path": os.path.relpath(model_path, out),
     }
     if scores is not None:
-        summary["sigma_grid_scores"] = [
-            {
-                "sigma": s.sigma,
-                "validation_error": s.validation_error,
-                "departure_from_normality": s.departure_from_normality,
-                "combined": s.combined,
-            }
-            for s in scores
-        ]
+        summary["sigma_grid_scores"] = [asdict(s) for s in scores]
     summary_path = os.path.join(out, f"{_stem(ds_path)}_fit.json")
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    store.write_json(summary, summary_path)
     print(f"wrote model to {model_path} (summary: {summary_path})")
     return 0
 
@@ -493,14 +455,14 @@ def cmd_control(settings: _Settings) -> int:
         H,
         stop_tol=float(settings.get("stop_tol")),
     )
-    answers = [
-        (chunk, x, policy_interpolate(x, sol, ops)) for chunk, x in queries
-    ]
+    answers = [policy_interpolate(x, sol, ops) for _, x in queries]
     out = _ensure_out(settings)
     stem = _stem(settings.get("model"))
     steps = None if which == "all" else [sol.stationary_step]
     csv_path = os.path.join(out, f"{stem}_policy.csv")
-    export_value_policy_csv(sol, ops.dataset_ref.X, csv_path, steps=steps)
+    store.export_value_policy_csv(
+        sol, ops.dataset_ref.X, csv_path, steps=steps
+    )
     lines = [f"wrote policy/value table to {csv_path}"]
     if sol.converged_at is not None:
         lines.append(f"policy stationary from step {sol.converged_at}")
@@ -510,14 +472,11 @@ def cmd_control(settings: _Settings) -> int:
         lines.append(f"wrote value solution to {sol_path}")
     if queries:
         qpath = os.path.join(out, f"{stem}_queries.csv")
-        with open(qpath, "w") as fh:
-            header = [f"x{d+1}" for d in range(n_x)]
-            header += [f"u{m+1}" for m in range(ops.n_u)]
-            fh.write(",".join(header) + "\n")
-            for chunk, x, u in answers:
-                row = [f"{v:.17g}" for v in x] + [f"{v:.17g}" for v in u]
-                fh.write(",".join(row) + "\n")
-                lines.append(f"pi({chunk}) = {u}")
+        chunks, xs = zip(*queries)
+        store.export_queries_csv(
+            np.column_stack(xs), np.column_stack(answers), qpath
+        )
+        lines += [f"pi({chunk}) = {u}" for chunk, u in zip(chunks, answers)]
         lines.append(f"wrote queries to {qpath}")
     print("\n".join(lines))
     return 0
@@ -571,7 +530,7 @@ def cmd_predict(settings: _Settings) -> int:
     if x0 is not None:
         X0 = np.asarray(x0, dtype=float)[:, None]
     else:
-        X0 = _read_states(str(init_csv))
+        X0 = store.load_states_csv(str(init_csv))
     z0 = embed_initial(ops, X0)
 
     if settings.get("dump_weights"):
@@ -586,14 +545,14 @@ def cmd_predict(settings: _Settings) -> int:
     out = _ensure_out(settings)
     stem = _stem(settings.get("model"))
     fpath = os.path.join(out, f"{stem}_forecast.csv")
-    export_forecast_csv(values, ops.kernel_cfg.dt, fpath)
+    store.export_forecast_csv(values, ops.kernel_cfg.dt, fpath)
     lines = [
         f"forecast[0] = {values[0]:.6g}, forecast[{steps}] = {values[-1]:.6g}",
         f"wrote forecast to {fpath}",
     ]
     if zs is not None:
         wpath = os.path.join(out, f"{stem}_weights.csv")
-        export_weights_csv(zs, wpath)
+        store.export_weights_csv(zs, wpath)
         lines.append(f"wrote weights to {wpath}")
     print("\n".join(lines))
     return 0
@@ -627,7 +586,7 @@ def cmd_bench(settings: _Settings) -> int:
     )
     out = _ensure_out(settings)
     json_path = os.path.join(out, f"bench_{report.system}.json")
-    bench_mod.save_report_json(report, json_path)
+    store.write_json(asdict(report), json_path)
     print(
         f"{report.system}: rmse_mean = {report.rmse_mean:.6g} "
         f"(std {report.rmse_std:.2g}, {report.reps} reps, "
@@ -658,22 +617,19 @@ def cmd_sweep(settings: _Settings) -> int:
         xs, ys = zip(*logs)
         slope = float(np.polyfit(xs, ys, 1)[0])
     json_path = os.path.join(out, f"sweep_{system.lower()}.json")
-    with open(json_path, "w") as fh:
-        json.dump(
-            {
-                "system": system.lower(),
-                "reps": (
-                    bench_mod.bench_config(system)["reps"]
-                    if reps is None else reps
-                ),
-                "seed": int(settings.get("seed")),
-                "points": [[n, bench_mod._json_safe(r)] for n, r in points],
-                "loglog_slope": slope,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    store.write_json(
+        {
+            "system": system.lower(),
+            "reps": (
+                bench_mod.bench_config(system)["reps"]
+                if reps is None else reps
+            ),
+            "seed": int(settings.get("seed")),
+            "points": points,
+            "loglog_slope": slope,
+        },
+        json_path,
+    )
     slope_text = "n/a" if slope is None else f"{slope:.3f}"
     print(f"sweep {system}: loglog slope {slope_text} -> {json_path}")
     return 0

@@ -76,9 +76,7 @@ _JITTER_CAP = 1e-4
 _RHO_MAX = 0.1  # largest gap / ridge a fit settles on
 _SCORE_WEIGHTS = (1.0, 0.1)  # model selection: validation, normality
 
-__getattr__ = _scipy_linalg_getattr(
-    globals(), ("cho_factor", "cho_solve", "eigvalsh")
-)
+__getattr__ = _scipy_linalg_getattr(globals(), ("cho_factor", "cho_solve"))
 
 
 def _linalg(name: str):
@@ -373,7 +371,7 @@ def fit_krr(
         nxt = jitter * 10.0 if jitter > 0.0 else _JITTER_CAP * 10.0
         if nxt > _JITTER_CAP:
             # The smallest eigenvalue of W W^T; 0 when W has < N columns.
-            eig = _linalg("eigvalsh")(W.T @ W)
+            eig = np.linalg.eigvalsh(W.T @ W)
             smallest = float(eig[-N]) if len(eig) >= N else 0.0
             raise EstimationError(
                 f"the ridge {jitter:.1e} is not above the rounding floor "

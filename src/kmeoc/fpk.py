@@ -8,12 +8,12 @@ fitted operators push such weights one step forward,
 
 where pi_m(X) is the m-th control coordinate of the feedback law tabled
 over the training points.  Expectations of an observable psi are then
-kernel-quadrature sums z^T psi(X).
+kernel-quadrature sums z^T psi(X).  The forecast path and the weights
+are written as CSV by :mod:`kmeoc.store`.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +34,6 @@ __all__ = [
     "propagate",
     "observable_forecast",
     "forecast_observable_path",
-    "export_forecast_csv",
-    "export_weights_csv",
 ]
 
 
@@ -146,23 +144,3 @@ def forecast_observable_path(
         z = propagate(ops, z, policy_at_X)
         out[z.step] = observable_forecast(z, psi_values)
     return out
-
-
-def export_forecast_csv(values, dt: float, path) -> None:
-    """Write ``k,t,observable_value`` rows for a forecast path."""
-    values = np.asarray(values, dtype=float).ravel()
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["k", "t", "observable_value"])
-        for k, v in enumerate(values):
-            wr.writerow([k, f"{k * dt:.17g}", f"{v:.17g}"])
-
-
-def export_weights_csv(weights_seq, path) -> None:
-    """Write ``k,i,z_i`` rows for a sequence of MeasureWeights."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["k", "i", "z_i"])
-        for w in weights_seq:
-            for i, zi in enumerate(w.z):
-                wr.writerow([w.step, i, f"{zi:.17g}"])

@@ -26,16 +26,16 @@ where the closed form makes y obey a quadratic recursion of its own
 (:func:`_use_coordinates` chooses).  Both kinds share one finite check,
 stop rule and freeze, and on the same operators agree to rounding.
 Once the policy is frozen a step is linear in [y; 1], and every frozen
-step, on either path, goes through that one linear map.
+step, on either path, goes through that one linear map.  The value
+and policy table is written as CSV by :mod:`kmeoc.store`.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -57,7 +57,6 @@ __all__ = [
     "khjb_recursion",
     "value_functional",
     "policy_interpolate",
-    "export_value_policy_csv",
 ]
 
 log = logging.getLogger(__name__)
@@ -701,41 +700,3 @@ def policy_interpolate(
         lo, hi = sol.box
         out = np.clip(out, lo[:, None], hi[:, None])
     return out[:, 0] if single else out
-
-
-def export_value_policy_csv(
-    sol: ValueSolution,
-    X,
-    path,
-    steps: Optional[Sequence[int]] = None,
-) -> None:
-    """Write ``k,t,i,x1..xn,v,u1..um`` rows, k outermost, then i.
-
-    ``steps`` restricts the export to the given step indices (default:
-    all policy steps 0..H-1).
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    n_x = X.shape[0]
-    n_u = sol.n_u
-    if steps is None:
-        steps = range(sol.horizon)
-    header = (
-        ["k", "t", "i"]
-        + [f"x{d+1}" for d in range(n_x)]
-        + ["v"]
-        + [f"u{m+1}" for m in range(n_u)]
-    )
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        for k in steps:
-            t = k * sol.dt
-            v, u = sol.value_row(k), sol.policy_row(k)
-            for i in range(X.shape[1]):
-                row = [k, f"{t:.17g}", i]
-                row += [f"{X[d, i]:.17g}" for d in range(n_x)]
-                row += [f"{v[i]:.17g}"]
-                row += [f"{u[m, i]:.17g}" for m in range(n_u)]
-                wr.writerow(row)

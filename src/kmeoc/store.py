@@ -1,27 +1,31 @@
-"""Persistence of fitted models and value solutions.
+"""Every file the program reads or writes, bar the CLI's settings file.
 
-These are the two binary artifact kinds; datasets are CSV files
-(:func:`kmeoc.systems.save_dataset_csv`) and bench reports are JSON
-(:mod:`kmeoc.bench`).  Both kinds share one framing: a 16-byte
-header (8-byte magic tag, little-endian u32 version, little-endian u32
-kind), an 8-byte BLAKE2b checksum of the payload, then the payload
-itself.  The version is kept per kind (:data:`VERSIONS`); a model is
-stored as the thin factors of its operators, each distinct factor array
-once, and a value solution as its coordinates y_k together with the
-right factors, stage cost and penalty that expand them into rows.
-Payloads are little-endian float64 streams in row-major order, so
-files transfer between machines unchanged.  Writes go to a temporary
-file in the destination directory and are renamed into place, so
-readers never observe a half-written artifact.
+Models and value solutions are binary artifacts (:func:`save`,
+:func:`load`) with one framing: a 16-byte header (8-byte magic tag,
+little-endian u32 version, little-endian u32 kind), an 8-byte BLAKE2b
+checksum of the payload, then the payload itself.  The version is kept
+per kind (:data:`VERSIONS`); a model is stored as the thin factors of
+its operators, each distinct factor array once, and a value solution as
+its coordinates y_k together with the right factors, stage cost and
+penalty that expand them into rows.  Payloads are little-endian float64
+streams in row-major order, so files transfer between machines
+unchanged.  Artifacts are written to a temporary file in the
+destination directory and renamed into place, so readers never observe
+a half-written artifact.  Datasets, value/policy tables, forecasts,
+weights and query answers are CSV tables, all written by
+:func:`_write_csv`, and the fit, bench and sweep summaries are JSON,
+written by :func:`write_json`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import os
 import struct
 import tempfile
-from typing import Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,7 +42,12 @@ from .hjb import ControlPenalty, ValueSolution
 from .kernel import DIFFUSED_MODES, KernelConfig
 from .systems import Dataset
 
-__all__ = ["save", "load", "MAGIC", "VERSIONS"]
+__all__ = [
+    "save", "load", "MAGIC", "VERSIONS",
+    "save_dataset_csv", "load_dataset_csv", "load_states_csv",
+    "export_value_policy_csv", "export_forecast_csv", "export_weights_csv",
+    "export_queries_csv", "write_json",
+]
 
 MAGIC = b"KMEOCART"
 
@@ -357,3 +366,211 @@ def load(path) -> Persistable:
             f"{path!r}: malformed payload: {exc}",
             invariant="well-formed payload",
         ) from exc
+
+
+def _write_csv(path, header, blocks, int_cols=(), comment=None) -> None:
+    """Write an optional ``# comment`` line, the header, then each block.
+
+    Every block is a 2-D array with one row per table row; integer
+    columns (by index) print as ``%d``, the others as ``%.17g``.  The
+    rows are formatted one block at a time, so a table of many blocks is
+    never held in memory whole.  Every line ends in a bare LF.
+    """
+    line = ",".join(
+        "%d" if j in int_cols else "%.17g" for j in range(len(header))
+    ) + "\n"
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            block = np.asarray(block, dtype=float)
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _names(prefix: str, n: int) -> list:
+    """Column names ``prefix1 .. prefixn``."""
+    return [f"{prefix}{d + 1}" for d in range(n)]
+
+
+def _csv_header(n_x: int, n_u: int) -> list:
+    return _names("x", n_x) + _names("u", n_u) + _names("y", n_x) + ["cost"]
+
+
+def save_dataset_csv(ds: Dataset, path) -> None:
+    """Write the one-row-per-sample CSV with a leading metadata line."""
+    if ds.Y is None:
+        raise InputError("a dataset without successors Y has no CSV form")
+    _write_csv(
+        path,
+        _csv_header(ds.n_x, ds.n_u),
+        [np.vstack([ds.X, ds.U, ds.Y, ds.cost]).T],
+        comment=(
+            f"dt={ds.dt:.17g} epsilon={ds.epsilon:.17g} "
+            f"seed={ds.seed} system={ds.system}"
+        ),
+    )
+
+
+def _float_rows(path, numbered_rows, width=None) -> np.ndarray:
+    """Stack (line number, fields) pairs into a float array, one row each.
+
+    Every row must have ``width`` fields (the first row's count when
+    None).  A ragged or non-numeric row, or no row at all, raises
+    InputError naming the file and the line.
+    """
+    rows = []
+    for line, fields in numbered_rows:
+        if width is None:
+            width = len(fields)
+        if len(fields) != width:
+            raise InputError(
+                f"{path}:{line}: {len(fields)} fields, expected {width}"
+            )
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError as exc:
+            raise InputError(f"{path}:{line}: {exc}") from None
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=float)
+
+
+def _numbered_lines(path) -> list:
+    """(line number from 1, text) per line; undecodable text: InputError."""
+    try:
+        with open(path) as fh:
+            return [(n, t.rstrip("\n")) for n, t in enumerate(fh, 1)]
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def load_dataset_csv(path) -> Dataset:
+    """Inverse of :func:`save_dataset_csv` (bit-exact round trip).
+
+    The header must be exactly the one it writes; columns are read by
+    position.  Malformed input raises InputError naming the file and the
+    line, and undecodable text one naming the file.
+    """
+    lines = _numbered_lines(path)
+    meta_line = lines[0][1] if lines else ""
+    if not meta_line.startswith("#"):
+        raise InputError(f"{path}:1: dataset CSV missing the metadata line")
+    meta = dict(tok.partition("=")[::2] for tok in meta_line[1:].split())
+    try:
+        dt, epsilon = float(meta["dt"]), float(meta["epsilon"])
+        seed = int(meta["seed"])
+    except (KeyError, ValueError):
+        raise InputError(
+            f"{path}:1: metadata needs numeric dt=, epsilon= and seed=, "
+            f"got {meta_line.strip()!r}"
+        ) from None
+    header = lines[1][1].split(",") if len(lines) > 1 else []
+    n_x = sum(1 for h in header if h.startswith("x"))
+    n_u = sum(1 for h in header if h.startswith("u"))
+    if not (n_x and n_u) or header != _csv_header(n_x, n_u):
+        raise InputError(
+            f"{path}:2: expected the header x1..xn,u1..um,y1..yn,cost, "
+            f"got {','.join(header)!r}"
+        )
+    numbered = ((n, t.split(",")) for n, t in lines[2:] if t)
+    data = _float_rows(path, numbered, len(header)).T
+    return Dataset(
+        X=data[:n_x],
+        U=data[n_x : n_x + n_u],
+        Y=data[n_x + n_u : 2 * n_x + n_u],
+        cost=data[-1],
+        dt=dt,
+        epsilon=epsilon,
+        seed=seed,
+        system=meta.get("system", ""),
+    )
+
+
+def load_states_csv(path) -> np.ndarray:
+    """The n_x x M states of a CSV with one state per row.
+
+    ``#`` starts a comment; blank lines are skipped.  A bad row raises
+    InputError naming its line in the file, and undecodable text one
+    naming the file.
+    """
+    lines = [(n, t.split("#", 1)[0].strip()) for n, t in _numbered_lines(path)]
+    return _float_rows(path, ((n, t.split(",")) for n, t in lines if t)).T
+
+
+def export_value_policy_csv(
+    sol: ValueSolution, X, path, steps: Optional[Sequence[int]] = None
+) -> None:
+    """Write ``k,t,i,x1..xn,v,u1..um`` rows, k outermost, then i.
+
+    ``X`` is the n_x x N array of training states.  ``steps`` restricts
+    the export to the given step indices (default: all policy steps
+    0..H-1).  A step outside [0, H) or an ``X`` of another shape raises
+    InputError before the file is opened.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != sol.N:
+        raise InputError(
+            f"X has shape {X.shape}, the solution needs (n_x, {sol.N})"
+        )
+    steps = range(sol.horizon) if steps is None else list(steps)
+    for k in steps:
+        if not 0 <= k < sol.horizon:
+            raise InputError(f"step {k} outside [0, {sol.horizon})")
+    n_x, N = X.shape
+    header = ["k", "t", "i", *_names("x", n_x), "v", *_names("u", sol.n_u)]
+    blocks = (
+        np.column_stack([
+            np.full(N, k), np.full(N, k * sol.dt), np.arange(N), X.T,
+            sol.value_row(k), sol.policy_row(k).T,
+        ])
+        for k in steps
+    )
+    _write_csv(path, header, blocks, int_cols=(0, 2))
+
+
+def export_forecast_csv(values, dt: float, path) -> None:
+    """Write ``k,t,observable_value`` rows for a forecast path."""
+    values = np.asarray(values, dtype=float).ravel()
+    k = np.arange(values.size)
+    _write_csv(
+        path, ["k", "t", "observable_value"],
+        [np.column_stack([k, k * dt, values])], int_cols=(0,),
+    )
+
+
+def export_weights_csv(weights_seq, path) -> None:
+    """Write ``k,i,z_i`` rows for a sequence of MeasureWeights."""
+    blocks = (
+        np.column_stack([np.full(w.z.size, w.step), np.arange(w.z.size), w.z])
+        for w in weights_seq
+    )
+    _write_csv(path, ["k", "i", "z_i"], blocks, int_cols=(0, 1))
+
+
+def export_queries_csv(states, controls, path) -> None:
+    """Write ``x1..xn,u1..um`` rows, one per queried state.
+
+    ``states`` is n_x x M and ``controls`` n_u x M, column j the control
+    the feedback law gives at state j.
+    """
+    header = _names("x", len(states)) + _names("u", len(controls))
+    _write_csv(path, header, [np.vstack([states, controls]).T])
+
+
+def _json_safe(value):
+    """``value`` with every NaN float, at any depth, replaced by None."""
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
+def write_json(payload, path) -> None:
+    """Write ``payload`` as indented JSON, NaN as null, ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(_json_safe(payload), fh, indent=2)
+        fh.write("\n")

@@ -10,12 +10,12 @@ a cloud of one-step transitions: initial states drawn over the
 system's state box, controls drawn over its control box, and successors
 produced by Euler--Maruyama substepping.  Every sample owns its own
 reproducibly derived RNG substream, so the result depends only on
-(system, N, seed) — never on sharding or evaluation order.
+(system, N, seed) — never on sharding or evaluation order.  Datasets
+are written and read as CSV by :mod:`kmeoc.store`.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -32,8 +32,7 @@ __all__ = [
     "Dataset",
     "euler_maruyama_step",
     "generate_dataset",
-    "save_dataset_csv",
-    "load_dataset_csv",
+    "lattice",
     "make_system",
     "SYSTEM_NAMES",
 ]
@@ -62,12 +61,11 @@ class Box:
     def dim(self) -> int:
         return self.lo.size
 
-    def contains(self, x, atol: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         pts = x if x.ndim == 2 else x[:, None]
         return bool(
-            np.all(pts >= self.lo[:, None] - atol)
-            and np.all(pts <= self.hi[:, None] + atol)
+            np.all(pts >= self.lo[:, None]) and np.all(pts <= self.hi[:, None])
         )
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -224,7 +222,7 @@ def euler_maruyama_step(
     return x
 
 
-def _lattice(box: Box, n: int):
+def lattice(box: Box, n: int):
     """Near-square lattice over the box with at most n points.
 
     Uses the same number of points per axis (the largest s with
@@ -288,7 +286,7 @@ def generate_dataset(
     if sampler == "uniform_iid":
         X = system.domain.sample(draw_rng, N)
     else:
-        X, actual = _lattice(system.domain, N)
+        X, actual = lattice(system.domain, N)
         if actual != N:
             log.warning(
                 "grid sampler rounded N from %d down to %d (%d per axis)",
@@ -319,110 +317,6 @@ def generate_dataset(
     return Dataset(
         X=X, U=U, Y=Y, cost=cost, dt=dt, epsilon=epsilon, seed=seed,
         system=system.name,
-    )
-
-
-def _csv_header(n_x: int, n_u: int) -> list:
-    return (
-        [f"x{d+1}" for d in range(n_x)]
-        + [f"u{m+1}" for m in range(n_u)]
-        + [f"y{d+1}" for d in range(n_x)]
-        + ["cost"]
-    )
-
-
-def save_dataset_csv(ds: Dataset, path) -> None:
-    """Write the one-row-per-sample CSV with a leading metadata line."""
-    if ds.Y is None:
-        raise InputError("a dataset without successors Y has no CSV form")
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# dt={ds.dt:.17g} epsilon={ds.epsilon:.17g} "
-            f"seed={ds.seed} system={ds.system}\n"
-        )
-        wr = csv.writer(fh)
-        wr.writerow(_csv_header(ds.n_x, ds.n_u))
-        for i in range(ds.N):
-            row = [f"{v:.17g}" for v in ds.X[:, i]]
-            row += [f"{v:.17g}" for v in ds.U[:, i]]
-            row += [f"{v:.17g}" for v in ds.Y[:, i]]
-            row.append(f"{ds.cost[i]:.17g}")
-            wr.writerow(row)
-
-
-def _float_rows(path, numbered_rows, width=None) -> np.ndarray:
-    """Stack (line number, fields) pairs into a float array, one row each.
-
-    Every row must have ``width`` fields (the first row's count when
-    None).  A ragged or non-numeric row, or no row at all, raises
-    InputError naming the file and the line.
-    """
-    rows = []
-    for line, fields in numbered_rows:
-        if width is None:
-            width = len(fields)
-        if len(fields) != width:
-            raise InputError(
-                f"{path}:{line}: {len(fields)} fields, expected {width}"
-            )
-        try:
-            rows.append([float(v) for v in fields])
-        except ValueError as exc:
-            raise InputError(f"{path}:{line}: {exc}") from None
-    if not rows:
-        raise InputError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
-
-
-def load_dataset_csv(path) -> Dataset:
-    """Inverse of :func:`save_dataset_csv` (bit-exact round trip).
-
-    The header must be exactly the one it writes; columns are read by
-    position.  Malformed input raises InputError naming the file and the
-    line, and undecodable text one naming the file.
-    """
-    try:
-        with open(path, newline="") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    meta_line = lines[0] if lines else ""
-    if not meta_line.startswith("#"):
-        raise InputError(f"{path}:1: dataset CSV missing the metadata line")
-    meta = dict(tok.partition("=")[::2] for tok in meta_line[1:].split())
-    try:
-        dt, epsilon = float(meta["dt"]), float(meta["epsilon"])
-        seed = int(meta["seed"])
-    except (KeyError, ValueError):
-        raise InputError(
-            f"{path}:1: metadata needs numeric dt=, epsilon= and seed=, "
-            f"got {meta_line.strip()!r}"
-        ) from None
-    rd = csv.reader(lines[1:])
-    header = next(rd, [])
-    n_x = sum(1 for h in header if h.startswith("x"))
-    n_u = sum(1 for h in header if h.startswith("u"))
-    if not (n_x and n_u) or header != _csv_header(n_x, n_u):
-        raise InputError(
-            f"{path}:2: expected the header x1..xn,u1..um,y1..yn,cost, "
-            f"got {','.join(header)!r}"
-        )
-    # The reader starts after the metadata line.
-    numbered = ((rd.line_num + 1, row) for row in rd if row)
-    data = _float_rows(path, numbered, len(header)).T
-    X = data[:n_x]
-    U = data[n_x : n_x + n_u]
-    Y = data[n_x + n_u : 2 * n_x + n_u]
-    cost = data[-1]
-    return Dataset(
-        X=X,
-        U=U,
-        Y=Y,
-        cost=cost,
-        dt=dt,
-        epsilon=epsilon,
-        seed=seed,
-        system=meta.get("system", ""),
     )
 
 

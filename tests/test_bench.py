@@ -19,12 +19,8 @@ from kmeoc import (
     run_benchmark,
 )
 from kmeoc import test_grid as policy_test_grid
-from kmeoc.bench import (
-    BENCH_DEFAULTS,
-    bench_config,
-    rmse_table,
-    save_report_json,
-)
+from kmeoc.bench import BENCH_DEFAULTS, bench_config, rmse_table
+from kmeoc.store import write_json
 from kmeoc.systems import make_system
 
 from conftest import make_static_system
@@ -212,6 +208,25 @@ class TestClosedLoopRollout:
                 make_system("s1"), sol, None, np.array([0.0]), T=1.0, dt=0.1
             )
 
+    @pytest.mark.parametrize(
+        "name, x0, T, dt, match",
+        [
+            ("s1", [0.5], -1.0, 0.1, "T must be"),
+            ("s1", [0.5], math.nan, 0.1, "T must be"),
+            ("s1", [0.5], math.inf, 0.1, "T must be"),
+            ("s1", [0.5], 1.0, 0.0, "dt must be"),
+            ("s1", [0.5], 1.0, -0.01, "dt must be"),
+            ("s1", [0.5], 1.0, math.nan, "dt must be"),
+            ("vdp", [0.5], 1.0, 0.1, "x0 has 1 entries, state has 2"),
+            ("s1", [0.5, 0.5], 1.0, 0.1, "x0 has 2 entries, state has 1"),
+        ],
+    )
+    def test_bad_horizon_step_or_state_rejected(self, name, x0, T, dt, match):
+        with pytest.raises(InputError, match=match):
+            closed_loop_rollout(
+                make_system(name), None, None, np.array(x0), T=T, dt=dt
+            )
+
 
 class TestRiccatiReference:
     def test_known_gains(self):
@@ -270,7 +285,7 @@ class TestReportPersistence:
             seed=0,
         )
         path = tmp_path / "report.json"
-        save_report_json(rep, path)
+        write_json(dataclasses.asdict(rep), path)
         data = json.loads(path.read_text())
         assert data["system"] == "s1"
         for r in rep.flagged_reps:

@@ -26,14 +26,12 @@ from kmeoc import (
     save,
 )
 from kmeoc.cli import main
-from kmeoc.fpk import (
-    embed_initial,
+from kmeoc.fpk import embed_initial, forecast_observable_path, propagate
+from kmeoc.store import (
     export_forecast_csv,
     export_weights_csv,
-    forecast_observable_path,
-    propagate,
+    load_dataset_csv,
 )
-from kmeoc.systems import load_dataset_csv
 
 from conftest import make_static_dataset
 

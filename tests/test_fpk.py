@@ -17,7 +17,7 @@ from kmeoc import (
     observable_forecast,
     propagate,
 )
-from kmeoc.fpk import export_forecast_csv, export_weights_csv
+from kmeoc.store import export_forecast_csv, export_weights_csv
 
 from conftest import make_static_dataset
 

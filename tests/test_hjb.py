@@ -30,7 +30,8 @@ from kmeoc import (
 from kmeoc import hjb
 from kmeoc.bench import bench_config, fit_and_solve
 from kmeoc.estimator import enforce_markov
-from kmeoc.hjb import _fenchel_batch, export_value_policy_csv
+from kmeoc.hjb import _fenchel_batch
+from kmeoc.store import export_value_policy_csv
 from kmeoc.systems import generate_dataset, make_system
 
 from conftest import make_static_dataset
@@ -894,3 +895,22 @@ class TestCsvExport:
         with open(path, newline="") as fh:
             rows = list(fh)
         assert len(rows) == 1 + 3 * static_ops.N
+
+    def test_step_outside_horizon_writes_nothing(self, tmp_path, s1_fit):
+        ops, sol = s1_fit
+        path = tmp_path / "vp.csv"
+        for steps in ([0, sol.horizon], [-1]):
+            with pytest.raises(InputError, match="outside"):
+                export_value_policy_csv(
+                    sol, ops.dataset_ref.X, path, steps=steps
+                )
+            assert not path.exists()
+
+    def test_states_of_another_size_write_nothing(self, tmp_path, s1_fit):
+        ops, sol = s1_fit
+        X = ops.dataset_ref.X
+        path = tmp_path / "vp.csv"
+        for bad in (X[:, :10], np.hstack([X, X[:, :1]])):
+            with pytest.raises(InputError, match="shape"):
+                export_value_policy_csv(sol, bad, path, steps=[0])
+            assert not path.exists()

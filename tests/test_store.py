@@ -230,14 +230,14 @@ class TestValidation:
             save({"not": "an artifact"}, tmp_path / "x.bin")
 
     def test_dataset_is_not_persisted(self, tmp_path):
-        # Datasets persist as CSV only (systems.save_dataset_csv).
+        # Datasets persist as CSV only (store.save_dataset_csv).
         path = tmp_path / "ds.bin"
         with pytest.raises(InputError, match="cannot persist"):
             save(make_static_dataset(N=5), path)
         assert not path.exists()
 
     def test_bench_report_is_not_persisted(self, tmp_path):
-        # Reports persist as JSON or CSV only (bench.save_report_json/csv).
+        # Reports persist as JSON only (store.write_json).
         report = BenchReport(
             system="s1", reps=1, rmse_mean=0.1, rmse_std=0.0,
             per_rep_rmse=[0.1], sigma=1.2, N=5, H=3, dt=1e-2,

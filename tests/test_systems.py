@@ -17,10 +17,9 @@ from kmeoc import (
     build_grams,
     euler_maruyama_step,
     generate_dataset,
-    load_dataset_csv,
     make_system,
-    save_dataset_csv,
 )
+from kmeoc.store import load_dataset_csv, save_dataset_csv
 
 from conftest import make_static_system
 
@@ -469,6 +468,18 @@ class TestCsvRoundTrip:
         assert np.array_equal(ds.cost, back.cost)
         assert back.dt == ds.dt and back.epsilon == ds.epsilon
         assert back.seed == ds.seed and back.system == "s3"
+
+    def test_lf_written_and_crlf_read(self, tmp_path):
+        ds = generate_dataset(
+            make_system("vdp"), 9, KernelConfig(sigma=1.0), seed=2
+        )
+        path = tmp_path / "snap.csv"
+        save_dataset_csv(ds, path)
+        text = path.read_bytes()
+        assert b"\r" not in text
+        path.write_bytes(text.replace(b"\n", b"\r\n"))
+        back = load_dataset_csv(path)
+        assert np.array_equal(ds.Y, back.Y) and back.system == "vdp"
 
     def test_missing_metadata_rejected(self, tmp_path):
         path = tmp_path / "bare.csv"
