@@ -31,7 +31,6 @@ from .errors import (
     DivergenceError,
     InputError,
     IntegrationError,
-    OracleError,
     RolloutError,
 )
 from .estimator import EstimatedOperators, enforce_markov, fit_krr
@@ -57,7 +56,6 @@ __all__ = [
     "fit_and_solve",
     "test_grid",
     "closed_loop_rollout",
-    "riccati_reference",
     "convergence_sweep",
 ]
 
@@ -305,8 +303,9 @@ def closed_loop_rollout(
     Raises
     ------
     InputError
-        T not finite and >= 0, dt not finite and > 0, or an x0 of
-        another size than the state.
+        T not finite and >= 0, dt not finite and > 0, a T / dt whose
+        trajectory does not fit in memory, or an x0 of another size than
+        the state.
     RolloutError
         If the state escapes ten times the training domain (measured
         from the domain's center) or stops being finite — both are
@@ -321,7 +320,14 @@ def closed_loop_rollout(
     x = np.asarray(x0, dtype=float).ravel()
     if x.size != system.n_x:
         raise InputError(f"x0 has {x.size} entries, state has {system.n_x}")
-    steps = int(round(T / dt))
+    try:
+        traj = np.empty((system.n_x, int(round(T / dt)) + 1))
+    except (OverflowError, ValueError, MemoryError):
+        raise InputError(
+            f"T / dt = {T / dt:.4g} steps: the trajectory does not fit in "
+            "memory"
+        ) from None
+    steps = traj.shape[1] - 1
     center = 0.5 * (system.domain.lo + system.domain.hi)
     half = 0.5 * (system.domain.hi - system.domain.lo)
     escape = Box(center - 10.0 * half, center + 10.0 * half)
@@ -329,7 +335,6 @@ def closed_loop_rollout(
     # Every later state is finite, or the step that made it raised.
     if not np.all(np.isfinite(x)):
         raise RolloutError(f"the initial state {x} is not finite")
-    traj = np.empty((system.n_x, steps + 1))
     traj[:, 0] = x
     zero_u = np.zeros(system.n_u)
     for k in range(steps):
@@ -351,28 +356,6 @@ def closed_loop_rollout(
             )
         traj[:, k + 1] = x
     return traj
-
-
-def riccati_reference(a: float, b: float, q: float, r: float) -> float:
-    """Stabilizing scalar LQR gain for dx = (a x + b u) dt, cost q x^2 + r u^2.
-
-    Solves 2 a p - b^2 p^2 / r + q = 0 for the root making the closed
-    loop a + b * gain stable and returns gain = -b p / r.
-    """
-    if r <= 0:
-        raise InputError(f"r must be > 0, got {r}")
-    if b == 0:
-        raise OracleError("b = 0: system is not controllable")
-    disc = a * a + b * b * q / r
-    if disc < 0:
-        raise OracleError("no real Riccati root exists")
-    p = r * (a + math.sqrt(disc)) / (b * b)
-    gain = -b * p / r
-    if a + b * gain > 1e-12:
-        raise OracleError(
-            f"no stabilizing root: closed-loop rate {a + b * gain:.3g} > 0"
-        )
-    return gain
 
 
 def convergence_sweep(

@@ -216,7 +216,8 @@ class _Settings:
         self.file: Dict[str, object] = {}
         cfg_path = self.cli.get("config")
         if cfg_path:
-            self.file = _read_config_file(cfg_path)
+            parsers = {key: spec[0] for key, spec in _KEYS.items()}
+            self.file = store.load_config(cfg_path, parsers)
 
     def get(self, key: str, required: bool = False):
         val = self.cli.get(key)
@@ -233,35 +234,6 @@ class _Settings:
 
     def was_set(self, key: str) -> bool:
         return self.cli.get(key) is not None or key in self.file
-
-
-def _read_config_file(path: str) -> Dict[str, object]:
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read config file {path!r}: {exc}") from exc
-    out: Dict[str, object] = {}
-    for lineno, line in enumerate(lines, 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        key, sep, value = stripped.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise InputError(
-                f"{path}:{lineno}: expected 'key=value', got {line.rstrip()!r}"
-            )
-        if key not in _KEYS:
-            raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
-        parser = _KEYS[key][0]
-        try:
-            out[key] = parser(value.strip())
-        except ValueError as exc:
-            raise InputError(
-                f"{path}:{lineno}: bad value for {key!r}: {exc}"
-            ) from None
-    return out
 
 
 def _show(value) -> str:

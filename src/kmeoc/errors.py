@@ -18,7 +18,6 @@ __all__ = [
     "DivergenceError",
     "PropagationError",
     "RolloutError",
-    "OracleError",
     "StorageError",
     "HeaderError",
     "VersionError",
@@ -125,11 +124,6 @@ class PropagationError(KmeocError):
 
 class RolloutError(KmeocError):
     """A closed-loop simulation escaped the instability guard region."""
-
-
-class OracleError(KmeocError):
-    """A reference computation has no valid solution (e.g. no stabilizing
-    Riccati root)."""
 
 
 class StorageError(KmeocError):

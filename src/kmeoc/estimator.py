@@ -439,24 +439,22 @@ def _fro_norm(left: np.ndarray, right: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, fro2)))
 
 
-def departure_from_normality(A) -> float:
-    """Henrici's normalized departure from normality.
+def departure_from_normality(A: LowRank) -> float:
+    """Henrici's normalized departure from normality of a LowRank.
 
     sqrt(max(0, ||A||_F^2 - sum_i |lambda_i|^2)) / ||A||_F, with the
-    convention that the zero matrix departs by 0.  ``A`` is a LowRank or
-    a square array.  For a LowRank A = L' R'^T (with L' = [left, 1] and
-    R' = [right, shift]) the nonzero eigenvalues are those of the
-    (r+1) x (r+1) core R'^T L', so the N x N matrix is never formed.
+    convention that the zero matrix departs by 0.  For A = L' R'^T (with
+    L' = [left, 1] and R' = [right, shift]) the nonzero eigenvalues are
+    those of the (r+1) x (r+1) core R'^T L', so the N x N matrix is never
+    formed.  Anything but a LowRank raises InputError.
     """
-    if isinstance(A, LowRank):
-        left, right = A.augmented()
-        fro = _fro_norm(left, right)
-        core = right.T @ left
-    else:
-        core = np.asarray(A, dtype=float)
-        if core.ndim != 2 or core.shape[0] != core.shape[1]:
-            raise InputError(f"expected a square matrix, got shape {core.shape}")
-        fro = float(np.linalg.norm(core, "fro"))
+    if not isinstance(A, LowRank):
+        raise InputError(
+            f"expected a LowRank operator, got {type(A).__name__}"
+        )
+    left, right = A.augmented()
+    fro = _fro_norm(left, right)
+    core = right.T @ left
     if fro == 0.0:
         return 0.0
     try:

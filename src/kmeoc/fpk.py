@@ -98,9 +98,15 @@ def propagate(
     """One forward step of the weights under the given policy table.
 
     ``policy_at_X`` is the n_u x N table of controls at the training
-    points (all zeros for the uncontrolled flow).
+    points (all zeros for the uncontrolled flow); a table of any other
+    shape raises InputError.
     """
-    pol = np.asarray(policy_at_X, dtype=float).reshape(ops.n_u, ops.N)
+    pol = np.asarray(policy_at_X, dtype=float)
+    if pol.shape != (ops.n_u, ops.N):
+        raise InputError(
+            f"policy table has shape {pol.shape}, the operators need "
+            f"{(ops.n_u, ops.N)}"
+        )
     if z.z.size != ops.N:
         raise InputError(
             f"weights have length {z.z.size}, operators have N = {ops.N}"

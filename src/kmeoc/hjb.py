@@ -55,7 +55,6 @@ __all__ = [
     "ValueSolution",
     "fenchel_conjugate",
     "khjb_recursion",
-    "value_functional",
     "policy_interpolate",
 ]
 
@@ -203,20 +202,6 @@ class ValueSolution:
     def stationary_policy(self) -> np.ndarray:
         """Policy row at :attr:`stationary_step`, shape (n_u, N)."""
         return self.policy_row(self.stationary_step)
-
-    @property
-    def values(self) -> np.ndarray:
-        """All value rows, shape (H+1, N), built read-only on each access."""
-        out = np.stack([self.value_row(k) for k in range(self.horizon + 1)])
-        out.flags.writeable = False
-        return out
-
-    @property
-    def policy(self) -> np.ndarray:
-        """All policy rows, shape (H, n_u, N), built read-only on each access."""
-        out = np.stack([self.policy_row(k) for k in range(self.horizon)])
-        out.flags.writeable = False
-        return out
 
 
 def _fenchel_batch(lam: np.ndarray, penalty: ControlPenalty, dt: float):
@@ -543,9 +528,10 @@ def khjb_recursion(
         Raw stage-cost values at the training points; the recursion
         applies the dt weighting itself.  (Dataset.cost stores the
         pre-weighted product, so divide by dt when feeding it here.)
+        A non-finite entry raises InputError naming its index.
     penalty : ControlPenalty
     H : int
-        Number of backward steps, >= 1.
+        Number of backward steps, an integer >= 1.
     stop_tol : float
         Stationary stopping rule: once the sup-norm change of the
         feedback law between consecutive steps falls below this
@@ -575,8 +561,11 @@ def khjb_recursion(
     N = ops.N
     if cost.size != N:
         raise InputError(f"cost has length {cost.size}, expected N = {N}")
-    if H < 1:
-        raise InputError(f"H must be >= 1, got {H}")
+    bad = np.flatnonzero(~np.isfinite(cost))
+    if bad.size:
+        raise InputError(f"cost[{bad[0]}] = {cost[bad[0]]} is not finite")
+    if not isinstance(H, (int, np.integer)) or H < 1:
+        raise InputError(f"H must be an integer >= 1, got {H!r}")
     if not 0.0 <= stop_tol < np.inf:
         raise InputError(f"stop_tol must be finite and >= 0, got {stop_tol}")
     n_u = ops.n_u
@@ -614,21 +603,6 @@ def khjb_recursion(
     return sol
 
 
-def value_functional(v0, z0) -> float:
-    """Inner product of a value vector with initial measure weights.
-
-    ``z0`` may be a plain vector or anything with a ``z`` attribute
-    (e.g. ``MeasureWeights``).
-    """
-    z = np.asarray(getattr(z0, "z", z0), dtype=float).ravel()
-    v0 = np.asarray(v0, dtype=float).ravel()
-    if v0.size != z.size:
-        raise InputError(
-            f"length mismatch: v0 has {v0.size}, z0 has {z.size}"
-        )
-    return float(v0 @ z)
-
-
 def _coefficients_for_step(
     sol: ValueSolution, ops: "EstimatedOperators", k: int
 ) -> np.ndarray:
@@ -658,7 +632,7 @@ def policy_interpolate(
     Parameters
     ----------
     query : array_like
-        A single state (length n_x) or a batch of M states as an
+        A single state (length n_x) or a batch of M >= 1 states as an
         ``n_x x M`` array, all finite (else ``InputError``).
     sol, ops :
         The recursion output and the operators it was computed from;
@@ -685,12 +659,19 @@ def policy_interpolate(
     X = ops.dataset_ref.X
     sigma = ops.kernel_cfg.sigma
     q = np.asarray(query, dtype=float)
+    if q.ndim not in (1, 2):
+        raise InputError(
+            f"the query must be one state or an n_x x M array, got shape "
+            f"{q.shape}"
+        )
     single = q.ndim == 1
     Q = q[:, None] if single else q
     if Q.shape[0] != X.shape[0]:
         raise InputError(
             f"query dimension {Q.shape[0]} != state dimension {X.shape[0]}"
         )
+    if Q.shape[1] == 0:
+        raise InputError("the query holds no states")
     if not np.all(np.isfinite(Q)):
         raise InputError("the query has a non-finite entry")
     C = _coefficients_for_step(sol, ops, k)

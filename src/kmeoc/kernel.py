@@ -17,8 +17,9 @@ cross-Gram as ``pref * L_X @ L_Y.T``, thin factors from a pivoted
 Cholesky of the diffused kernel on the joint points ``[X Y]``, and the
 state Gram as a pivoted-Cholesky factor ``F`` with K_X ~ F F^T, so the
 control Gram K_U = K_X * (1 + U^T U) is approximately W W^T with
-W = [F | u_1 * F | ...].  The exact K_U is only ever applied, a block
-of rows at a time, by :func:`control_gram_product`.  Solves with the
+W = [F | u_1 * F | ...].  No function builds the exact K_U: it is only
+ever applied, a block of rows at a time, by
+:func:`control_gram_product`.  Solves with the
 state Gram (K_X + jitter I) go through the same F
 (:meth:`kmeoc.estimator.EstimatedOperators.x_solve`); :func:`gram`
 builds the whole K_X only for one such solve's refinement step.
@@ -37,7 +38,6 @@ __all__ = [
     "KernelConfig",
     "GramBundle",
     "gram",
-    "control_gram",
     "control_gram_product",
     "cross_gram_diffused",
     "cross_vector",
@@ -207,28 +207,10 @@ def gram(X, sigma: float) -> np.ndarray:
     return K
 
 
-def control_gram(K_X: np.ndarray, U) -> np.ndarray:
-    """Control-tensorized Gram matrix K_X * (1 + U^T U), entrywise.
-
-    Equivalent to ``K_X + sum_m diag(U_m) K_X diag(U_m)``; both forms
-    are useful, the Hadamard one is what gets computed, in one N x N
-    temporary that becomes the result.
-    """
-    U = _as_states(U, "U")
-    if K_X.shape[0] != K_X.shape[1] or K_X.shape[1] != U.shape[1]:
-        raise InputError(
-            f"shape mismatch: K_X {K_X.shape} vs U with {U.shape[1]} columns"
-        )
-    K_U = U.T @ U
-    K_U += 1.0
-    K_U *= K_X
-    return K_U
-
-
 def control_gram_product(X, U, sigma: float, Z: np.ndarray) -> np.ndarray:
     """K_U @ Z for Z of shape (N, k), without forming K_U.
 
-    For K_U = control_gram(gram(X, sigma), U),
+    K_U = K_X * (1 + U^T U) entrywise, with K_X = gram(X, sigma), so
     K_U Z = K_X Z + sum_m u_m * (K_X (u_m * Z)).  K_X is built
     :data:`_PRODUCT_ROWS` rows at a time and multiplied into
     [Z | u_1 * Z | ...] in one product, so a call evaluates each of the

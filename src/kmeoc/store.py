@@ -1,4 +1,4 @@
-"""Every file the program reads or writes, bar the CLI's settings file.
+"""Every file the program reads or writes.
 
 Models and value solutions are binary artifacts (:func:`save`,
 :func:`load`) with one framing: a 16-byte header (8-byte magic tag,
@@ -14,7 +14,8 @@ destination directory and renamed into place, so readers never observe
 a half-written artifact.  Datasets, value/policy tables, forecasts,
 weights and query answers are CSV tables, all written by
 :func:`_write_csv`, and the fit, bench and sweep summaries are JSON,
-written by :func:`write_json`.
+written by :func:`write_json`.  The CLI's ``--config`` settings file is
+flat ``key=value`` text, read by :func:`load_config`.
 """
 
 from __future__ import annotations
@@ -496,6 +497,41 @@ def load_states_csv(path) -> np.ndarray:
     """
     lines = [(n, t.split("#", 1)[0].strip()) for n, t in _numbered_lines(path)]
     return _float_rows(path, ((n, t.split(",")) for n, t in lines if t)).T
+
+
+def load_config(path, parsers) -> dict:
+    """The settings of a flat ``key=value`` file, each value parsed.
+
+    ``parsers`` maps every accepted key to the callable that parses its
+    value.  ``#`` starts a comment; blank lines are skipped.  A file
+    that cannot be read or decoded, a line without ``=``, a key
+    ``parsers`` lacks, or a value its parser rejects with ValueError
+    raises InputError naming the file, and for a bad line the line.
+    """
+    try:
+        lines = _numbered_lines(path)
+    except OSError as exc:
+        raise InputError(f"cannot read config file {path!r}: {exc}") from exc
+    out = {}
+    for n, line in lines:
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        key, sep, value = stripped.partition("=")
+        key = key.strip()
+        if not sep or not key:
+            raise InputError(
+                f"{path}:{n}: expected 'key=value', got {line.rstrip()!r}"
+            )
+        if key not in parsers:
+            raise InputError(f"{path}:{n}: unknown config key {key!r}")
+        try:
+            out[key] = parsers[key](value.strip())
+        except ValueError as exc:
+            raise InputError(
+                f"{path}:{n}: bad value for {key!r}: {exc}"
+            ) from None
+    return out
 
 
 def export_value_policy_csv(

@@ -1,4 +1,6 @@
-"""Shared fixtures and oracles: small fitted models, scalar kernels."""
+"""Shared fixtures and oracles: small fitted models, dense references."""
+
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +51,58 @@ def diffused_rbf_eval(x, y, cfg: KernelConfig, n_x: int) -> float:
     pref = (cfg.sigma**2 / den) ** (n_x / 2.0)
     d2 = float(np.sum((x - y) ** 2))
     return float(pref * np.exp(-d2 / den))
+
+
+# Dense references: what the factored code of kmeoc computes without
+# forming N x N arrays, written out directly.
+
+
+def control_gram(K_X: np.ndarray, U) -> np.ndarray:
+    """The control Gram K_U = K_X * (1 + U^T U), entrywise, as an array.
+
+    Equal to ``K_X + sum_m diag(U_m) K_X diag(U_m)``; the package only
+    applies it, through :func:`kmeoc.kernel.control_gram_product`.
+    """
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    return K_X * (1.0 + U.T @ U)
+
+
+def dense_departure(A) -> float:
+    """Henrici's normalized departure from normality of a square array.
+
+    sqrt(max(0, ||A||_F^2 - sum_i |lambda_i|^2)) / ||A||_F, 0 for the
+    zero matrix: the formula :func:`kmeoc.departure_from_normality`
+    evaluates through the small core of a LowRank.
+    """
+    A = np.asarray(A, dtype=float)
+    fro = float(np.linalg.norm(A, "fro"))
+    if fro == 0.0:
+        return 0.0
+    gap = max(0.0, fro**2 - float(np.sum(np.abs(np.linalg.eigvals(A)) ** 2)))
+    return float(np.sqrt(gap)) / fro
+
+
+def value_rows(sol) -> np.ndarray:
+    """Every value row of a ValueSolution, shape (H+1, N)."""
+    return np.stack([sol.value_row(k) for k in range(sol.horizon + 1)])
+
+
+def policy_rows(sol) -> np.ndarray:
+    """Every policy row of a ValueSolution, shape (H, n_u, N)."""
+    return np.stack([sol.policy_row(k) for k in range(sol.horizon)])
+
+
+def riccati_gain(a: float, b: float, q: float, r: float) -> float:
+    """Stabilizing scalar LQR gain for dx = (a x + b u) dt, cost q x^2 + r u^2.
+
+    Solves 2 a p - b^2 p^2 / r + q = 0 for the root making the closed
+    loop a + b * gain stable and returns gain = -b p / r.  Raises
+    ValueError when r <= 0, b = 0 or no real root exists.
+    """
+    if r <= 0 or b == 0 or a * a + b * b * q / r < 0:
+        raise ValueError(f"no stabilizing gain for a={a}, b={b}, q={q}, r={r}")
+    p = r * (a + math.sqrt(a * a + b * b * q / r)) / (b * b)
+    return -b * p / r
 
 
 def make_static_dataset(N=60, n_x=1, n_u=1, seed=0):
@@ -106,8 +160,13 @@ def tmp_out(tmp_path):
 
 
 __all__ = [
+    "control_gram",
+    "dense_departure",
     "diffused_rbf_eval",
     "make_static_dataset",
     "make_static_system",
+    "policy_rows",
     "rbf_eval",
+    "riccati_gain",
+    "value_rows",
 ]

@@ -19,7 +19,6 @@ from kmeoc.bench import (
     convergence_sweep,
     fit_and_solve,
     policy_table,
-    riccati_reference,
     rmse_table,
     run_benchmark,
 )
@@ -33,10 +32,10 @@ from kmeoc.fpk import (
     propagate,
 )
 from kmeoc.hjb import fenchel_conjugate, policy_interpolate
-from kmeoc.kernel import control_gram, gram
+from kmeoc.kernel import gram
 from kmeoc.systems import make_system
 
-from conftest import diffused_rbf_eval, rbf_eval
+from conftest import control_gram, diffused_rbf_eval, rbf_eval, riccati_gain
 
 
 def _line(tag: str, detail: str, ok: bool) -> None:
@@ -260,9 +259,9 @@ class TestOracles:
     def test_ac5_stationary_gain_matches_riccati(self, s1_full_fit):
         ops, sol = s1_full_fit
         x = ops.dataset_ref.X.ravel()
-        pi = sol.policy[sol.stationary_step].ravel()
+        pi = sol.stationary_policy().ravel()
         gain = float(x @ pi) / float(x @ x)
-        ref = riccati_reference(0.5, math.sqrt(2.0), 1.0, 1.0)
+        ref = riccati_gain(0.5, math.sqrt(2.0), 1.0, 1.0)
         rel = abs(gain - ref) / abs(ref)
         ok = rel <= 0.05
         _line(

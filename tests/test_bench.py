@@ -1,4 +1,4 @@
-"""Benchmark harness: scoring, repetitions, rollouts, reference gains."""
+"""Benchmark harness: scoring, repetitions, rollouts, sweeps."""
 
 import dataclasses
 import json
@@ -10,11 +10,9 @@ import pytest
 
 from kmeoc import (
     InputError,
-    OracleError,
     RolloutError,
     closed_loop_rollout,
     convergence_sweep,
-    riccati_reference,
     rmse_policy,
     run_benchmark,
 )
@@ -219,6 +217,9 @@ class TestClosedLoopRollout:
             ("s1", [0.5], 1.0, math.nan, "dt must be"),
             ("vdp", [0.5], 1.0, 0.1, "x0 has 1 entries, state has 2"),
             ("s1", [0.5, 0.5], 1.0, 0.1, "x0 has 2 entries, state has 1"),
+            # 1e14 states would take 728 TiB; 1 / 5e-324 overflows.
+            ("s1", [0.5], 1e12, 1e-2, r"T / dt = 1e\+14 steps"),
+            ("s1", [0.5], 1.0, 5e-324, "T / dt = inf steps"),
         ],
     )
     def test_bad_horizon_step_or_state_rejected(self, name, x0, T, dt, match):
@@ -226,37 +227,6 @@ class TestClosedLoopRollout:
             closed_loop_rollout(
                 make_system(name), None, None, np.array(x0), T=T, dt=dt
             )
-
-
-class TestRiccatiReference:
-    def test_known_gains(self):
-        assert riccati_reference(0.5, math.sqrt(2.0), 1.0, 1.0) == pytest.approx(
-            -math.sqrt(2.0), abs=1e-12
-        )
-        assert riccati_reference(-1.0, 1.0, 0.0, 1.0) == 0.0
-        assert riccati_reference(0.0, 1.0, 1.0, 1.0) == pytest.approx(-1.0)
-
-    def test_closed_loop_is_stable(self):
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            a = rng.uniform(-2, 2)
-            b = rng.uniform(0.1, 3)
-            q = rng.uniform(0.1, 4)
-            r = rng.uniform(0.1, 4)
-            gain = riccati_reference(a, b, q, r)
-            assert a + b * gain <= 1e-12
-
-    def test_uncontrollable_rejected(self):
-        with pytest.raises(OracleError):
-            riccati_reference(1.0, 0.0, 1.0, 1.0)
-
-    def test_no_real_root_rejected(self):
-        with pytest.raises(OracleError):
-            riccati_reference(0.0, 1.0, -10.0, 1.0)
-
-    def test_bad_weight_rejected(self):
-        with pytest.raises(InputError):
-            riccati_reference(1.0, 1.0, 1.0, 0.0)
 
 
 class TestConvergenceSweep:

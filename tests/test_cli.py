@@ -1180,3 +1180,17 @@ class TestConfigPlumbing:
             ]
         )
         assert rc == 2
+
+    def test_missing_config_file_exits_2_before_writing(
+        self, work, tmp_path, capsys
+    ):
+        cfg, out = tmp_path / "absent.cfg", tmp_path / "out"
+        rc = main(
+            [
+                "identify", "--dataset", str(work / "s1_n400_seed3.csv"),
+                "--sigma", "1.2", "--config", str(cfg), "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert f"cannot read config file {str(cfg)!r}" in capsys.readouterr().err
+        assert not out.exists()

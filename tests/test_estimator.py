@@ -16,7 +16,6 @@ from kmeoc import (
     InputError,
     KernelConfig,
     build_grams,
-    control_gram,
     departure_from_normality,
     enforce_markov,
     fit_krr,
@@ -31,7 +30,7 @@ from kmeoc.hjb import policy_interpolate
 from kmeoc.kernel import cross_gram_diffused
 from kmeoc.systems import generate_dataset, make_system
 
-from conftest import make_static_dataset
+from conftest import control_gram, dense_departure, make_static_dataset
 
 
 class TestFitKrr:
@@ -263,18 +262,24 @@ class TestDeparture:
         rng = np.random.default_rng(0)
         S = rng.normal(size=(8, 8))
         S = S + S.T
-        assert departure_from_normality(S) <= 1e-7
+        assert dense_departure(S) <= 1e-7
 
     def test_zero_matrix_convention(self):
-        assert departure_from_normality(np.zeros((4, 4))) == 0.0
+        assert dense_departure(np.zeros((4, 4))) == 0.0
 
     def test_shift_is_maximally_non_normal(self):
         J = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert departure_from_normality(J) == pytest.approx(1.0)
+        assert dense_departure(J) == pytest.approx(1.0)
 
     def test_rejects_non_square(self):
         with pytest.raises(InputError):
             departure_from_normality(np.zeros((3, 4)))
+
+    def test_rejects_a_dense_array(self):
+        # Only the factored form is computed; the dense formula is the
+        # tests' reference (conftest.dense_departure).
+        with pytest.raises(InputError, match="LowRank"):
+            departure_from_normality(np.eye(3))
 
 
 class TestFactoredDiagnostics:
@@ -285,7 +290,7 @@ class TestFactoredDiagnostics:
         return static_ops if request.param == "static" else s1_fit[0]
 
     def test_departure_matches_dense_eigvals(self, ops):
-        dense = departure_from_normality(np.array(ops.A_hat))
+        dense = dense_departure(ops.A_hat)
         assert departure_from_normality(ops.A) == pytest.approx(
             dense, abs=1e-8
         )

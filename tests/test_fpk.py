@@ -129,6 +129,17 @@ class TestPropagate:
                 np.zeros((1, static_ops.N)),
             )
 
+    def test_table_of_another_shape_rejected(self, static_ops):
+        # Only an (n_u, N) table: a flat one of the right size is not
+        # reshaped, and a (2, N) one on an n_u = 1 model names both shapes.
+        z = MeasureWeights(z=np.ones(static_ops.N))
+        N = static_ops.N
+        for table in (np.zeros(N), np.zeros((N, 1)), np.zeros((2, N))):
+            with pytest.raises(InputError) as exc_info:
+                propagate(static_ops, z, table)
+            assert str(table.shape) in str(exc_info.value)
+            assert str((1, N)) in str(exc_info.value)
+
 
 class TestObservables:
     def test_constant_observable_reads_mass(self):

@@ -25,7 +25,6 @@ from kmeoc import (
     fit_krr,
     khjb_recursion,
     policy_interpolate,
-    value_functional,
 )
 from kmeoc import hjb
 from kmeoc.bench import bench_config, fit_and_solve
@@ -34,7 +33,7 @@ from kmeoc.hjb import _fenchel_batch
 from kmeoc.store import export_value_policy_csv
 from kmeoc.systems import generate_dataset, make_system
 
-from conftest import make_static_dataset
+from conftest import make_static_dataset, policy_rows, value_rows
 
 lam_elems = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -152,7 +151,7 @@ class TestKhjbRecursion:
         cost = np.ones(static_ops.N)
         penalty = ControlPenalty(weights=np.array([1.0]))
         sol = khjb_recursion(static_ops, cost, penalty, H=1)
-        assert sol.values.shape == (2, static_ops.N)
+        assert value_rows(sol).shape == (2, static_ops.N)
         np.testing.assert_array_equal(sol.value_row(0), cost * 1e-2)
 
     def test_zero_cost_stays_zero(self, static_ops):
@@ -160,8 +159,8 @@ class TestKhjbRecursion:
         sol = khjb_recursion(
             static_ops, np.zeros(static_ops.N), penalty, H=25
         )
-        assert np.max(np.abs(sol.values)) == 0.0
-        assert np.max(np.abs(sol.policy)) == 0.0
+        assert np.max(np.abs(value_rows(sol))) == 0.0
+        assert np.max(np.abs(policy_rows(sol))) == 0.0
 
     def test_policy_respects_box(self, s1_fit):
         ops, _ = s1_fit
@@ -170,7 +169,7 @@ class TestKhjbRecursion:
         sol = khjb_recursion(ops, ds.cost / ds.dt, penalty, H=100)
         assert sol.box is not None
         lo, hi = sol.box
-        policy = sol.policy
+        policy = policy_rows(sol)
         assert np.all(policy >= lo[:, None] - 1e-15)
         assert np.all(policy <= hi[:, None] + 1e-15)
         # The bound actually binds somewhere, so the clip is exercised.
@@ -277,6 +276,16 @@ class TestKhjbRecursion:
             khjb_recursion(
                 static_ops, np.ones(static_ops.N), penalty, H=0
             )
+        for H in (10.0, 2.5, "10", None):
+            with pytest.raises(InputError, match="H must be an integer"):
+                khjb_recursion(static_ops, np.ones(static_ops.N), penalty, H=H)
+        # Run, a NaN cost would surface only as a DivergenceError at
+        # k = H - 1 that blames the closed loop's spectral radius.
+        for bad in (np.nan, np.inf):
+            cost = np.ones(static_ops.N)
+            cost[7] = bad
+            with pytest.raises(InputError, match=r"cost\[7\] = (nan|inf)"):
+                khjb_recursion(static_ops, cost, penalty, H=10)
         two_channel = ControlPenalty(weights=np.array([1.0, 1.0]))
         with pytest.raises(InputError):
             khjb_recursion(
@@ -395,7 +404,9 @@ class TestRowsFromCoordinates:
             # The tolerance that fires at step k, inside the second block
             # of steps, so the steps below it are recomputed frozen.
             full = khjb_recursion(ops, cost, penalty, H, stop_tol=0.0)
-            change = np.max(np.abs(np.diff(full.policy, axis=0)), axis=(1, 2))
+            change = np.max(
+                np.abs(np.diff(policy_rows(full), axis=0)), axis=(1, 2)
+            )
             k = 100
             assert k < H - hjb._BLOCK_ROWS
             assert change[k] < np.min(change[k + 1 :])
@@ -407,24 +418,24 @@ class TestRowsFromCoordinates:
         )
         fires_at = {"identity-fires": 28, "s4-fires-below-a-block": 100}
         assert sol.converged_at == converged_at == fires_at.get(case)
-        assert sol.policy.tobytes() == policy.tobytes()
+        assert policy_rows(sol).tobytes() == policy.tobytes()
         # Value rows expanded from free steps match bit for bit.  Below
         # the stop rule the recursion steps y through one linear map
         # where the tables project each frozen value row, so the rows
         # expanded from frozen steps agree to rounding.
         top = 0 if converged_at is None else max(converged_at - 1, 0)
-        assert sol.values[top:].tobytes() == values[top:].tobytes()
-        err = np.max(np.abs(sol.values[:top] - values[:top]), initial=0.0)
+        assert value_rows(sol)[top:].tobytes() == values[top:].tobytes()
+        err = np.max(
+            np.abs(value_rows(sol)[:top] - values[:top]), initial=0.0
+        )
         assert err <= 1e-12 * np.max(np.abs(values))
 
-    def test_tables_are_read_only_and_rows_checked(self, static_ops):
+    def test_coordinates_and_row_checks(self, static_ops):
         penalty = ControlPenalty(weights=np.array([1.0]))
         sol = khjb_recursion(static_ops, np.ones(static_ops.N), penalty, H=5)
         D = static_ops.A.rank + 1 + static_ops.B[0].rank + 1
         assert sol.coords.shape == (6, D)
         assert np.all(sol.coords[5] == 0.0)
-        assert not sol.values.flags.writeable
-        assert not sol.policy.flags.writeable
         with pytest.raises(InputError):
             sol.policy_row(5)
         with pytest.raises(InputError):
@@ -461,7 +472,7 @@ class TestFactoredMatchesDense:
             make_system("s1").penalty, 300, ops.kernel_cfg.dt, 1e-6,
         )
         assert sol.converged_at == converged_at
-        assert np.max(np.abs(sol.policy - policy)) <= 1e-5
+        assert np.max(np.abs(policy_rows(sol) - policy)) <= 1e-5
 
     def test_s1_where_the_stop_rule_fires(self):
         cfg = bench_config("s1")
@@ -474,7 +485,7 @@ class TestFactoredMatchesDense:
         )
         assert converged_at is not None
         assert sol.converged_at == converged_at
-        assert np.max(np.abs(sol.policy - policy)) <= 1e-5
+        assert np.max(np.abs(policy_rows(sol) - policy)) <= 1e-5
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_s2_at_n400(self, seed):
@@ -507,7 +518,7 @@ class TestFactoredMatchesDense:
             ops.A_hat, ops.B_hat_blocks, *args, kcfg.dt, cfg["stop_tol"]
         )
         assert sol.converged_at == converged_at
-        assert np.max(np.abs(sol.policy - policy)) <= 1e-5
+        assert np.max(np.abs(policy_rows(sol) - policy)) <= 1e-5
 
     def test_s1_boxed_per_point_path(self):
         # A box keeps the recursion on the per-point path, which steps
@@ -525,7 +536,7 @@ class TestFactoredMatchesDense:
             ops.A_hat, ops.B_hat_blocks, *args, ops.kernel_cfg.dt,
             cfg["stop_tol"],
         )
-        table = sol.policy
+        table = policy_rows(sol)
         assert np.any(np.abs(table) == 0.8)  # the box binds
         assert sol.converged_at == converged_at
         assert np.max(np.abs(table - policy)) <= 1e-5
@@ -613,9 +624,9 @@ def _assert_paths_agree(coord, point):
         return
     assert not isinstance(coord, DivergenceError)
     assert coord.converged_at == point.converged_at
-    assert np.max(np.abs(coord.policy - point.policy)) <= 1e-9
-    row_scale = np.max(np.abs(point.values), axis=1)
-    row_error = np.max(np.abs(coord.values - point.values), axis=1)
+    assert np.max(np.abs(policy_rows(coord) - policy_rows(point))) <= 1e-9
+    row_scale = np.max(np.abs(value_rows(point)), axis=1)
+    row_error = np.max(np.abs(value_rows(coord) - value_rows(point)), axis=1)
     assert np.all(row_error <= 1e-9 * row_scale)
 
 
@@ -664,7 +675,9 @@ class TestCoordinatesMatchPerPoint:
         penalty = make_system("s1").penalty
         H = 2 * hjb._BLOCK_ROWS + 101
         full = khjb_recursion(ops, ds.cost / ds.dt, penalty, H, stop_tol=0.0)
-        change = np.max(np.abs(np.diff(full.policy, axis=0)), axis=(1, 2))
+        change = np.max(
+            np.abs(np.diff(policy_rows(full), axis=0)), axis=(1, 2)
+        )
         k = H - 1 - 2 * hjb._BLOCK_ROWS
         assert change[k] < np.min(change[k + 1 :])
         tol = 0.5 * (change[k] + np.min(change[k + 1 :]))
@@ -742,22 +755,6 @@ class TestCoordinatesMatchPerPoint:
         assert not hjb._use_coordinates(dense, s2, 5000)
 
 
-class TestValueFunctional:
-    def test_basis_vector_picks_entry(self):
-        v0 = np.array([3.0, -1.0, 4.0])
-        e1 = np.array([0.0, 1.0, 0.0])
-        assert value_functional(v0, e1) == -1.0
-
-    def test_uniform_weights_average(self):
-        v0 = np.array([1.0, 2.0, 3.0, 4.0])
-        z = np.full(4, 0.25)
-        assert value_functional(v0, z) == pytest.approx(2.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(InputError):
-            value_functional(np.ones(3), np.ones(4))
-
-
 def _hand_built(N, box=None, frozen=None):
     """A one-step solution from the zero terminal value: Z_j = [1]."""
     return ValueSolution(
@@ -824,6 +821,10 @@ class TestPolicyInterpolate:
         ops, sol = s1_fit
         with pytest.raises(InputError):
             policy_interpolate(np.array([0.0, 1.0]), sol, ops)
+        # No states, and a third axis, are refused before any kernel row.
+        for query in (np.zeros((1, 0)), np.zeros((1, 2, 2))):
+            with pytest.raises(InputError, match="no states|shape"):
+                policy_interpolate(query, sol, ops)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, s1_fit, bad):

@@ -19,7 +19,6 @@ from kmeoc import (
     InputError,
     KernelConfig,
     build_grams,
-    control_gram,
     control_gram_product,
     cross_gram_diffused,
     cross_vector,
@@ -29,7 +28,7 @@ from kmeoc.bench import bench_config
 from kmeoc.kernel import CHOLESKY_TOL
 from kmeoc.systems import generate_dataset, make_system
 
-from conftest import diffused_rbf_eval, rbf_eval
+from conftest import control_gram, diffused_rbf_eval, rbf_eval
 
 finite_floats = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 

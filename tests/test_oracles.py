@@ -14,17 +14,21 @@ import pytest
 from kmeoc import (
     ControlPenalty,
     KernelConfig,
-    control_gram,
     euler_maruyama_step,
     fenchel_conjugate,
     gram,
-    riccati_reference,
     rmse_policy,
 )
-from kmeoc.estimator import departure_from_normality
 from kmeoc.systems import make_system
 
-from conftest import diffused_rbf_eval, make_static_system, rbf_eval
+from conftest import (
+    control_gram,
+    dense_departure,
+    diffused_rbf_eval,
+    make_static_system,
+    rbf_eval,
+    riccati_gain,
+)
 
 
 # ---------------------------------------------------------------- Fenchel
@@ -61,11 +65,11 @@ def test_fenchel_box_matches_grid_search():
 
 def test_riccati_hand_cases():
     # 2ap - b^2 p^2 / r + q = 0; stabilizing root via the quadratic formula.
-    assert riccati_reference(0.5, math.sqrt(2.0), 1.0, 1.0) == pytest.approx(
+    assert riccati_gain(0.5, math.sqrt(2.0), 1.0, 1.0) == pytest.approx(
         -math.sqrt(2.0), abs=1e-12
     )
-    assert riccati_reference(-1.0, 1.0, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert riccati_reference(0.0, 1.0, 1.0, 1.0) == pytest.approx(-1.0, abs=1e-12)
+    assert riccati_gain(-1.0, 1.0, 0.0, 1.0) == 0.0
+    assert riccati_gain(0.0, 1.0, 1.0, 1.0) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_riccati_gain_satisfies_care_residual():
@@ -75,18 +79,28 @@ def test_riccati_gain_satisfies_care_residual():
         b = rng.uniform(0.2, 3.0)
         q = rng.uniform(0.0, 4.0)
         r = rng.uniform(0.1, 3.0)
-        gain = riccati_reference(a, b, q, r)
+        gain = riccati_gain(a, b, q, r)
         p = -gain * r / b
         residual = 2 * a * p - b**2 * p**2 / r + q
         assert abs(residual) <= 1e-9 * max(1.0, abs(p)) ** 2
         assert a + b * gain <= 1e-12  # stabilizing
 
 
+@pytest.mark.parametrize(
+    "a, b, q, r",
+    [(1.0, 0.0, 1.0, 1.0), (0.0, 1.0, -10.0, 1.0), (1.0, 1.0, 1.0, 0.0)],
+    ids=["uncontrollable", "no-real-root", "no-control-weight"],
+)
+def test_riccati_refuses_a_problem_without_a_stabilizing_gain(a, b, q, r):
+    with pytest.raises(ValueError):
+        riccati_gain(a, b, q, r)
+
+
 # ------------------------------------------------- departure from normality
 
 def test_departure_hand_case_jordan_block():
     # ||A||_F = 1, both eigenvalues 0 -> departure exactly 1.
-    assert departure_from_normality(np.array([[0.0, 1.0], [0.0, 0.0]])) == (
+    assert dense_departure(np.array([[0.0, 1.0], [0.0, 0.0]])) == (
         pytest.approx(1.0, abs=1e-12)
     )
 

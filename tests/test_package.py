@@ -1,6 +1,8 @@
-"""The package namespace: every module's public names, once each."""
+"""The package: each module's public names once, and one module opens files."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import kmeoc
 
@@ -30,3 +32,19 @@ def test_star_import_brings_every_name():
     assert set(kmeoc.__all__) <= set(namespace)
     for attr in ("bench_config", "fit_and_solve", "CHOLESKY_TOL", "MAGIC"):
         assert attr in namespace
+
+
+def test_only_store_opens_files():
+    # Every file format lives in kmeoc.store: no other module calls open
+    # or os.fdopen.
+    opened = []
+    for path in sorted(Path(kmeoc.__file__).parent.glob("*.py")):
+        if path.name == "store.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("open", "fdopen"):
+                opened.append(f"{path.name}:{node.lineno}")
+    assert opened == []
