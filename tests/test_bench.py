@@ -21,7 +21,7 @@ from kmeoc.bench import BENCH_DEFAULTS, bench_config, rmse_table
 from kmeoc.store import write_json
 from kmeoc.systems import make_system
 
-from conftest import make_static_system
+from conftest import make_static_system, riccati_gain
 
 
 class TestRmsePolicy:
@@ -227,6 +227,25 @@ class TestClosedLoopRollout:
             closed_loop_rollout(
                 make_system(name), None, None, np.array(x0), T=T, dt=dt
             )
+
+
+class TestRiccatiReference:
+    def test_known_gains(self):
+        assert riccati_gain(0.5, math.sqrt(2.0), 1.0, 1.0) == pytest.approx(
+            -math.sqrt(2.0), abs=1e-12
+        )
+        assert riccati_gain(-1.0, 1.0, 0.0, 1.0) == 0.0
+        assert riccati_gain(0.0, 1.0, 1.0, 1.0) == pytest.approx(-1.0)
+
+    def test_closed_loop_is_stable(self):
+        rng = np.random.default_rng(2)
+        for _ in range(25):
+            a = rng.uniform(-2, 2)
+            b = rng.uniform(0.1, 3)
+            q = rng.uniform(0.1, 4)
+            r = rng.uniform(0.1, 4)
+            gain = riccati_gain(a, b, q, r)
+            assert a + b * gain <= 1e-12
 
 
 class TestConvergenceSweep:
