@@ -7,7 +7,11 @@ value recursion to extract optimal feedback laws (``hjb``), push state
 distributions forward to forecast observables (``fpk``), and score the
 whole thing against systems with known optimal laws (``bench``).
 
-The package re-exports every name in each module's ``__all__``.
+The package re-exports every name in each module's ``__all__``.  The
+modules import one another in pipeline order, each only those before
+it: ``errors``, ``kernel``, ``systems`` (the problem: dynamics, boxes,
+control penalty, data), ``estimator``, ``hjb``, ``fpk``, ``bench``,
+``store`` and ``cli``.
 """
 
 from . import bench, errors, estimator, fpk, hjb, kernel, store, systems

@@ -61,14 +61,11 @@ from .fpk import (
     observable_forecast,
     propagate,
 )
-from .hjb import (
-    ControlPenalty,
-    ValueSolution,
-    khjb_recursion,
-    policy_interpolate,
-)
+from .hjb import ValueSolution, khjb_recursion, policy_interpolate
 from .kernel import DIFFUSED_MODES, KernelConfig, build_grams
-from .systems import SYSTEM_NAMES, generate_dataset, make_system
+from .systems import (
+    SYSTEM_NAMES, Box, ControlPenalty, generate_dataset, make_system,
+)
 
 __all__ = ["main"]
 
@@ -139,6 +136,16 @@ def _parse_ints(text: str) -> List[int]:
         ) from None
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise _BadValue(f"expected an integer >= 0, got {text!r}")
+    return seed
+
+
 # Every settable key: its value parser, its default (None: none, or
 # the command decides) and its help line.  --help lists each key a
 # command reads with its default, and config files are validated
@@ -150,7 +157,7 @@ _KEYS: Dict[str, tuple] = {
     "model": (str, None, "path to a fitted-model artifact"),
     "solution": (str, None, "path to a value-solution artifact"),
     "out": (str, ".", "output directory"),
-    "seed": (int, 0, "master RNG seed"),
+    "seed": (_parse_seed, 0, "master RNG seed, an integer >= 0"),
     "n": (int, None, "number of training samples"),
     "sampler": (str, "uniform_iid", "initial states: uniform_iid | grid"),
     "substeps": (int, 10, "integrator substeps per transition"),
@@ -301,7 +308,8 @@ def _parse_penalty(settings: _Settings) -> ControlPenalty:
             raise InputError(
                 f"penalty_box must be 'lo,hi' or 'none', got {box_text!r}"
             )
-        box = (np.full(len(weights), vals[0]), np.full(len(weights), vals[1]))
+        n_u = len(weights)
+        box = Box(np.full(n_u, vals[0]), np.full(n_u, vals[1]))
     return ControlPenalty(weights=np.asarray(weights, dtype=float), box=box)
 
 

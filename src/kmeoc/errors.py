@@ -89,9 +89,10 @@ class DivergenceError(KmeocError):
     step : int
         The backward time index k at which the blow-up was detected.
     spectral_radius : float
-        Spectral radius of the closed-loop operator under the last
-        finite policy row, read from the D-square block of that row's
-        policy map in the operators' rank-r coordinates (NaN when not
+        Spectral radius of the closed-loop operator under the lowest
+        policy row at or above ``step`` whose policy map has a finite
+        D-square block, read from that block in the operators' rank-r
+        coordinates (inf when no row's block is finite, NaN when not
         computed).  That row may already be far into the blow-up.
     max_control : float
         Largest |u| in that policy row.

@@ -140,10 +140,19 @@ def forecast_observable_path(
     steps: int,
     psi_values,
 ) -> np.ndarray:
-    """Forecasts [z_0^T psi, ..., z_steps^T psi] under a fixed policy."""
+    """Forecasts [z_0^T psi, ..., z_steps^T psi] under a fixed policy.
+
+    A negative ``steps``, or one whose forecast does not fit in memory,
+    raises InputError.
+    """
     if steps < 0:
         raise InputError(f"steps must be >= 0, got {steps}")
-    out = np.empty(steps + 1)
+    try:
+        out = np.empty(steps + 1)
+    except (OverflowError, ValueError, MemoryError):
+        raise InputError(
+            f"steps = {steps}: the forecast does not fit in memory"
+        ) from None
     z = z0
     out[0] = observable_forecast(z, psi_values)
     for _ in range(steps):

@@ -35,15 +35,14 @@ from __future__ import annotations
 import logging
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DivergenceError, InputError
+from .estimator import EstimatedOperators
 from .kernel import _scipy_linalg_getattr, cross_vector
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from .estimator import EstimatedOperators
+from .systems import Box, ControlPenalty
 
 # Unused: the benchmark tracer patches cho_solve here, and this resolves
 # it without importing scipy.linalg.  It goes when the benchmark's probes
@@ -51,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 __getattr__ = _scipy_linalg_getattr(globals(), ("cho_solve",))
 
 __all__ = [
-    "ControlPenalty",
     "ValueSolution",
     "fenchel_conjugate",
     "khjb_recursion",
@@ -64,47 +62,6 @@ log = logging.getLogger(__name__)
 #: finiteness and the stop rule once per block, and rows per block when
 #: building the coordinate path's quadratic maps.
 _BLOCK_ROWS = 256
-
-
-@dataclass(frozen=True)
-class ControlPenalty:
-    """Diagonal quadratic control penalty r(u) = sum_m weights_m * u_m^2.
-
-    Parameters
-    ----------
-    weights : array_like
-        Strictly positive diagonal of the quadratic form, length n_u.
-    box : tuple of (array_like, array_like), optional
-        Per-coordinate control bounds ``(lo, hi)``.  When present, each
-        interval must be non-degenerate and contain 0 (so that the
-        conjugate at lam = 0 is exactly 0, matching the zero terminal
-        value of the recursion).
-    """
-
-    weights: np.ndarray
-    box: Optional[tuple] = None
-
-    def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if w.ndim != 1 or w.size == 0 or not np.all(w > 0):
-            raise InputError("penalty weights must be strictly positive")
-        object.__setattr__(self, "weights", w)
-        if self.box is not None:
-            lo = np.broadcast_to(
-                np.asarray(self.box[0], dtype=float), w.shape
-            ).copy()
-            hi = np.broadcast_to(
-                np.asarray(self.box[1], dtype=float), w.shape
-            ).copy()
-            if not np.all(lo < hi):
-                raise InputError("box must satisfy lo < hi per coordinate")
-            if not (np.all(lo <= 0) and np.all(hi >= 0)):
-                raise InputError("box must contain 0 in every coordinate")
-            object.__setattr__(self, "box", (lo, hi))
-
-    @property
-    def n_u(self) -> int:
-        return self.weights.size
 
 
 @dataclass
@@ -163,7 +120,7 @@ class ValueSolution:
         return len(self.factors) - 1
 
     @property
-    def box(self) -> Optional[tuple]:
+    def box(self) -> Optional[Box]:
         return self.penalty.box
 
     @property
@@ -204,14 +161,20 @@ class ValueSolution:
         return self.policy_row(self.stationary_step)
 
 
-def _fenchel_batch(lam: np.ndarray, penalty: ControlPenalty, dt: float):
+def _fenchel_batch(
+    lam: np.ndarray, penalty: ControlPenalty, dt: float, u=None
+):
     """Conjugate values and minimizers for a batch of lambda columns.
+
+    Given ``u`` (a frozen policy row), the objective r(u) * dt + lam^T u
+    is evaluated at ``u`` in place of the minimizer.
 
     Parameters
     ----------
     lam : ndarray, shape (n_u, N)
     penalty : ControlPenalty
     dt : float
+    u : ndarray, shape (n_u, N), optional
 
     Returns
     -------
@@ -219,10 +182,10 @@ def _fenchel_batch(lam: np.ndarray, penalty: ControlPenalty, dt: float):
     minimizer : ndarray, shape (n_u, N)
     """
     w = penalty.weights[:, None]
-    u = -lam / (2.0 * w * dt)
-    if penalty.box is not None:
-        lo, hi = penalty.box
-        u = np.clip(u, lo[:, None], hi[:, None])
+    if u is None:
+        u = -lam / (2.0 * w * dt)
+        if penalty.box is not None:
+            u = np.clip(u, penalty.box.lo[:, None], penalty.box.hi[:, None])
     value = np.sum(w * u**2 * dt + lam * u, axis=0)
     return value, u
 
@@ -250,27 +213,38 @@ def fenchel_conjugate(lam, penalty: ControlPenalty, dt: float):
 def _diverged(ops, sol: ValueSolution, P_bar, k: int) -> DivergenceError:
     """The error for a non-finite v_k, with the closed loop that led there.
 
-    The closed loop A + sum_m B_m diag(u_m) under the lowest policy row
-    at or above k that is still finite has the nonzero eigenvalues of
-    the D-square block M_u of that row's :func:`_policy_map`.  Its
-    accrual column, which such a row may overflow, is not read.
+    The closed loop A + sum_m B_m diag(u_m) under a policy row has the
+    nonzero eigenvalues of the D-square block M_u of that row's
+    :func:`_policy_map`.  The row read is the lowest at or above k whose
+    M_u is finite, since a finite row can still overflow it; the radius
+    is inf when no row's is.  The accrual column is not read.  The
+    advice to enforce the Markov constraints is given only when A's
+    columns do not already sum to 1.
     """
+    radius = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(k, sol.horizon):
             u = sol.policy_row(j)
-            if np.all(np.isfinite(u)):
+            M = _policy_map(
+                P_bar, sol.factors, sol.stage, u, sol.penalty.weights, sol.dt
+            )[:, :-1]
+            if np.all(np.isfinite(M)):
+                radius = float(np.max(np.abs(np.linalg.eigvals(M))))
                 break
-        M = _policy_map(
-            P_bar, sol.factors, sol.stage, u, sol.penalty.weights, sol.dt
-        )
-    radius = float(np.max(np.abs(np.linalg.eigvals(M[:, :-1]))))
     u_max = float(np.max(np.abs(u)))
     U_max = float(np.max(np.abs(ops.dataset_ref.U)))
+    # 1^T A = 1^T [P_0 1] [R_0 s_0]^T, from the first block of P_bar.
+    # A raw fit's column sums miss 1 by 1e-6 to 1e-4 on the benchmark
+    # systems; enforce_markov's by rounding only.
+    sums = sol.factors[0] @ P_bar[:, : sol.factors[0].shape[1]].sum(axis=0)
+    advice = "a different sigma"
+    if not np.all(np.abs(sums - 1.0) <= 1e-10):
+        advice = "enforce_markov or " + advice
     return DivergenceError(
         f"value iterate became non-finite at step k={k}; under the policy "
         f"of step {j} the closed loop has spectral radius {radius:.6g} and "
         f"max |u| = {u_max:.4g} against max |U| = {U_max:.4g} in the "
-        "training controls (try enforce_markov or a different sigma)",
+        f"training controls (try {advice})",
         step=k,
         spectral_radius=radius,
         max_control=u_max,
@@ -279,7 +253,7 @@ def _diverged(ops, sol: ValueSolution, P_bar, k: int) -> DivergenceError:
 
 
 def _use_coordinates(
-    ops: "EstimatedOperators", penalty: ControlPenalty, H: int
+    ops: EstimatedOperators, penalty: ControlPenalty, H: int
 ) -> bool:
     """Whether the recursion runs in rank-r coordinates.
 
@@ -336,12 +310,7 @@ def _expand(Z, part, y, stage, penalty, dt, frozen, lam):
     a = Z[0] @ y[part[0]]
     for m in range(1, len(Z)):
         np.dot(Z[m], y[part[m]], out=lam[m - 1])
-    if frozen is None:
-        d_val, u = _fenchel_batch(lam, penalty, dt)
-    else:
-        u = frozen
-        w = penalty.weights[:, None]
-        d_val = np.sum(w * u**2 * dt + lam * u, axis=0)
+    d_val, u = _fenchel_batch(lam, penalty, dt, frozen)
     return a + stage + d_val, u
 
 
@@ -419,18 +388,25 @@ def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
     it.  Under a frozen policy the step is linear in [y; 1] on either
     path, one GEMV by the frozen row's policy map (:func:`_policy_map`).
     Returns (coords, converged_at, frozen, diverged_at), the last None
-    unless some y_k became non-finite.
+    unless some y_k became non-finite.  A horizon whose table of y_k does
+    not fit in memory raises InputError.
     """
     w = penalty.weights
     N, D = P_bar.shape
     part = _parts(Z)
     n_u = len(Z) - 1
+    try:
+        ys = np.empty((H + 1, D + 1))
+    except (OverflowError, ValueError, MemoryError):
+        raise InputError(
+            f"H = {H} steps: the {H + 1} x {D + 1} table of coordinates "
+            "does not fit in memory"
+        ) from None
     if coordinates:
         M, pair_a, pair_b = _coordinate_map(P_bar, Z, stage, w, dt)
     else:
         lam = np.empty((n_u, N))
 
-    ys = np.empty((H + 1, D + 1))
     ys[:, D] = 1.0
     ys[H, :D] = 0.0
     # Scratch for one block, allocated once: fresh block-sized
@@ -496,7 +472,7 @@ def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
 
 
 def khjb_recursion(
-    ops: "EstimatedOperators",
+    ops: EstimatedOperators,
     cost,
     penalty: ControlPenalty,
     H: int,
@@ -531,7 +507,8 @@ def khjb_recursion(
         A non-finite entry raises InputError naming its index.
     penalty : ControlPenalty
     H : int
-        Number of backward steps, an integer >= 1.
+        Number of backward steps, an integer >= 1 whose (H + 1) x D
+        table of coordinates fits in memory (else InputError).
     stop_tol : float
         Stationary stopping rule: once the sup-norm change of the
         feedback law between consecutive steps falls below this
@@ -550,12 +527,13 @@ def khjb_recursion(
     ------
     DivergenceError
         If an iterate stops being finite.  The error carries the
-        spectral radius of the closed loop under the last finite policy
-        row, from the D-square block of that row's policy map, and that
-        row's largest control against the training controls'.  This
-        usually signals an unstable learned operator spectrum; enforcing
-        the Markov constraints (``enforce_markov``) or picking a
-        different kernel scale sigma are the usual remedies.
+        spectral radius of the closed loop under the lowest policy row
+        whose policy map has a finite D-square block, read from that
+        block (inf when no row's is), and that row's largest control
+        against the training controls'.  This usually signals an
+        unstable learned operator spectrum; enforcing the Markov
+        constraints (``enforce_markov``) or picking a different kernel
+        scale sigma are the usual remedies.
     """
     cost = np.asarray(cost, dtype=float).ravel()
     N = ops.N
@@ -604,7 +582,7 @@ def khjb_recursion(
 
 
 def _coefficients_for_step(
-    sol: ValueSolution, ops: "EstimatedOperators", k: int
+    sol: ValueSolution, ops: EstimatedOperators, k: int
 ) -> np.ndarray:
     """(K_X + jitter I)^{-1} @ policy-row-k, cached per step together with
     a weak reference to the operators it was solved for."""
@@ -617,7 +595,7 @@ def _coefficients_for_step(
 
 
 def policy_interpolate(
-    query, sol: ValueSolution, ops: "EstimatedOperators", k: Optional[int] = None
+    query, sol: ValueSolution, ops: EstimatedOperators, k: Optional[int] = None
 ) -> np.ndarray:
     """Evaluate the learned feedback law off the training points.
 
@@ -678,6 +656,5 @@ def policy_interpolate(
     K_q = np.stack([cross_vector(Q[:, j], X, sigma) for j in range(Q.shape[1])])
     out = (K_q @ C).T  # (n_u, M)
     if sol.box is not None:
-        lo, hi = sol.box
-        out = np.clip(out, lo[:, None], hi[:, None])
+        out = np.clip(out, sol.box.lo[:, None], sol.box.hi[:, None])
     return out[:, 0] if single else out

@@ -39,9 +39,9 @@ from .errors import (
     VersionError,
 )
 from .estimator import EstimatedOperators, LowRank
-from .hjb import ControlPenalty, ValueSolution
+from .hjb import ValueSolution
 from .kernel import DIFFUSED_MODES, KernelConfig
-from .systems import Dataset
+from .systems import Box, ControlPenalty, Dataset
 
 __all__ = [
     "save", "load", "MAGIC", "VERSIONS",
@@ -216,7 +216,7 @@ def _encode_value_solution(sol: ValueSolution) -> bytes:
         _arr(sol.penalty.weights),
     ]
     if box is not None:
-        parts += [_arr(box[0]), _arr(box[1])]
+        parts += [_arr(box.lo), _arr(box.hi)]
     parts.append(_f64(*(R.shape[1] for R in rights), *index))
     parts.extend(_arr(R) for R in rights)
     parts.extend(_arr(Zj[:, -1]) for Zj in sol.factors)
@@ -240,7 +240,7 @@ def _decode_value_solution(buf: bytes) -> ValueSolution:
     has_box = r.intval()
     n_rights = r.intval()
     weights = r.floats(n_u)
-    box = (r.floats(n_u), r.floats(n_u)) if has_box else None
+    box = Box(r.floats(n_u), r.floats(n_u)) if has_box else None
     ranks = [r.intval() for _ in range(n_rights)]
     index = [r.intval() for _ in range(1 + n_u)]
     if not all(0 <= k < n_rights for k in index):
@@ -362,7 +362,7 @@ def load(path) -> Persistable:
         raise
     except InputError as exc:
         raise InvariantError(str(exc), invariant=str(exc)) from exc
-    except (ValueError, struct.error) as exc:
+    except (ValueError, OverflowError, struct.error) as exc:
         raise InvariantError(
             f"{path!r}: malformed payload: {exc}",
             invariant="well-formed payload",
@@ -466,6 +466,8 @@ def load_dataset_csv(path) -> Dataset:
             f"{path}:1: metadata needs numeric dt=, epsilon= and seed=, "
             f"got {meta_line.strip()!r}"
         ) from None
+    if seed < 0:
+        raise InputError(f"{path}:1: seed must be >= 0, got {seed}")
     header = lines[1][1].split(",") if len(lines) > 1 else []
     n_x = sum(1 for h in header if h.startswith("x"))
     n_u = sum(1 for h in header if h.startswith("u"))

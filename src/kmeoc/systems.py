@@ -1,6 +1,8 @@
-"""Benchmark dynamics, SDE integration, and snapshot dataset generation.
+"""The control problem: dynamics, boxes, penalty, and snapshot data.
 
-All systems are control-affine,
+The given part of the problem is the control penalty and its box
+(:class:`ControlPenalty`, :class:`Box`); the dynamics and stage cost
+are known only to the simulator.  All systems are control-affine,
 
     dX = (f(X) + G(X) u) dt + sqrt(2 eps) dW,
 
@@ -24,11 +26,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError, IntegrationError
-from .hjb import ControlPenalty
 
 __all__ = [
     "Box",
     "ControlAffineSystem",
+    "ControlPenalty",
     "Dataset",
     "euler_maruyama_step",
     "generate_dataset",
@@ -72,6 +74,41 @@ class Box:
         """n uniform draws as a dim x n array."""
         span = (self.hi - self.lo)[:, None]
         return self.lo[:, None] + span * rng.random((self.dim, n))
+
+
+@dataclass(frozen=True)
+class ControlPenalty:
+    """Diagonal quadratic control penalty r(u) = sum_m weights_m * u_m^2.
+
+    Parameters
+    ----------
+    weights : array_like
+        Strictly positive diagonal of the quadratic form, length n_u.
+    box : Box, optional
+        Control bounds of dimension n_u.  The box must contain 0, so
+        that the conjugate at lam = 0 is exactly 0, matching the zero
+        terminal value of the recursion.
+    """
+
+    weights: np.ndarray
+    box: Optional[Box] = None
+
+    def __post_init__(self):
+        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        if w.ndim != 1 or w.size == 0 or not np.all(w > 0):
+            raise InputError("penalty weights must be strictly positive")
+        object.__setattr__(self, "weights", w)
+        if self.box is not None:
+            if self.box.dim != w.size:
+                raise InputError(
+                    f"box dimension {self.box.dim} != n_u = {w.size}"
+                )
+            if not self.box.contains(np.zeros(w.size)):
+                raise InputError("box must contain 0 in every coordinate")
+
+    @property
+    def n_u(self) -> int:
+        return self.weights.size
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from kmeoc import ControlPenalty, Dataset, KernelConfig, fit_krr
+from kmeoc import Box, ControlPenalty, Dataset, KernelConfig, fit_krr
 from kmeoc.bench import (
     bench_config,
     closed_loop_rollout,
@@ -340,7 +340,7 @@ class TestPropertySuite:
         # 3. Fenchel conjugate beats a fine grid search up to grid
         #    resolution (quadratic objective => h^2 curvature bound).
         pen = ControlPenalty(
-            weights=np.array([2.0]), box=(np.array([-2.0]), np.array([2.0]))
+            weights=np.array([2.0]), box=Box(-2.0, 2.0)
         )
         h = 1e-3
         grid_u = np.arange(-2.0, 2.0 + h / 2, h)

@@ -495,6 +495,20 @@ class TestLogLevel:
 
 
 class TestControl:
+    def test_horizon_too_large_to_allocate_exits_2(
+        self, model_path, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "control", "--model", str(model_path),
+                "--horizon", "100000000000", "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "H = 100000000000 steps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_policy_table_and_solution(self, work, model_path, capsys):
         rc = main(
             [
@@ -657,6 +671,21 @@ class TestSignedValues:
 
 
 class TestPredict:
+    def test_steps_too_many_to_allocate_exit_2(
+        self, model_path, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "predict", "--model", str(model_path), "--x0", "1.0",
+                "--steps", "100000000000", "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "steps = 100000000000: the forecast does not fit" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("dump", [[], ["--dump-weights", "true"]])
     def test_negative_steps_exit_2_before_writing(
         self, model_path, tmp_path, capsys, dump
@@ -912,6 +941,60 @@ class TestBench:
             ["bench", "--system", "s1", "--reps", "0", "--out", str(tmp_path)]
         )
         assert rc == 2
+
+
+class TestNegativeSeed:
+    """A seed below 0 is a configuration error wherever it enters: exit 2,
+    no traceback, and nothing written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--system", "s1", "--n", "10"],
+            [
+                "bench", "--system", "s1", "--reps", "1", "--n", "50",
+                "--horizon", "20",
+            ],
+        ],
+        ids=["generate", "bench"],
+    )
+    def test_flag_exits_2_before_writing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--seed", "-1", "--out", str(out)])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: expected an integer >= 0, got '-1'" in err
+        assert not out.exists()
+
+    def test_config_value_exits_2_before_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("seed=-1\n")
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "generate", "--system", "s1", "--n", "10",
+                "--config", str(cfg), "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert f"{cfg}:1: bad value for 'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dataset_seed_exits_2_before_writing(self, work, tmp_path, capsys):
+        text = (work / "s1_n400_seed3.csv").read_text()
+        dataset = tmp_path / "neg.csv"
+        dataset.write_text(text.replace("seed=3", "seed=-3", 1))
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "identify", "--dataset", str(dataset),
+                "--sigma-grid", "0.8,1.6", "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:

@@ -341,7 +341,7 @@ class TestStateGramSolve:
         )
         ref = (K_q.T @ cho_solve(cho_factor(reg), b)).T
         if sol.box is not None:
-            ref = np.clip(ref, sol.box[0][:, None], sol.box[1][:, None])
+            ref = np.clip(ref, sol.box.lo[:, None], sol.box.hi[:, None])
         got = policy_interpolate(grid, sol, ops)
         assert np.max(np.abs(got - ref)) <= 1e-7 * np.max(np.abs(ref))
 

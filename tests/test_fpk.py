@@ -187,6 +187,16 @@ class TestForecastPath:
                 np.ones(static_ops.N),
             )
 
+    def test_steps_too_many_to_allocate(self, static_ops):
+        # The forecast buffer would take 745 GiB; the error comes from
+        # the allocation, before any step runs.
+        z0 = MeasureWeights(z=np.ones(static_ops.N))
+        with pytest.raises(InputError, match="steps = 100000000000"):
+            forecast_observable_path(
+                static_ops, z0, np.zeros((1, static_ops.N)), 10**11,
+                np.ones(static_ops.N),
+            )
+
 
 class TestExports:
     def test_forecast_csv_parses_back(self, tmp_path):

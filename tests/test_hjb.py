@@ -41,17 +41,13 @@ lam_elems = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 def box_penalty():
     return ControlPenalty(
         weights=np.array([1.0, 0.5]),
-        box=(np.array([-1.0, -2.0]), np.array([1.0, 2.0])),
+        box=Box(np.array([-1.0, -2.0]), np.array([1.0, 2.0])),
     )
 
 
 class TestControlPenalty:
-    def test_scalar_box_broadcasts(self):
-        p = ControlPenalty(weights=np.array([1.0, 2.0]), box=(-1.0, 1.0))
-        np.testing.assert_array_equal(p.box[0], [-1.0, -1.0])
-        np.testing.assert_array_equal(p.box[1], [1.0, 1.0])
-        assert p.n_u == 2
-
+    # A box is given as its (lo, hi) bounds and built inside the check,
+    # where the Box itself refuses lo >= hi.
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -61,11 +57,19 @@ class TestControlPenalty:
             dict(weights=np.array([1.0]), box=(1.0, -1.0)),
             dict(weights=np.array([1.0]), box=(0.5, 1.0)),  # excludes 0
             dict(weights=np.array([1.0]), box=(2.0, 2.0)),
+            dict(weights=np.array([1.0, 1.0]), box=(-1.0, 1.0)),  # dim 1
         ],
     )
     def test_rejects_bad_penalties(self, kwargs):
         with pytest.raises(InputError):
+            if "box" in kwargs:
+                kwargs = dict(kwargs, box=Box(*kwargs["box"]))
             ControlPenalty(**kwargs)
+
+    def test_box_is_kept_as_given(self):
+        box = Box(np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
+        p = ControlPenalty(weights=np.array([1.0, 0.5]), box=box)
+        assert p.box is box and p.n_u == 2
 
 
 class TestFenchelConjugate:
@@ -97,7 +101,7 @@ class TestFenchelConjugate:
         p = box_penalty()
         lam = np.array([2.5, -7.0])
         val, _ = fenchel_conjugate(lam, p, 0.1)
-        lo, hi = p.box
+        lo, hi = p.box.lo, p.box.hi
         for _ in range(1000):
             u = lo + (hi - lo) * rng.random(2)
             candidate = float(np.sum(p.weights * u**2) * 0.1 + lam @ u)
@@ -139,7 +143,7 @@ class TestKhjbRecursion:
     def test_terminal_and_first_backward_rows(self, static_ops):
         N = static_ops.N
         cost = np.linspace(0.5, 2.0, N)
-        penalty = ControlPenalty(weights=np.array([1.0]), box=(-1.0, 1.0))
+        penalty = ControlPenalty(weights=np.array([1.0]), box=Box(-1.0, 1.0))
         sol = khjb_recursion(static_ops, cost, penalty, H=40)
         np.testing.assert_array_equal(sol.value_row(40), np.zeros(N))
         # With v_H = 0 the conjugate term vanishes, so v_{H-1} is the
@@ -155,7 +159,7 @@ class TestKhjbRecursion:
         np.testing.assert_array_equal(sol.value_row(0), cost * 1e-2)
 
     def test_zero_cost_stays_zero(self, static_ops):
-        penalty = ControlPenalty(weights=np.array([1.0]), box=(-1.0, 1.0))
+        penalty = ControlPenalty(weights=np.array([1.0]), box=Box(-1.0, 1.0))
         sol = khjb_recursion(
             static_ops, np.zeros(static_ops.N), penalty, H=25
         )
@@ -165,10 +169,10 @@ class TestKhjbRecursion:
     def test_policy_respects_box(self, s1_fit):
         ops, _ = s1_fit
         ds = ops.dataset_ref
-        penalty = ControlPenalty(weights=np.array([1.0]), box=(-0.8, 0.8))
+        penalty = ControlPenalty(weights=np.array([1.0]), box=Box(-0.8, 0.8))
         sol = khjb_recursion(ops, ds.cost / ds.dt, penalty, H=100)
         assert sol.box is not None
-        lo, hi = sol.box
+        lo, hi = sol.box.lo, sol.box.hi
         policy = policy_rows(sol)
         assert np.all(policy >= lo[:, None] - 1e-15)
         assert np.all(policy <= hi[:, None] + 1e-15)
@@ -239,6 +243,47 @@ class TestKhjbRecursion:
         assert err.max_training_control == np.max(np.abs(ops.dataset_ref.U))
         assert f"spectral radius {err.spectral_radius:.6g}" in str(err)
         assert f"max |U| = {err.max_training_control:.4g}" in str(err)
+        # A's columns sum to 2, so enforcing the Markov constraints is
+        # worth a try.
+        assert "try enforce_markov or a different sigma" in str(err)
+
+    def test_divergence_reads_a_row_whose_policy_map_is_finite(self):
+        # Noisy s1 snapshots at gamma = 1e-4: the lowest finite policy row
+        # (|u| near 1e306) overflows u_m * Z_m, so the radius is read
+        # from a row above it.  The bench fit enforces the Markov
+        # constraints, so the advice leaves enforce_markov out.
+        cfg = bench_config(
+            "s1", {"data_epsilon": 0.02, "epsilon": 0.0, "gamma": 1e-4}
+        )
+        with pytest.raises(DivergenceError) as exc_info:
+            fit_and_solve(make_system("s1"), cfg, 0)
+        err = exc_info.value
+        assert 0 <= err.step < cfg["H"]
+        assert 1.0 < err.spectral_radius < np.inf
+        assert err.max_control < np.inf
+        assert "(try a different sigma)" in str(err)
+
+    def test_divergence_radius_is_inf_when_no_policy_map_is_finite(
+        self, static_ops
+    ):
+        # A NaN in A reaches the policy map of every row.
+        N = static_ops.N
+        A = np.eye(N)
+        A[0, 0] = np.nan
+        ops = _ops_with(static_ops, A, [np.zeros((N, N))])
+        penalty = ControlPenalty(weights=np.array([1.0]))
+        with pytest.raises(DivergenceError) as exc_info:
+            khjb_recursion(ops, np.ones(N), penalty, H=10)
+        assert exc_info.value.spectral_radius == np.inf
+
+    def test_horizon_too_large_to_allocate(self, static_ops):
+        # Its table of coordinates would take terabytes; the error comes
+        # from the allocation, before any step runs.
+        penalty = ControlPenalty(weights=np.array([1.0]))
+        with pytest.raises(InputError, match="H = 100000000000 steps"):
+            khjb_recursion(
+                static_ops, np.ones(static_ops.N), penalty, H=10**11
+            )
 
     def test_divergence_radius_is_the_dense_closed_loops(self, s1_fit):
         # Factored operators with a nonzero control block, under a finite
@@ -392,7 +437,9 @@ class TestRowsFromCoordinates:
         tol = 1e-6
         if case == "boxed":
             ops, cost, H = static_ops, np.linspace(0.5, 2.0, N), 40
-            penalty = ControlPenalty(weights=np.array([1.0]), box=(-1.0, 1.0))
+            penalty = ControlPenalty(
+                weights=np.array([1.0]), box=Box(-1.0, 1.0)
+            )
         elif case == "identity-fires":
             ops = _ops_with(static_ops, np.eye(N), [np.zeros((N, N))])
             cost, penalty, H = np.ones(N), free, 30
@@ -527,7 +574,7 @@ class TestFactoredMatchesDense:
         ops = _bench_ops("s1", 0)
         ds = ops.dataset_ref
         penalty = ControlPenalty(
-            weights=make_system("s1").penalty.weights, box=(-0.8, 0.8)
+            weights=make_system("s1").penalty.weights, box=Box(-0.8, 0.8)
         )
         assert not hjb._use_coordinates(ops, penalty, cfg["H"])
         args = (ds.cost / ds.dt, penalty, cfg["H"])
@@ -547,7 +594,7 @@ class TestFactoredMatchesDense:
         ops = _bench_ops("s2", 0)
         ds = ops.dataset_ref
         penalty = ControlPenalty(
-            weights=make_system("s2").penalty.weights, box=(-0.8, 0.8)
+            weights=make_system("s2").penalty.weights, box=Box(-0.8, 0.8)
         )
         H = 2000
         assert not hjb._use_coordinates(ops, penalty, H)
@@ -707,7 +754,7 @@ class TestCoordinatesMatchPerPoint:
     def test_debug_log_names_the_per_point_path(self, caplog):
         # A box that s1's policy never reaches forces the per-point step.
         weights = make_system("s1").penalty.weights
-        boxed = ControlPenalty(weights=weights, box=(-5.0, 5.0))
+        boxed = ControlPenalty(weights=weights, box=Box(-5.0, 5.0))
         self._check_debug_log(caplog, boxed, "per-point")
 
     @staticmethod
@@ -748,7 +795,7 @@ class TestCoordinatesMatchPerPoint:
         H_min = -(-D * F // ops.N)
         assert hjb._use_coordinates(ops, s2, H_min)
         assert not hjb._use_coordinates(ops, s2, H_min - 1)
-        boxed = ControlPenalty(weights=np.array([1.0]), box=(-1.0, 1.0))
+        boxed = ControlPenalty(weights=np.array([1.0]), box=Box(-1.0, 1.0))
         assert not hjb._use_coordinates(ops, boxed, 5000)
         N = static_ops.N
         dense = _ops_with(static_ops, np.eye(N), [np.zeros((N, N))])
@@ -773,7 +820,7 @@ class TestPolicyInterpolate:
         ds = make_static_dataset(N=40, seed=6)
         cfg = KernelConfig(sigma=1.0, epsilon=0.0, gamma=1e-12)
         ops = fit_krr(ds, cfg)
-        penalty = ControlPenalty(weights=np.array([1.0]), box=(-1.0, 1.0))
+        penalty = ControlPenalty(weights=np.array([1.0]), box=Box(-1.0, 1.0))
         sol = khjb_recursion(ops, ds.cost / ds.dt, penalty, H=50)
         table = sol.stationary_policy()
         got = policy_interpolate(ds.X, sol, ops, k=sol.stationary_step)
@@ -796,7 +843,9 @@ class TestPolicyInterpolate:
     def test_clips_to_control_box(self, static_ops):
         # The stop rule "fired" at step 0 with a row of 10s, held as is.
         N = static_ops.N
-        sol = _hand_built(N, box=(-0.5, 0.5), frozen=np.full((1, N), 10.0))
+        sol = _hand_built(
+            N, box=Box(-0.5, 0.5), frozen=np.full((1, N), 10.0)
+        )
         out = policy_interpolate(
             static_ops.dataset_ref.X[:, :5], sol, static_ops, k=0
         )

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from kmeoc import (
+    Box,
     ControlPenalty,
     KernelConfig,
     euler_maruyama_step,
@@ -53,7 +54,7 @@ def test_fenchel_unbounded_matches_grid_search():
 
 
 def test_fenchel_box_matches_grid_search():
-    pen = ControlPenalty(weights=np.array([1.0]), box=([-1.0], [1.0]))
+    pen = ControlPenalty(weights=np.array([1.0]), box=Box([-1.0], [1.0]))
     value, u = fenchel_conjugate([0.04], pen, 0.01)
     g_value, g_u = _fenchel_grid_oracle(0.04, 1.0, 0.01, lo=-1.0, hi=1.0)
     assert value == pytest.approx(-0.03, abs=1e-12)

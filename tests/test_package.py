@@ -1,4 +1,5 @@
-"""The package: each module's public names once, and one module opens files."""
+"""The package: each module's public names once, one module opens files,
+and the modules import one another in pipeline order."""
 
 import ast
 import importlib
@@ -8,6 +9,12 @@ import kmeoc
 
 MODULES = (
     "bench", "errors", "estimator", "fpk", "hjb", "kernel", "store", "systems",
+)
+
+# Each module may import only the modules before it.
+ORDER = (
+    "errors", "kernel", "systems", "estimator", "hjb", "fpk", "bench",
+    "store", "cli",
 )
 
 
@@ -48,3 +55,37 @@ def test_only_store_opens_files():
             if name in ("open", "fdopen"):
                 opened.append(f"{path.name}:{node.lineno}")
     assert opened == []
+
+
+def _package_imports(tree):
+    """The kmeoc modules a module's syntax tree imports, wherever they stand.
+
+    ``from .x import y``, ``from . import x``, ``from kmeoc.x import y``
+    and ``import kmeoc.x`` all count, also inside a function or under
+    ``if TYPE_CHECKING:``.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:
+                yield from (alias.name for alias in node.names)
+            elif node.level == 1:
+                yield node.module.split(".")[0]
+            elif (node.module or "").startswith("kmeoc."):
+                yield node.module.split(".")[1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("kmeoc."):
+                    yield alias.name.split(".")[1]
+
+
+def test_modules_import_in_pipeline_order():
+    package = Path(kmeoc.__file__).parent
+    modules = sorted(p.stem for p in package.glob("*.py"))
+    assert modules == sorted(ORDER + ("__init__",))
+    late = []
+    for rank, name in enumerate(ORDER):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        for target in _package_imports(tree):
+            if ORDER.index(target) >= rank:
+                late.append(f"{name} imports {target}")
+    assert late == []

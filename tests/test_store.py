@@ -9,6 +9,7 @@ import pytest
 
 from kmeoc import (
     BenchReport,
+    Box,
     ChecksumError,
     ControlPenalty,
     HeaderError,
@@ -28,7 +29,7 @@ from conftest import make_static_dataset, policy_rows, value_rows
 
 @pytest.fixture(scope="module")
 def solution(static_ops_module):
-    penalty = ControlPenalty(weights=np.array([1.0]), box=(-1.0, 1.0))
+    penalty = ControlPenalty(weights=np.array([1.0]), box=Box(-1.0, 1.0))
     ds = static_ops_module.dataset_ref
     return khjb_recursion(static_ops_module, ds.cost / ds.dt, penalty, H=12)
 
@@ -174,8 +175,8 @@ class TestRoundTrips:
         assert back.horizon == solution.horizon
         assert back.dt == solution.dt
         assert back.converged_at == solution.converged_at
-        np.testing.assert_array_equal(back.box[0], solution.box[0])
-        np.testing.assert_array_equal(back.box[1], solution.box[1])
+        np.testing.assert_array_equal(back.box.lo, solution.box.lo)
+        np.testing.assert_array_equal(back.box.hi, solution.box.hi)
 
     def test_coordinate_solution_round_trip(self, tmp_path, s1_bench):
         # s1 at bench settings: coordinate path, the stop rule fires.
@@ -351,6 +352,22 @@ class TestValidation:
         blob = MAGIC + struct.pack("<II", 2, 3) + checksum + payload
         path = tmp_path / "garbage.bin"
         path.write_bytes(blob)
+        with pytest.raises(InvariantError, match="malformed"):
+            load(path)
+
+    def test_infinite_count_is_invariant_error(
+        self, tmp_path, static_ops_module
+    ):
+        # A checksummed model whose header gives N = inf: no count can be
+        # read from it, so decoding fails as a structural problem.
+        path = tmp_path / "inf.bin"
+        save(static_ops_module, path)
+        blob = path.read_bytes()
+        # The payload, after the 24 header and checksum bytes, opens
+        # with N.
+        payload = struct.pack("<d", float("inf")) + blob[32:]
+        checksum = hashlib.blake2b(payload, digest_size=8).digest()
+        path.write_bytes(blob[:16] + checksum + payload)
         with pytest.raises(InvariantError, match="malformed"):
             load(path)
 

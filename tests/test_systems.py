@@ -486,3 +486,12 @@ class TestCsvRoundTrip:
         path.write_text("x1,u1,y1,cost\n0.0,0.0,0.0,0.0\n")
         with pytest.raises(InputError):
             load_dataset_csv(path)
+
+    def test_negative_seed_rejected(self, tmp_path):
+        path = tmp_path / "neg.csv"
+        path.write_text(
+            "# dt=0.01 epsilon=0 seed=-3 system=s1\n"
+            "x1,u1,y1,cost\n0.0,0.0,0.0,0.0\n"
+        )
+        with pytest.raises(InputError, match=r":1: seed must be >= 0, got -3"):
+            load_dataset_csv(path)
