@@ -181,6 +181,8 @@ def test_grid(system: ControlAffineSystem) -> np.ndarray:
 
 
 def _rep_seed(seed: int, rep: int) -> int:
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     return int(np.random.SeedSequence([seed, rep]).generate_state(1)[0])
 
 
@@ -239,13 +241,15 @@ def run_benchmark(
     overrides : dict, optional
         Benchmark-setting overrides (unknown keys are rejected).
     seed : int
-        Master seed; repetition r uses a seed derived from (seed, r).
+        Master seed, >= 0 (else InputError); repetition r uses a seed
+        derived from (seed, r).
     """
     cfg = bench_config(name, overrides)
     if reps is None:
         reps = cfg["reps"]
     if reps < 1:
         raise InputError(f"reps must be >= 1, got {reps}")
+    seeds = [_rep_seed(seed, r) for r in range(reps)]
     system = make_system(name)
     pts = test_grid(system)
     truth_table = policy_table(system.ground_truth_policy, pts)
@@ -255,7 +259,7 @@ def run_benchmark(
     flagged: List[int] = []
     for r in range(reps):
         try:
-            ops, sol = fit_and_solve(system, cfg, _rep_seed(seed, r))
+            ops, sol = fit_and_solve(system, cfg, seeds[r])
             per_rep[r] = rmse_table(policy_interpolate(pts, sol, ops), truth_table)
         except DivergenceError as exc:
             flagged.append(r)

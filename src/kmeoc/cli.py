@@ -56,6 +56,7 @@ from .estimator import (
     model_select,
 )
 from .fpk import (
+    MeasureWeights,
     embed_initial,
     forecast_observable_path,
     observable_forecast,
@@ -514,10 +515,21 @@ def cmd_predict(settings: _Settings) -> int:
     z0 = embed_initial(ops, X0)
 
     if settings.get("dump_weights"):
-        # One pass keeps every step's weights for the dump.
-        zs = [z0]
+        # One pass keeps every step's weights for the dump, in a table
+        # allocated before the first step.
+        try:
+            weights = np.empty((steps + 1, ops.N))
+        except (OverflowError, ValueError, MemoryError):
+            raise InputError(
+                f"steps = {steps}: the {steps + 1} x {ops.N} table of "
+                "weights does not fit in memory"
+            ) from None
+        z = z0
+        weights[0] = z.z
         for _ in range(steps):
-            zs.append(propagate(ops, zs[-1], table))
+            z = propagate(ops, z, table)
+            weights[z.step] = z.z
+        zs = [MeasureWeights(z=row, step=k) for k, row in enumerate(weights)]
         values = np.array([observable_forecast(z, psi) for z in zs])
     else:
         zs = None

@@ -24,7 +24,12 @@ steps with one of two kinds of free step: per point, forming v on all N
 points and projecting it, or, under an unboxed penalty, in coordinates,
 where the closed form makes y obey a quadratic recursion of its own
 (:func:`_use_coordinates` chooses).  Both kinds share one finite check,
-stop rule and freeze, and on the same operators agree to rounding.
+stop rule and freeze, and on the same operators agree to rounding.  The
+stop rule compares consecutive policy rows on all N points; in
+coordinates each block first screens it on a few points, with a margin
+that bounds how far rounding can move a row (:func:`_certified`), and
+forms the N-point rows only where the rule may fire.  So a coordinate
+step, stop rule included, costs the same at any N.
 Once the policy is frozen a step is linear in [y; 1], and every frozen
 step, on either path, goes through that one linear map.  The value
 and policy table is written as CSV by :mod:`kmeoc.store`.
@@ -62,6 +67,11 @@ log = logging.getLogger(__name__)
 #: finiteness and the stop rule once per block, and rows per block when
 #: building the coordinate path's quadratic maps.
 _BLOCK_ROWS = 256
+
+#: Training points, spread evenly over the sample, on which the
+#: coordinate path screens the stop rule before forming policy rows on
+#: all N points (:func:`_certified`).
+_SCREEN_POINTS = 16
 
 
 @dataclass
@@ -374,19 +384,90 @@ def _policy_map(P_bar, Z, stage, u, w, dt):
     return P_bar.T @ np.column_stack([Z[0], *held, accrued])
 
 
+def _policy_rows(Y, Z, part, w, dt, out):
+    """Policy rows u_k = -Z_m y_{m,k+1} / (2 w_m dt) into out[:len(Y)].
+
+    Row i of ``Y`` is y_{k+1} for the i-th step k of a block, counted
+    from its lowest; one GEMM per channel.
+    """
+    for m in range(1, len(Z)):
+        u = np.matmul(Y[:, part[m]], Z[m].T, out=out[: len(Y), m - 1])
+        u /= -2.0 * w[m - 1] * dt
+
+
+def _certified(Y, Z_S, part, w, dt, stop_tol) -> bool:
+    """Whether the stop rule's full scan would reject every step of a block.
+
+    Row i of ``Y`` is y_{k+1} for the i-th step k of the block, counted
+    from its lowest, plus one row above the last step compared; ``Z_S``
+    holds the rows of each Z_m at the screened points S.  On S the
+    policy rows are u~ = fl(fl(Z_S y_m) / c), c = -2 w_m dt, against the
+    full scan's u = fl(fl(Z_m y_m) / c) (:func:`_policy_rows`), where
+    each entry is an evaluation, in some order, of the K = r_m + 1 term
+    dot product d = sum_j y_j z_ij.  Any such evaluation lies within
+    gamma_K a + K eta of d (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 3.1), with a = sum_j |y_j z_ij|, unit
+    roundoff u = 2^-53, gamma_K = K u / (1 - K u) and eta = 2^-1074 for
+    gradual underflow, so two evaluations differ by at most
+    2 gamma_K a + 2 K eta; the division by c adds u |d^| / |c| + eta to
+    each.  Hence |u~ - u| <= (2 gamma_{K+1} a + 3 K eta) / |c| + eta.
+    The margin, from one more product on absolute values a^ = |Z_S| |y_m|
+    (a <= (a^ + K eta) / (1 - gamma_K), folded into gamma_{K+2}), is
+    twice that bound,
+
+        b = 4 gamma_{K+2} a^ / |c| + 8 (K + 1) eta (1 + 1 / |c|),
+
+    and the factor two covers the rounding of b itself.  Step k is
+    certified "not stationary" when at some point i of S and channel m
+
+        |u~_k,i - u~_{k+1},i| >= stop_tol + (b_k,i + b_{k+1},i + 4 u |.|),
+
+    where the 4 u |.| term, four unit roundoffs of the left side, covers
+    the rounding of the subtraction and of the sum on the right.  Then
+    the full scan's rows differ there by at least stop_tol exactly, so
+    by rounding's monotonicity its computed change is at least stop_tol
+    too (or NaN), and it rejects step k as well, whatever order its GEMM
+    sums in.  A non-finite side certifies nothing.
+    """
+    u, eta = 2.0**-53, 2.0**-1074
+    certified = np.zeros(Y.shape[0] - 1, dtype=bool)
+    for m, Zs in enumerate(Z_S, start=1):
+        c = -2.0 * w[m - 1] * dt
+        K = Zs.shape[1]
+        Ym = Y[:, part[m]]
+        screened = Ym @ Zs.T
+        screened /= c
+        b = np.abs(Ym) @ np.abs(Zs.T)
+        b *= 4.0 * (K + 2) * u / (1.0 - (K + 2) * u) / abs(c)
+        b += 8.0 * (K + 1) * eta * (1.0 + 1.0 / abs(c))
+        change = np.abs(screened[1:] - screened[:-1])
+        bound = stop_tol + (b[:-1] + b[1:] + 4.0 * u * change)
+        ok = (change >= bound) & np.isfinite(bound)
+        certified |= ok.any(axis=1)
+    return bool(certified.all())
+
+
 def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
     """Fill y_k = P_bar^T v_k for k = H, ..., 0, a block of steps at a time.
 
     A free step computes y_k from y_{k+1}.  Per point it expands v_k and
     u_k on all N points (:func:`_expand`) and projects y_k = P_bar^T v_k;
     in coordinates it is one GEMV on the pair products of [y_{k+1}; 1]
-    (:func:`_coordinate_map`), and each free block then forms its policy
-    rows u_k = -Z_m y_{m,k+1} / (2 w_m dt) by one GEMM per channel.
-    After each block the highest non-finite y_k, if any, is the
-    divergence step, unless the stop rule fired above it: then the policy
-    row there is frozen and the steps below are recomputed from y_k under
-    it.  Under a frozen policy the step is linear in [y; 1] on either
-    path, one GEMV by the frozen row's policy map (:func:`_policy_map`).
+    (:func:`_coordinate_map`).  After each block the highest non-finite
+    y_k, if any, is the divergence step, unless the stop rule fired above
+    it: then the policy row there is frozen and the steps below are
+    recomputed from y_k under it.  Under a frozen policy the step is
+    linear in [y; 1] on either path, one GEMV by the frozen row's policy
+    map (:func:`_policy_map`).
+
+    The stop rule compares each policy row with the one above on all N
+    points.  In coordinates a block first screens it on the
+    ``_SCREEN_POINTS`` points S (:func:`_certified`); only a block with a
+    non-finite y_k or a step the screen cannot certify forms its policy
+    rows on all N points (:func:`_policy_rows`), with the lowest row of
+    the block above formed by that block's own GEMM, so the decision and
+    the frozen row are those of a full scan of every block.
+
     Returns (coords, converged_at, frozen, diverged_at), the last None
     unless some y_k became non-finite.  A horizon whose table of y_k does
     not fit in memory raises InputError.
@@ -402,27 +483,32 @@ def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
             f"H = {H} steps: the {H + 1} x {D + 1} table of coordinates "
             "does not fit in memory"
         ) from None
-    if coordinates:
-        M, pair_a, pair_b = _coordinate_map(P_bar, Z, stage, w, dt)
-    else:
-        lam = np.empty((n_u, N))
-
     ys[:, D] = 1.0
     ys[H, :D] = 0.0
     # Scratch for one block, allocated once: fresh block-sized
     # temporaries would page-fault on every block.  us holds the block's
     # policy rows and, after them, the lowest row of the block above.
+    # The coordinate path allocates both on its first full scan.
     rows_max = min(H, _BLOCK_ROWS)
-    us = np.empty((rows_max + 1, n_u, N))
-    change = np.empty((rows_max, n_u, N))
+    us = change = None
+    if coordinates:
+        M, pair_a, pair_b = _coordinate_map(P_bar, Z, stage, w, dt)
+        S = np.linspace(0, N - 1, min(N, _SCREEN_POINTS)).astype(int)
+        Z_S = [Zm[S] for Zm in Z[1:]]
+    else:
+        lam = np.empty((n_u, N))
+        us = np.empty((rows_max + 1, n_u, N))
     frozen: Optional[np.ndarray] = None
     converged_at: Optional[int] = None
-    computed = 0
+    computed = checked = scanned = 0
+    # The y rows of the block above, and whether us holds its policy rows.
+    Y_above, formed = None, False
     k_hi = H - 1
     while k_hi >= 0:
         k_lo = max(k_hi - _BLOCK_ROWS + 1, 0)
         n = k_hi - k_lo + 1
-        us[n] = us[0]
+        if not coordinates:
+            us[n] = us[0]
         for k in range(k_hi, k_lo - 1, -1):
             x = ys[k + 1]
             if frozen is not None:
@@ -435,23 +521,38 @@ def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
                 )
                 ys[k, :D] = v @ P_bar
         computed += n
-        if coordinates and frozen is None:
-            Y = ys[k_lo + 1 : k_hi + 2]
-            for m in range(1, n_u + 1):
-                u = np.matmul(Y[:, part[m]], Z[m].T, out=us[:n, m - 1])
-                u /= -2.0 * w[m - 1] * dt
 
         finite = np.isfinite(ys[k_lo : k_hi + 1, :D]).all(axis=1)
         bad = np.flatnonzero(~finite)
         k_bad = k_lo + int(bad[-1]) if bad.size else -1
         k_stop = -1
         if frozen is None and stop_tol > 0:
+            checked += 1
             # Row k against row k + 1, for every k < H - 1 in the block.
             rows = min(n, H - 1 - k_lo)
-            diff = np.subtract(us[:rows], us[1 : rows + 1], out=change[:rows])
-            np.abs(diff, out=diff)
-            still = np.flatnonzero(diff.max(axis=(1, 2)) < stop_tol)
-            k_stop = k_lo + int(still[-1]) if still.size else -1
+            Y = ys[k_lo + 1 : k_hi + 2]
+            scan = not coordinates or bad.size > 0 or not _certified(
+                ys[k_lo + 1 : k_lo + rows + 2], Z_S, part, w, dt, stop_tol
+            )
+            if scan:
+                scanned += 1
+                if change is None:
+                    change = np.empty((rows_max, n_u, N))
+                if coordinates:
+                    if us is None:
+                        us = np.empty((rows_max + 1, n_u, N))
+                    if Y_above is not None:
+                        if not formed:
+                            _policy_rows(Y_above, Z, part, w, dt, us)
+                        us[n] = us[0]
+                    _policy_rows(Y, Z, part, w, dt, us)
+                diff = np.subtract(
+                    us[:rows], us[1 : rows + 1], out=change[:rows]
+                )
+                np.abs(diff, out=diff)
+                still = np.flatnonzero(diff.max(axis=(1, 2)) < stop_tol)
+                k_stop = k_lo + int(still[-1]) if still.size else -1
+            Y_above, formed = Y, scan
         if k_stop > k_bad:
             converged_at = k_stop
             frozen = us[k_stop - k_lo].copy()
@@ -467,6 +568,10 @@ def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
     log.debug(
         "%d steps computed, %d recomputed after the stop rule",
         computed, computed - H,
+    )
+    log.debug(
+        "stop rule: %d of %d blocks scanned on all %d points",
+        scanned, checked, N,
     )
     return ys[:, :D], converged_at, frozen, None
 
@@ -486,15 +591,20 @@ def khjb_recursion(
     of N, under an unboxed penalty when the rank is low enough for N and
     the horizon long enough to repay building the coordinate maps
     (:func:`_use_coordinates`); otherwise it runs per point, O(N r)
-    through the same factors.  Both kinds of step give the same rows up
-    to rounding and fire the stop rule at the same step; below it every
-    step, on either path, is one D x (D + 1) product with the frozen
-    map.  Both raise :class:`DivergenceError` at the same step too,
+    through the same factors.  In coordinates the stop rule is screened
+    on a fixed set of a few training points, with a margin that bounds
+    the rounding of the full N-point rows, so a block forms those rows
+    only where the rule may fire (:func:`_certified`); the decision is
+    the full scan's, and a coordinate step stays independent of N.
+    Both kinds of step give the same rows up to rounding and fire the
+    stop rule at the same step; below it every step, on either path, is
+    one D x (D + 1) product with the frozen map.  Both raise :class:`DivergenceError` at the same step too,
     unless rounding is amplified in the steps just before a blow-up
     (s2 data seed 57: k = 4589 in coordinates, 4591 per point).  At
     debug level the ``kmeoc.hjb`` logger names the path with r, n_u and
-    N, the steps computed and recomputed, and the step at which the
-    policy became stationary.
+    N, the steps computed and recomputed, the blocks whose stop rule was
+    scanned on all N points, and the step at which the policy became
+    stationary.
 
     Parameters
     ----------

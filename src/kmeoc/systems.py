@@ -299,6 +299,7 @@ def generate_dataset(
         Initial-state placement; controls are uniform over the control
         box in both modes.
     seed : int
+        An integer >= 0 (else InputError).
 
     Notes
     -----
@@ -311,6 +312,8 @@ def generate_dataset(
     """
     if N < 1:
         raise InputError(f"N must be >= 1, got {N}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     if sampler not in ("uniform_iid", "grid"):
         raise InputError(f"unknown sampler {sampler!r}")
     dt = float(cfg.dt)

@@ -16,6 +16,7 @@ from kmeoc import (
     rmse_policy,
     run_benchmark,
 )
+from kmeoc import bench
 from kmeoc import test_grid as policy_test_grid
 from kmeoc.bench import BENCH_DEFAULTS, bench_config, rmse_table
 from kmeoc.store import write_json
@@ -131,6 +132,22 @@ class TestRunBenchmark:
     def test_zero_reps_rejected(self):
         with pytest.raises(InputError):
             run_benchmark("s1", reps=0)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: run_benchmark("s1", reps=1, seed=-1),
+            lambda: convergence_sweep("s1", [20], reps=1, seed=-1),
+        ],
+        ids=["run_benchmark", "convergence_sweep"],
+    )
+    def test_negative_seed_rejected_before_any_work(self, monkeypatch, run):
+        def never(*args):
+            raise AssertionError("a repetition ran")
+
+        monkeypatch.setattr(bench, "fit_and_solve", never)
+        with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+            run()
 
     def test_grid_rounding_reported_in_N(self):
         rep = run_benchmark(

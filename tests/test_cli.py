@@ -686,6 +686,27 @@ class TestPredict:
         assert "steps = 100000000000: the forecast does not fit" in err
         assert not out.exists()
 
+    def test_weights_too_many_to_allocate_exit_2(
+        self, model_path, tmp_path, capsys, monkeypatch
+    ):
+        # The dump's table is allocated before the first step.
+        def never(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(kmeoc.cli, "propagate", never)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "predict", "--model", str(model_path), "--x0", "1.0",
+                "--steps", "100000000000", "--dump-weights", "true",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "steps = 100000000000: the 100000000001 x 400 table" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("dump", [[], ["--dump-weights", "true"]])
     def test_negative_steps_exit_2_before_writing(
         self, model_path, tmp_path, capsys, dump

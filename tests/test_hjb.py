@@ -633,6 +633,26 @@ def _bench_ops(name, seed):
     return enforce_markov(fit_krr(ds, kcfg))
 
 
+def _block_boundary_case():
+    """(ops, cost, penalty, H, tol, k): s1 whose stop rule fires at step k.
+
+    The first row of a block is compared with the last row of the block
+    above: the tolerance fires exactly there.  The third block's first
+    row lies past s1's transient, where the policy change per step only
+    shrinks.
+    """
+    ops = _bench_ops("s1", 0)
+    ds = ops.dataset_ref
+    penalty = make_system("s1").penalty
+    H = 2 * hjb._BLOCK_ROWS + 101
+    full = khjb_recursion(ops, ds.cost / ds.dt, penalty, H, stop_tol=0.0)
+    change = np.max(np.abs(np.diff(policy_rows(full), axis=0)), axis=(1, 2))
+    k = H - 1 - 2 * hjb._BLOCK_ROWS
+    assert change[k] < np.min(change[k + 1 :])
+    tol = 0.5 * (change[k] + np.min(change[k + 1 :]))
+    return ops, ds.cost / ds.dt, penalty, H, tol, k
+
+
 def _two_input_system():
     """x' = x - x^3 + u_1 + u_2 / 2: a bistable state with two channels."""
     return ControlAffineSystem(
@@ -645,6 +665,18 @@ def _two_input_system():
         domain=Box(np.array([-3.0]), np.array([3.0])),
         control_box=Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
     )
+
+
+def _two_channel_case():
+    """(ops, cost, penalty, H, stop_tol) of the two-input system."""
+    system = _two_input_system()
+    ds = generate_dataset(
+        system, 400, SimpleNamespace(dt=1e-2, epsilon=0.0), seed=0
+    )
+    ops = enforce_markov(
+        fit_krr(ds, KernelConfig(sigma=1.2, epsilon=0.02, dt=1e-2))
+    )
+    return ops, ds.cost / ds.dt, system.penalty, 500, 1e-6
 
 
 def _both_paths(monkeypatch, ops, cost, penalty, H, stop_tol):
@@ -713,38 +745,13 @@ class TestCoordinatesMatchPerPoint:
             assert (point.converged_at is not None) == (outcome == "fires")
 
     def test_stop_rule_fires_at_a_block_boundary(self, monkeypatch):
-        # The first row of a block is compared with the last row of the
-        # block above: pick the tolerance that fires exactly there.  The
-        # third block's first row lies past s1's transient, where the
-        # policy change per step only shrinks.
-        ops = _bench_ops("s1", 0)
-        ds = ops.dataset_ref
-        penalty = make_system("s1").penalty
-        H = 2 * hjb._BLOCK_ROWS + 101
-        full = khjb_recursion(ops, ds.cost / ds.dt, penalty, H, stop_tol=0.0)
-        change = np.max(
-            np.abs(np.diff(policy_rows(full), axis=0)), axis=(1, 2)
-        )
-        k = H - 1 - 2 * hjb._BLOCK_ROWS
-        assert change[k] < np.min(change[k + 1 :])
-        tol = 0.5 * (change[k] + np.min(change[k + 1 :]))
-        coord, point = _both_paths(
-            monkeypatch, ops, ds.cost / ds.dt, penalty, H, tol
-        )
+        ops, cost, penalty, H, tol, k = _block_boundary_case()
+        coord, point = _both_paths(monkeypatch, ops, cost, penalty, H, tol)
         _assert_paths_agree(coord, point)
         assert point.converged_at == k
 
     def test_two_channels(self, monkeypatch):
-        system = _two_input_system()
-        ds = generate_dataset(
-            system, 400, SimpleNamespace(dt=1e-2, epsilon=0.0), seed=0
-        )
-        ops = enforce_markov(
-            fit_krr(ds, KernelConfig(sigma=1.2, epsilon=0.02, dt=1e-2))
-        )
-        coord, point = _both_paths(
-            monkeypatch, ops, ds.cost / ds.dt, system.penalty, 500, 1e-6
-        )
+        coord, point = _both_paths(monkeypatch, *_two_channel_case())
         _assert_paths_agree(coord, point)
         assert point.converged_at is not None
 
@@ -800,6 +807,115 @@ class TestCoordinatesMatchPerPoint:
         N = static_ops.N
         dense = _ops_with(static_ops, np.eye(N), [np.zeros((N, N))])
         assert not hjb._use_coordinates(dense, s2, 5000)
+
+
+def _bench_case(name, seed, overrides=None):
+    """(ops, cost, penalty, H, stop_tol) of a system at bench settings."""
+    cfg = bench_config(name, overrides)
+    ops = _bench_ops(name, seed)
+    ds = ops.dataset_ref
+    penalty = make_system(name).penalty
+    return ops, ds.cost / ds.dt, penalty, cfg["H"], cfg["stop_tol"]
+
+
+def _recurse(ops, cost, penalty, H, stop_tol):
+    """khjb_recursion's solution, or the DivergenceError it raised."""
+    try:
+        return khjb_recursion(ops, cost, penalty, H, stop_tol=stop_tol)
+    except DivergenceError as exc:
+        return exc
+
+
+class TestStopRuleScreen:
+    """The coordinate path screens its stop rule on a few points."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param(
+                _block_boundary_case, id="s1-fires-at-a-block-boundary"
+            ),
+            pytest.param(lambda: _bench_case("s2", 0), id="s2-seed0"),
+            pytest.param(
+                lambda: _bench_case("s2", 16), id="s2-seed16-diverges"
+            ),
+            pytest.param(lambda: _bench_case("vdp", 0), id="vdp-seed0-fires"),
+            pytest.param(
+                lambda: _bench_case("vdp", 1), id="vdp-seed1-diverges"
+            ),
+            pytest.param(_two_channel_case, id="two-channels"),
+            pytest.param(
+                lambda: _bench_case("s1", 0, {"stop_tol": 0.0}),
+                id="s1-stop-tol-0",
+            ),
+        ],
+    )
+    def test_screening_changes_no_bit(self, monkeypatch, case):
+        args = case()[:5]
+        monkeypatch.setattr(
+            hjb, "_use_coordinates", lambda ops, penalty, H: True
+        )
+        screened = _recurse(*args)
+        # A screen that certifies nothing scans every block in full.
+        monkeypatch.setattr(hjb, "_certified", lambda *a: False)
+        full = _recurse(*args)
+        assert type(screened) is type(full)
+        if isinstance(full, DivergenceError):
+            assert screened.step == full.step
+            return
+        assert np.array_equal(screened.coords, full.coords)
+        assert screened.converged_at == full.converged_at
+        if full.frozen is None:
+            assert screened.frozen is None
+        else:
+            assert np.array_equal(screened.frozen, full.frozen)
+
+    def test_full_scan_below_a_screened_block(self, monkeypatch):
+        # The rule fires at the first row of the third block, against the
+        # last row of the second.  Let the screen pass the two blocks
+        # above, whose steps all change by more than the tolerance: that
+        # row is then formed again, by the second block's own GEMM.
+        ops, cost, penalty, H, tol, k = _block_boundary_case()
+        monkeypatch.setattr(
+            hjb, "_use_coordinates", lambda ops, penalty, H: True
+        )
+        monkeypatch.setattr(hjb, "_certified", lambda *a: False)
+        full = khjb_recursion(ops, cost, penalty, H, stop_tol=tol)
+        calls = []
+
+        def first_two(*args):
+            calls.append(args)
+            return len(calls) <= 2
+
+        monkeypatch.setattr(hjb, "_certified", first_two)
+        sol = khjb_recursion(ops, cost, penalty, H, stop_tol=tol)
+        assert len(calls) == 3
+        assert sol.converged_at == full.converged_at == k
+        assert np.array_equal(sol.frozen, full.frozen)
+        assert np.array_equal(sol.coords, full.coords)
+
+    def test_s2_scans_no_block_in_full(self, caplog):
+        ops, cost, penalty, H, stop_tol = _bench_case("s2", 0)
+        with caplog.at_level("DEBUG", logger="kmeoc.hjb"):
+            khjb_recursion(ops, cost, penalty, H, stop_tol=stop_tol)
+        blocks = -(-H // hjb._BLOCK_ROWS)
+        assert (
+            f"stop rule: 0 of {blocks} blocks scanned on all {ops.N} points"
+            in caplog.text
+        )
+
+    def test_stop_tol_zero_forms_no_policy_row(self, monkeypatch, caplog):
+        def never(*args):
+            raise AssertionError("a policy row was formed")
+
+        monkeypatch.setattr(hjb, "_policy_rows", never)
+        monkeypatch.setattr(hjb, "_certified", never)
+        ops, cost, penalty, H, _ = _bench_case("s1", 0)
+        assert hjb._use_coordinates(ops, penalty, H)
+        with caplog.at_level("DEBUG", logger="kmeoc.hjb"):
+            sol = khjb_recursion(ops, cost, penalty, H, stop_tol=0.0)
+        assert sol.converged_at is None
+        assert "stop rule: 0 of 0 blocks scanned" in caplog.text
 
 
 def _hand_built(N, box=None, frozen=None):

@@ -397,6 +397,12 @@ class TestGenerateDataset:
                 make_system("s1"), 8, KernelConfig(sigma=1.0), sampler="sobol"
             )
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+            generate_dataset(
+                make_system("s1"), 10, KernelConfig(sigma=1.0), seed=-1
+            )
+
 
 class TestDatasetValidation:
     def test_mismatched_sample_counts(self):
