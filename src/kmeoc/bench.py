@@ -307,9 +307,9 @@ def closed_loop_rollout(
     Raises
     ------
     InputError
-        T not finite and >= 0, dt not finite and > 0, a T / dt whose
-        trajectory does not fit in memory, or an x0 of another size than
-        the state.
+        T not finite and >= 0, dt not finite and > 0, a seed < 0, a T / dt
+        whose trajectory does not fit in memory, or an x0 of another size
+        than the state.
     RolloutError
         If the state escapes ten times the training domain (measured
         from the domain's center) or stops being finite — both are
@@ -321,6 +321,8 @@ def closed_loop_rollout(
         raise InputError(f"T must be finite and >= 0, got {T}")
     if not 0 < dt < math.inf:
         raise InputError(f"dt must be finite and > 0, got {dt}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     x = np.asarray(x0, dtype=float).ravel()
     if x.size != system.n_x:
         raise InputError(f"x0 has {x.size} entries, state has {system.n_x}")

@@ -39,7 +39,7 @@ import logging
 import os
 import re
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -53,7 +53,6 @@ from .estimator import (
     enforce_markov,
     fit_krr,
     fit_residual,
-    model_select,
 )
 from .fpk import (
     MeasureWeights,
@@ -183,8 +182,6 @@ _KEYS: Dict[str, tuple] = {
         "diffused-kernel denominator: " + " | ".join(DIFFUSED_MODES),
     ),
     "markov_enforce": (_parse_bool, False, "project onto Markov constraints"),
-    "sigma_grid": (_parse_floats, None, "comma list of sigmas to select from"),
-    "val_fraction": (float, 0.2, "holdout fraction for model selection"),
     "penalty_weights": (_parse_floats, [1.0], "diagonal control penalty"),
     "penalty_box": (str, "none", "control bounds 'lo,hi', or 'none'"),
     "horizon": (int, 500, "backward recursion steps H"),
@@ -355,23 +352,13 @@ def cmd_generate(settings: _Settings) -> int:
 def cmd_identify(settings: _Settings) -> int:
     ds_path = str(settings.get("dataset", required=True))
     ds = store.load_dataset_csv(ds_path)
-    sigma_grid = settings.get("sigma_grid")
-    if bool(sigma_grid) == settings.was_set("sigma"):
-        raise InputError("identify: set exactly one of sigma or sigma_grid")
-    # One kernel, at the data's own time step, scores the grid and fits.
     cfg = KernelConfig(
-        sigma=sigma_grid[0] if sigma_grid else float(settings.get("sigma")),
+        sigma=float(settings.get("sigma", required=True)),
         epsilon=float(settings.get("epsilon")),
         dt=ds.dt,
         gamma=float(settings.get("gamma")),
         diffused_mode=str(settings.get("diffused_mode")),
     )
-    scores = None
-    if sigma_grid:
-        best, scores = model_select(
-            ds, sigma_grid, cfg, float(settings.get("val_fraction"))
-        )
-        cfg = replace(cfg, sigma=best)
     grams = build_grams(ds.X, ds.U, ds.Y, cfg)
     ops = fit_krr(ds, cfg, grams=grams)
     if settings.get("markov_enforce"):
@@ -399,8 +386,6 @@ def cmd_identify(settings: _Settings) -> int:
         "departure_from_normality": departure_from_normality(ops.A),
         "model_path": os.path.relpath(model_path, out),
     }
-    if scores is not None:
-        summary["sigma_grid_scores"] = [asdict(s) for s in scores]
     summary_path = os.path.join(out, f"{_stem(ds_path)}_fit.json")
     store.write_json(summary, summary_path)
     print(f"wrote model to {model_path} (summary: {summary_path})")
@@ -638,8 +623,8 @@ _COMMANDS: Dict[str, tuple] = {
         cmd_identify,
         "fit transition operators from a dataset",
         (
-            "dataset", "out", "sigma", "sigma_grid", "val_fraction",
-            "epsilon", "gamma", "diffused_mode", "markov_enforce",
+            "dataset", "out", "sigma", "epsilon", "gamma", "diffused_mode",
+            "markov_enforce",
         ),
     ),
     "control": (

@@ -14,7 +14,6 @@ __all__ = [
     "IntegrationError",
     "EstimationError",
     "ScoringError",
-    "SelectionError",
     "DivergenceError",
     "PropagationError",
     "RolloutError",
@@ -71,10 +70,6 @@ class EstimationError(KmeocError):
 
 class ScoringError(KmeocError):
     """Model scoring failed (e.g. eigenvalue iteration did not converge)."""
-
-
-class SelectionError(KmeocError):
-    """Every candidate fit in a model-selection sweep failed."""
 
 
 class DivergenceError(KmeocError):

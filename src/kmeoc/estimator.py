@@ -16,12 +16,12 @@ solves (1 + n_u) r right-hand sides instead of (1 + n_u) N, and
 applying an operator costs O(N r) instead of O(N^2).
 
 Every solve with a ridge goes through one solver.  The fit solves with
-the control Gram (K_U + gamma I), and measure embedding, policy
-interpolation and validation scoring solve with the state Gram
-(K_X + jitter I), where jitter is the ridge the fit settled on.  Each
-Gram is approximately W W^T for a thin W: the pivoted-Cholesky factor F
-of K_X, and W = [F | u_1 * F | ...] for K_U.  The solver applies the
-Woodbury identity through one Cholesky factor of the capacitance matrix
+the control Gram (K_U + gamma I), and measure embedding and policy
+interpolation solve with the state Gram (K_X + jitter I), where jitter
+is the ridge the fit settled on.  Each Gram is approximately W W^T for
+a thin W: the pivoted-Cholesky factor F of K_X, and
+W = [F | u_1 * F | ...] for K_U.  The solver applies the Woodbury
+identity through one Cholesky factor of the capacitance matrix
 ridge I + W^T W, then takes one step of iterative refinement against
 the exact Gram.  That step contracts the error by at most
 rho = trace(G - W W^T) / ridge, so the result matches a dense solve to
@@ -35,17 +35,11 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
-from .errors import (
-    EstimationError,
-    InputError,
-    ScoringError,
-    SelectionError,
-)
+from .errors import EstimationError, InputError, ScoringError
 from .kernel import (
     GramBundle,
     KernelConfig,
@@ -53,7 +47,6 @@ from .kernel import (
     _scipy_linalg_getattr,
     build_grams,
     control_gram_product,
-    cross_gram_diffused,
     gram,
 )
 from .systems import Dataset
@@ -61,20 +54,16 @@ from .systems import Dataset
 __all__ = [
     "LowRank",
     "EstimatedOperators",
-    "ModelScore",
     "fit_krr",
     "enforce_markov",
     "departure_from_normality",
     "fit_residual",
-    "validation_score",
-    "model_select",
 ]
 
 log = logging.getLogger(__name__)
 
 _JITTER_CAP = 1e-4
 _RHO_MAX = 0.1  # largest gap / ridge a fit settles on
-_SCORE_WEIGHTS = (1.0, 0.1)  # model selection: validation, normality
 
 __getattr__ = _scipy_linalg_getattr(globals(), ("cho_factor", "cho_solve"))
 
@@ -284,29 +273,16 @@ class EstimatedOperators:
             )
         return self.x_factor
 
-    def x_solve(
-        self, b: np.ndarray, K_X: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def x_solve(self, b: np.ndarray) -> np.ndarray:
         """(K_X + jitter I)^{-1} b for b of shape (N,) or (N, k).
 
         Through the solver of :meth:`x_gram_factor`, refined against the
-        exact K_X, which is built by one :func:`gram` call unless given
-        and dropped on return.
+        exact K_X, which is built by one :func:`gram` call and dropped on
+        return.
         """
         solver = self.x_gram_factor()
-        if K_X is None:
-            K_X = gram(self.dataset_ref.X, self.kernel_cfg.sigma)
+        K_X = gram(self.dataset_ref.X, self.kernel_cfg.sigma)
         return solver.solve(b, lambda z: K_X @ z)
-
-
-@dataclass(frozen=True)
-class ModelScore:
-    """Per-sigma scores from model selection."""
-
-    sigma: float
-    validation_error: float
-    departure_from_normality: float
-    combined: float
 
 
 def fit_krr(
@@ -484,144 +460,3 @@ def fit_residual(ops: EstimatedOperators, bundle: GramBundle) -> float:
     left += ops.jitter * Z
     left[:, :-1] -= bundle.L_X
     return _fro_norm(left, np.column_stack([A.right, A.shift]))
-
-
-def validation_score(ops: EstimatedOperators, holdout: Dataset) -> float:
-    """Held-out one-step embedding residual, lower is better.
-
-    For each holdout transition ((x, u), y) the fitted closed-loop
-    operator is applied to the interpolation weights of x,
-
-        c_pred = (A_hat + sum_m B_hat_m u_m) w(x),
-        (K_X + jitter I) w(x) = k_X(x),
-
-    and the predicted kernel section K_X c_pred is compared against the
-    regression target eK(X, y) on the training points.  Returns the
-    mean squared discrepancy over all (training point, holdout sample)
-    pairs.  The weights come from :meth:`EstimatedOperators.x_solve`,
-    whose refinement step reuses the one K_X built here.
-    """
-    if holdout.N == 0:
-        raise InputError("holdout dataset is empty")
-    if holdout.n_x != ops.dataset_ref.n_x or holdout.n_u != ops.dataset_ref.n_u:
-        raise InputError("holdout dimensions do not match the training data")
-    cfg = ops.kernel_cfg
-    X = ops.dataset_ref.X
-    # k(x_i_train, x_j_holdout): a zero-diffusion cross Gram matrix.
-    zero_diff = replace(cfg, epsilon=0.0)
-    K_xq = cross_gram_diffused(X, holdout.X, zero_diff)
-    K_X = gram(X, cfg.sigma)
-    W = ops.x_solve(K_xq, K_X)  # (N, M)
-    C = ops.A @ W
-    for Bm, u_m in zip(ops.B, holdout.U):
-        C += Bm @ (W * u_m[None, :])
-    predicted = K_X @ C
-    target = cross_gram_diffused(X, holdout.Y, cfg)
-    return float(np.mean((predicted - target) ** 2))
-
-
-def _split_indices(N: int, val_fraction: float, seed: int):
-    if not 0 < val_fraction < 1:
-        raise InputError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    n_val = int(round(val_fraction * N))
-    if not 1 <= n_val <= N - 2:
-        raise InputError(
-            f"val_fraction {val_fraction} holds out {n_val} of {N} samples; "
-            f"the split needs 1 to {N - 2}"
-        )
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5E1EC7]))
-    perm = rng.permutation(N)
-    return np.sort(perm[n_val:]), np.sort(perm[:n_val])
-
-
-def _subset(ds: Dataset, idx: np.ndarray) -> Dataset:
-    return Dataset(
-        X=ds.X[:, idx],
-        U=ds.U[:, idx],
-        Y=None if ds.Y is None else ds.Y[:, idx],
-        cost=ds.cost[idx],
-        dt=ds.dt,
-        epsilon=ds.epsilon,
-        seed=ds.seed,
-        system=ds.system,
-    )
-
-
-def _minmax(vals: np.ndarray) -> np.ndarray:
-    lo, hi = float(np.min(vals)), float(np.max(vals))
-    if hi - lo <= 0.0:
-        return np.zeros_like(vals)
-    return (vals - lo) / (hi - lo)
-
-
-def model_select(
-    dataset: Dataset,
-    sigma_grid: Sequence[float],
-    cfg: KernelConfig,
-    val_fraction: float = 0.2,
-) -> Tuple[float, List[ModelScore]]:
-    """Pick the kernel scale minimizing a weighted two-part score.
-
-    The dataset is split deterministically (by its own seed) into a
-    training part and a ``val_fraction`` holdout, 0 < val_fraction < 1.
-    For every sigma in the grid the operators are fitted on the
-    training part with ``replace(cfg, sigma=sigma)``, the kernel the
-    final fit uses, and scored by the held-out embedding residual and
-    by the departure from normality of A_hat.  Both score vectors are
-    min-max normalized across the grid, combined with
-    ``_SCORE_WEIGHTS``, and the argmin is returned; ties break toward
-    the smaller sigma.
-
-    Returns
-    -------
-    (best_sigma, scores)
-        ``scores`` has one entry per grid point that fitted
-        successfully, in ascending sigma order.
-
-    Raises
-    ------
-    InputError
-        If the grid is empty or the split leaves no holdout sample or
-        fewer than two training samples.
-    SelectionError
-        If every fit fails.
-    """
-    if len(sigma_grid) == 0:
-        raise InputError("sigma grid is empty")
-    sigmas = sorted(float(s) for s in sigma_grid)
-    train_idx, val_idx = _split_indices(dataset.N, val_fraction, dataset.seed)
-    train, val = _subset(dataset, train_idx), _subset(dataset, val_idx)
-
-    # One sigma after another: each fit already keeps every core busy
-    # through BLAS, so a pool on top only makes them compete.
-    results = []
-    for sig in sigmas:
-        try:
-            ops = fit_krr(train, replace(cfg, sigma=sig))
-            results.append(
-                (sig, validation_score(ops, val), departure_from_normality(ops.A))
-            )
-        except (EstimationError, LinAlgError) as exc:
-            log.warning("fit failed for sigma=%g: %s", sig, exc)
-
-    if not results:
-        raise SelectionError("all candidate fits failed across the sigma grid")
-    val_norm = _minmax(np.array([r[1] for r in results]))
-    dep_norm = _minmax(np.array([r[2] for r in results]))
-    w1, w2 = _SCORE_WEIGHTS
-    combined = w1 * val_norm + w2 * dep_norm
-
-    scores = [
-        ModelScore(
-            sigma=r[0],
-            validation_error=r[1],
-            departure_from_normality=r[2],
-            combined=float(c),
-        )
-        for r, c in zip(results, combined)
-    ]
-    best_i = 0
-    for i in range(1, len(scores)):
-        if scores[i].combined < scores[best_i].combined:
-            best_i = i
-    return scores[best_i].sigma, scores

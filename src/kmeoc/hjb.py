@@ -500,6 +500,7 @@ def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
         us = np.empty((rows_max + 1, n_u, N))
     frozen: Optional[np.ndarray] = None
     converged_at: Optional[int] = None
+    diverged_at: Optional[int] = None
     computed = checked = scanned = 0
     # The y rows of the block above, and whether us holds its policy rows.
     Y_above, formed = None, False
@@ -562,18 +563,20 @@ def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
             M_frozen = _policy_map(P_bar, Z, stage, frozen, w, dt)
             k_hi = k_stop - 1
         elif k_bad >= 0:
-            return ys[:, :D], converged_at, frozen, k_bad
+            diverged_at = k_bad
+            break
         else:
             k_hi = k_lo - 1
+    # Steps k_lo, ..., H - 1 were each computed at least once.
     log.debug(
         "%d steps computed, %d recomputed after the stop rule",
-        computed, computed - H,
+        computed, computed - (H - k_lo),
     )
     log.debug(
         "stop rule: %d of %d blocks scanned on all %d points",
         scanned, checked, N,
     )
-    return ys[:, :D], converged_at, frozen, None
+    return ys[:, :D], converged_at, frozen, diverged_at
 
 
 def khjb_recursion(

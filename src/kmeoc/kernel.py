@@ -7,10 +7,10 @@ column.  The kernel is
     k(x, y) = exp(-||x - y||^2 / sigma^2),
 
 note the plain ``sigma**2`` denominator (no factor of 2).  The diffused
-variant (:func:`cross_gram_diffused`) additionally smooths one argument
-by the Gaussian increment of an Euler-Maruyama step, which shows up as
-an enlarged denominator and a normalizing prefactor; two conventions
-for the enlargement are supported, see :class:`KernelConfig`.
+variant, (sigma^2/den)^(n_x/2) * exp(-||x - y||^2/den), additionally
+smooths one argument by the Gaussian increment of an Euler-Maruyama
+step: ``den`` enlarges sigma^2 and the prefactor normalizes; two
+conventions for the enlargement are supported, see :class:`KernelConfig`.
 
 A fit forms no N x N array.  :func:`build_grams` returns the diffused
 cross-Gram as ``pref * L_X @ L_Y.T``, thin factors from a pivoted
@@ -39,7 +39,6 @@ __all__ = [
     "GramBundle",
     "gram",
     "control_gram_product",
-    "cross_gram_diffused",
     "cross_vector",
     "build_grams",
     "CHOLESKY_TOL",
@@ -235,25 +234,6 @@ def control_gram_product(X, U, sigma: float, Z: np.ndarray) -> np.ndarray:
         for m, u_m in enumerate(U, start=1):
             block += u_m[rows, None] * KZ[:, m * k : (m + 1) * k]
     return out
-
-
-def cross_gram_diffused(X, Y, cfg: KernelConfig) -> np.ndarray:
-    """Cross-covariance matrix of the diffused kernel.
-
-    Entry (i, j) is the diffused kernel between training input x^(i)
-    (row index) and successor state y^(j) (column index):
-    ``(sigma^2/den)^(n_x/2) * exp(-||x - y||^2/den)`` with ``den`` given
-    by ``cfg.diffused_denominator``.
-    """
-    X = _as_states(X, "X")
-    Y = _as_states(Y, "Y")
-    if X.shape[0] != Y.shape[0]:
-        raise InputError(f"shape mismatch: X {X.shape} vs Y {Y.shape}")
-    den = cfg.diffused_denominator
-    pref = (cfg.sigma**2 / den) ** (X.shape[0] / 2.0)
-    K = _exp_sq_dists(X, Y, den)
-    K *= pref
-    return K
 
 
 def cross_vector(x, X, sigma: float) -> np.ndarray:

@@ -67,6 +67,23 @@ def control_gram(K_X: np.ndarray, U) -> np.ndarray:
     return K_X * (1.0 + U.T @ U)
 
 
+def cross_gram_diffused(X, Y, cfg: KernelConfig) -> np.ndarray:
+    """The diffused cross-Gram as an array, rows X and columns Y.
+
+    Entry (i, j) is ``(sigma^2/den)^(n_x/2) * exp(-||x_i - y_j||^2/den)``
+    with ``den = cfg.diffused_denominator``, its squared distance summed
+    one coordinate at a time as in ``scipy.spatial.distance.cdist``; the
+    package only keeps it factored, by :func:`kmeoc.kernel.build_grams`.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if X.shape[0] != Y.shape[0]:
+        raise InputError(f"shape mismatch: X {X.shape} vs Y {Y.shape}")
+    den = cfg.diffused_denominator
+    d2 = sum(np.subtract.outer(x, y) ** 2 for x, y in zip(X, Y))
+    return (cfg.sigma**2 / den) ** (X.shape[0] / 2.0) * np.exp(-d2 / den)
+
+
 def dense_departure(A) -> float:
     """Henrici's normalized departure from normality of a square array.
 
@@ -161,6 +178,7 @@ def tmp_out(tmp_path):
 
 __all__ = [
     "control_gram",
+    "cross_gram_diffused",
     "dense_departure",
     "diffused_rbf_eval",
     "make_static_dataset",

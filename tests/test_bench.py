@@ -245,6 +245,12 @@ class TestClosedLoopRollout:
                 make_system(name), None, None, np.array(x0), T=T, dt=dt
             )
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+            closed_loop_rollout(
+                make_system("s1"), None, None, [1.0], 0.05, 0.01, seed=-1
+            )
+
 
 class TestRiccatiReference:
     def test_known_gains(self):

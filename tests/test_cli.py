@@ -22,7 +22,6 @@ from kmeoc import (
     LowRank,
     fit_krr,
     load,
-    model_select,
     save,
 )
 from kmeoc.cli import main
@@ -174,86 +173,59 @@ class TestIdentify:
         assert summary["dataset"] == os.path.join("..", "data", "s1_n400_seed3.csv")
         assert summary["model_path"] == "s1_n400_seed3_model.bin"
 
-    def test_sigma_grid_selection_written(self, work, tmp_path, capsys):
-        dataset = work / "s1_n400_seed3.csv"
-        rc = main(
-            [
-                "identify", "--dataset", str(dataset),
-                "--sigma-grid", "0.8,1.6", "--out", str(tmp_path),
-            ]
-        )
-        assert rc == 0
-        summary = json.loads(
-            (tmp_path / "s1_n400_seed3_fit.json").read_text()
-        )
-        assert summary["sigma"] in (0.8, 1.6)
-        assert len(summary["sigma_grid_scores"]) == 2
-        for entry in summary["sigma_grid_scores"]:
-            assert set(entry) == {
-                "sigma", "validation_error",
-                "departure_from_normality", "combined",
-            }
-
-    def test_sigma_grid_is_scored_with_the_fitted_kernel(self, work, tmp_path):
-        # The data are noise-free (epsilon 0); the grid is scored with
-        # the kernel the written model carries (epsilon 0.02).
-        dataset = work / "s1_n400_seed3.csv"
-        rc = main(
-            [
-                "identify", "--dataset", str(dataset),
-                "--sigma-grid", "0.8,1.6", "--out", str(tmp_path),
-            ]
-        )
-        assert rc == 0
-        summary = json.loads((tmp_path / "s1_n400_seed3_fit.json").read_text())
-        cfg = load(tmp_path / "s1_n400_seed3_model.bin").kernel_cfg
-        ds = load_dataset_csv(dataset)
-        assert ds.epsilon == 0.0 and cfg.epsilon == 0.02 and cfg.dt == ds.dt
-        best, scores = model_select(ds, [0.8, 1.6], cfg)
-        assert summary["sigma"] == best == cfg.sigma
-        assert summary["sigma_grid_scores"] == [
-            dataclasses.asdict(s) for s in scores
-        ]
-
-    @pytest.mark.parametrize("fraction", ["nan", "0", "-1", "5", "0.999"])
-    def test_bad_val_fraction_exits_2_before_writing(
-        self, work, tmp_path, capsys, fraction
+    def test_missing_sigma_exits_2_before_writing(
+        self, work, tmp_path, capsys
     ):
-        out = tmp_path / "out"
-        rc = main(
-            [
-                "identify", "--dataset", str(work / "s1_n400_seed3.csv"),
-                "--sigma-grid", "1.0,1.2", "--val-fraction", fraction,
-                "--out", str(out),
-            ]
-        )
-        assert rc == 2
-        assert "val_fraction" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "flags, config",
-        [
-            (["--sigma", "0.5", "--sigma-grid", "0.8,1.6"], ""),
-            (["--sigma-grid", "0.8,1.6"], "sigma=0.5\n"),
-            (["--sigma", "0.5"], "sigma_grid=0.8,1.6\n"),
-        ],
-    )
-    def test_sigma_with_sigma_grid_exits_2_before_writing(
-        self, work, tmp_path, capsys, flags, config
-    ):
+        # Neither a flag nor the config file sets sigma.
         out = tmp_path / "out"
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(config)
+        cfg.write_text("gamma=1e-8\n")
         rc = main(
             [
                 "identify", "--dataset", str(work / "s1_n400_seed3.csv"),
                 "--config", str(cfg), "--out", str(out),
             ]
-            + flags
         )
         assert rc == 2
-        assert "exactly one of sigma or sigma_grid" in capsys.readouterr().err
+        assert (
+            "identify: required setting 'sigma' is missing"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_sigma_grid_flag_exits_2_before_writing(
+        self, work, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc_info:
+            main(
+                [
+                    "identify", "--dataset", str(work / "s1_n400_seed3.csv"),
+                    "--sigma-grid", "0.8,1.6", "--out", str(out),
+                ]
+            )
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --sigma-grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["sigma_grid=0.8,1.6", "val_fraction=0.2"])
+    def test_selection_config_key_exits_2_before_writing(
+        self, work, tmp_path, capsys, line
+    ):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# selection\n{line}\n")
+        rc = main(
+            [
+                "identify", "--dataset", str(work / "s1_n400_seed3.csv"),
+                "--sigma", "1.2", "--config", str(cfg), "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        key = line.split("=")[0]
+        assert (
+            f"{cfg}:2: unknown config key {key!r}" in capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_dt_is_the_datasets(self, work, tmp_path):
@@ -1010,7 +982,7 @@ class TestNegativeSeed:
         rc = main(
             [
                 "identify", "--dataset", str(dataset),
-                "--sigma-grid", "0.8,1.6", "--out", str(out),
+                "--sigma", "1.2", "--out", str(out),
             ]
         )
         assert rc == 2
@@ -1083,7 +1055,6 @@ class TestMalformedValues:
     # with otherwise, and a malformed value.
     CASES = {
         "markov_enforce": ("identify", ["--sigma", "1.2"], "maybe"),
-        "sigma_grid": ("identify", [], "0.8,x"),
         "save_solution": ("control", [], "maybe"),
         "penalty_weights": ("control", [], "abc"),
         "dump_weights": ("predict", ["--x0", "1.0"], "maybe"),

@@ -1,4 +1,4 @@
-"""KRR operator fitting, Markov projection, scoring, model selection."""
+"""KRR operator fitting, Markov projection, scoring."""
 
 import dataclasses
 import logging
@@ -21,16 +21,18 @@ from kmeoc import (
     fit_krr,
     fit_residual,
     gram,
-    model_select,
-    validation_score,
 )
 from kmeoc.bench import bench_config, fit_and_solve
 from kmeoc.fpk import embed_initial
 from kmeoc.hjb import policy_interpolate
-from kmeoc.kernel import cross_gram_diffused
 from kmeoc.systems import generate_dataset, make_system
 
-from conftest import control_gram, dense_departure, make_static_dataset
+from conftest import (
+    control_gram,
+    cross_gram_diffused,
+    dense_departure,
+    make_static_dataset,
+)
 
 
 class TestFitKrr:
@@ -373,173 +375,3 @@ class TestStateGramSolve:
         for line in lines:
             assert "r_X = " in line and "rho = " in line
             assert "residual before refinement" in line
-
-
-class TestValidationScore:
-    def test_static_self_prediction_is_tiny(self, static_ops):
-        holdout = make_static_dataset(N=15, seed=99)
-        score = validation_score(static_ops, holdout)
-        assert 0.0 <= score <= 1e-6
-
-    def test_rewards_matching_dynamics(self, static_ops):
-        matched = make_static_dataset(N=15, seed=7)
-        # Same inputs, but successors shifted: a system the fit never saw.
-        drifted = dataclasses.replace(matched, Y=matched.X + 0.5)
-        assert validation_score(static_ops, matched) < validation_score(
-            static_ops, drifted
-        )
-
-    def test_empty_holdout_rejected(self, static_ops):
-        empty = Dataset(
-            X=np.zeros((1, 0)),
-            U=np.zeros((1, 0)),
-            Y=np.zeros((1, 0)),
-            cost=np.zeros(0),
-            dt=1e-2,
-            epsilon=0.0,
-            seed=0,
-        )
-        with pytest.raises(InputError):
-            validation_score(static_ops, empty)
-
-    def test_dimension_mismatch_rejected(self, static_ops):
-        bad = Dataset(
-            X=np.zeros((2, 5)),
-            U=np.zeros((1, 5)),
-            Y=np.zeros((2, 5)),
-            cost=np.zeros(5),
-            dt=1e-2,
-            epsilon=0.0,
-            seed=0,
-        )
-        with pytest.raises(InputError):
-            validation_score(static_ops, bad)
-
-    def test_builds_the_state_gram_once(self, monkeypatch):
-        import kmeoc.estimator
-
-        ops = fit_krr(
-            make_static_dataset(N=20), KernelConfig(sigma=1.0, epsilon=0.0)
-        )
-        holdout = make_static_dataset(N=8, seed=5)
-        calls = []
-
-        def counting_gram(*args, **kwargs):
-            calls.append(1)
-            return gram(*args, **kwargs)
-
-        monkeypatch.setattr(kmeoc.estimator, "gram", counting_gram)
-        fresh = validation_score(ops, holdout)
-        assert len(calls) == 1
-        # Same bits as a score through the model's own cached factor.
-        ops.x_gram_factor()
-        calls.clear()
-        assert validation_score(ops, holdout) == fresh
-        assert len(calls) == 1
-
-    def test_permutation_invariance(self):
-        ds = make_static_dataset(N=40, seed=2)
-        rng = np.random.default_rng(13)
-        perm = rng.permutation(40)
-        shuffled = Dataset(
-            X=ds.X[:, perm], U=ds.U[:, perm], Y=ds.Y[:, perm],
-            cost=ds.cost[perm], dt=ds.dt, epsilon=ds.epsilon, seed=ds.seed,
-        )
-        cfg = KernelConfig(sigma=1.0, epsilon=0.0)
-        holdout = make_static_dataset(N=12, seed=77)
-        a = validation_score(fit_krr(ds, cfg), holdout)
-        b = validation_score(fit_krr(shuffled, cfg), holdout)
-        assert a == pytest.approx(b, abs=1e-8)
-
-
-class TestModelSelect:
-    # The static data's own noise and step: epsilon 0, dt 1e-2.
-    cfg = KernelConfig(sigma=1.0, epsilon=0.0)
-
-    def test_single_candidate(self):
-        ds = make_static_dataset(N=40)
-        best, scores = model_select(ds, [1.5], self.cfg)
-        assert best == 1.5
-        assert len(scores) == 1
-        assert scores[0].combined == 0.0  # min-max of a singleton
-
-    def test_tie_breaks_to_smaller_sigma(self, monkeypatch):
-        ds = make_static_dataset(N=40)
-        # Constant scores force an exact tie at combined = 0 for every sigma.
-        monkeypatch.setattr(
-            "kmeoc.estimator.validation_score", lambda ops, holdout: 1.0
-        )
-        monkeypatch.setattr(
-            "kmeoc.estimator.departure_from_normality", lambda A: 1.0
-        )
-        best, scores = model_select(ds, [2.0, 0.5, 1.0], self.cfg)
-        assert best == 0.5
-        assert [s.sigma for s in scores] == [0.5, 1.0, 2.0]
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(InputError):
-            model_select(make_static_dataset(N=20), [], self.cfg)
-
-    def test_scores_use_the_callers_kernel(self):
-        # The grid is scored with the caller's epsilon, not the data's.
-        ds = make_static_dataset(N=50, seed=3)
-        _, plain = model_select(ds, [0.5, 1.0], self.cfg)
-        _, diffused = model_select(
-            ds, [0.5, 1.0], dataclasses.replace(self.cfg, epsilon=0.05)
-        )
-        for a, b in zip(plain, diffused):
-            assert a.validation_error != b.validation_error
-            assert a.departure_from_normality != b.departure_from_normality
-
-    def test_scores_are_finite_and_ordered(self):
-        ds = make_static_dataset(N=50, seed=3)
-        best, scores = model_select(ds, [0.5, 1.0, 2.0], self.cfg)
-        assert best in {0.5, 1.0, 2.0}
-        sigmas = [s.sigma for s in scores]
-        assert sigmas == sorted(sigmas)
-        for s in scores:
-            assert np.isfinite(s.validation_error)
-            assert np.isfinite(s.departure_from_normality)
-            assert 0.0 <= s.combined <= 1.1
-
-    def test_selected_scale_is_competitive_downstream(self):
-        # The grid brackets two workable scales with a too-narrow one
-        # whose backward recursion diverges outright.  Selection must
-        # avoid the divergent scale and land on one whose end-to-end
-        # policy error stays within the benchmark tolerance.
-        from types import SimpleNamespace
-
-        from kmeoc.bench import (
-            bench_config,
-            fit_and_solve,
-            rmse_policy,
-            test_grid,
-        )
-        from kmeoc.hjb import policy_interpolate
-        from kmeoc.systems import generate_dataset, make_system
-
-        system = make_system("s1")
-        cfg = bench_config("s1", {"N": 400, "H": 300})
-        ds = generate_dataset(
-            system,
-            400,
-            SimpleNamespace(dt=cfg["dt"], epsilon=cfg["data_epsilon"]),
-            seed=321,
-        )
-        kernel = KernelConfig(
-            sigma=1.0,
-            epsilon=cfg["epsilon"],
-            dt=cfg["dt"],
-            gamma=cfg["gamma"],
-            diffused_mode=cfg["diffused_mode"],
-        )
-        best, _ = model_select(ds, [0.3, 1.2, 30.0], kernel)
-        assert best != 0.3
-
-        ops, sol = fit_and_solve(system, dict(cfg, sigma=best), data_seed=321)
-        rmse = rmse_policy(
-            lambda x: policy_interpolate(x, sol, ops),
-            system.ground_truth_policy,
-            test_grid(system),
-        )
-        assert rmse <= 5e-2

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import functools
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -221,13 +222,24 @@ class TestKhjbRecursion:
         assert sol.converged_at is None
         assert sol.stationary_step == 0
 
-    def test_divergence_reports_step(self, static_ops):
+    def test_divergence_reports_step(self, static_ops, caplog):
         N = static_ops.N
         ops = _ops_with(static_ops, 2.0 * np.eye(N), [np.zeros((N, N))])
         penalty = ControlPenalty(weights=np.array([1.0]))
-        with pytest.raises(DivergenceError) as exc_info:
-            khjb_recursion(ops, np.ones(N), penalty, H=2000)
+        with caplog.at_level("DEBUG", logger="kmeoc.hjb"):
+            with pytest.raises(DivergenceError) as exc_info:
+                khjb_recursion(ops, np.ones(N), penalty, H=2000)
         assert 0 <= exc_info.value.step < 2000
+        # The work done before the blow-up is logged once, as on a run
+        # that finishes; no count is negative.
+        lines = [r.getMessage() for r in caplog.records]
+        computed = [line for line in lines if "steps computed" in line]
+        assert len(computed) == 1
+        assert re.fullmatch(
+            r"\d+ steps computed, \d+ recomputed after the stop rule",
+            computed[0],
+        )
+        assert sum("blocks scanned on all" in line for line in lines) == 1
 
     def test_divergence_says_why(self, static_ops):
         # A = 2 I, B = 0: the policy stays 0 and the closed loop is A.

@@ -20,7 +20,6 @@ from kmeoc import (
     KernelConfig,
     build_grams,
     control_gram_product,
-    cross_gram_diffused,
     cross_vector,
     gram,
 )
@@ -28,7 +27,12 @@ from kmeoc.bench import bench_config
 from kmeoc.kernel import CHOLESKY_TOL
 from kmeoc.systems import generate_dataset, make_system
 
-from conftest import control_gram, diffused_rbf_eval, rbf_eval
+from conftest import (
+    control_gram,
+    cross_gram_diffused,
+    diffused_rbf_eval,
+    rbf_eval,
+)
 
 finite_floats = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
