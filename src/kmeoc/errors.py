@@ -75,9 +75,8 @@ class ScoringError(KmeocError):
 class DivergenceError(KmeocError):
     """The backward value recursion produced a non-finite iterate.
 
-    This usually signals an unstable learned operator spectrum; enforcing
-    the Markov constraints or choosing a different kernel scale tends to
-    help.
+    This usually signals an unstable learned operator spectrum; choosing
+    a different kernel scale tends to help.
 
     Attributes
     ----------

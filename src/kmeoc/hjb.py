@@ -25,11 +25,11 @@ points and projecting it, or, under an unboxed penalty, in coordinates,
 where the closed form makes y obey a quadratic recursion of its own
 (:func:`_use_coordinates` chooses).  Both kinds share one finite check,
 stop rule and freeze, and on the same operators agree to rounding.  The
-stop rule compares consecutive policy rows on all N points; in
-coordinates each block first screens it on a few points, with a margin
-that bounds how far rounding can move a row (:func:`_certified`), and
-forms the N-point rows only where the rule may fire.  So a coordinate
-step, stop rule included, costs the same at any N.
+stop rule compares consecutive policy rows on all N points; each block
+first screens it on a few points, with a margin that bounds how far
+rounding can move a row (:func:`_certified`), and forms the N-point
+rows from the y_k only where the rule may fire.  So a coordinate step,
+stop rule included, costs the same at any N.
 Once the policy is frozen a step is linear in [y; 1], and every frozen
 step, on either path, goes through that one linear map.  The value
 and policy table is written as CSV by :mod:`kmeoc.store`.
@@ -69,8 +69,8 @@ log = logging.getLogger(__name__)
 _BLOCK_ROWS = 256
 
 #: Training points, spread evenly over the sample, on which the
-#: coordinate path screens the stop rule before forming policy rows on
-#: all N points (:func:`_certified`).
+#: recursion screens the stop rule before forming policy rows on all N
+#: points (:func:`_certified`).
 _SCREEN_POINTS = 16
 
 
@@ -193,11 +193,21 @@ def _fenchel_batch(
     """
     w = penalty.weights[:, None]
     if u is None:
-        u = -lam / (2.0 * w * dt)
-        if penalty.box is not None:
-            u = np.clip(u, penalty.box.lo[:, None], penalty.box.hi[:, None])
+        u = _minimizer(lam, penalty, dt)
     value = np.sum(w * u**2 * dt + lam * u, axis=0)
     return value, u
+
+
+def _minimizer(lam, penalty: ControlPenalty, dt: float, out=None):
+    """The conjugate's minimizer: lam_m / (-2 w_m dt), clipped to the box.
+
+    ``lam`` has its channels on the second-to-last axis; ``out`` may be
+    ``lam`` itself.
+    """
+    u = np.divide(lam, -2.0 * penalty.weights[:, None] * dt, out=out)
+    if penalty.box is not None:
+        np.clip(u, penalty.box.lo[:, None], penalty.box.hi[:, None], out=u)
+    return u
 
 
 def fenchel_conjugate(lam, penalty: ControlPenalty, dt: float):
@@ -227,9 +237,7 @@ def _diverged(ops, sol: ValueSolution, P_bar, k: int) -> DivergenceError:
     nonzero eigenvalues of the D-square block M_u of that row's
     :func:`_policy_map`.  The row read is the lowest at or above k whose
     M_u is finite, since a finite row can still overflow it; the radius
-    is inf when no row's is.  The accrual column is not read.  The
-    advice to enforce the Markov constraints is given only when A's
-    columns do not already sum to 1.
+    is inf when no row's is.  The accrual column is not read.
     """
     radius = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -243,18 +251,11 @@ def _diverged(ops, sol: ValueSolution, P_bar, k: int) -> DivergenceError:
                 break
     u_max = float(np.max(np.abs(u)))
     U_max = float(np.max(np.abs(ops.dataset_ref.U)))
-    # 1^T A = 1^T [P_0 1] [R_0 s_0]^T, from the first block of P_bar.
-    # A raw fit's column sums miss 1 by 1e-6 to 1e-4 on the benchmark
-    # systems; enforce_markov's by rounding only.
-    sums = sol.factors[0] @ P_bar[:, : sol.factors[0].shape[1]].sum(axis=0)
-    advice = "a different sigma"
-    if not np.all(np.abs(sums - 1.0) <= 1e-10):
-        advice = "enforce_markov or " + advice
     return DivergenceError(
         f"value iterate became non-finite at step k={k}; under the policy "
         f"of step {j} the closed loop has spectral radius {radius:.6g} and "
         f"max |u| = {u_max:.4g} against max |U| = {U_max:.4g} in the "
-        f"training controls (try {advice})",
+        "training controls (try a different sigma)",
         step=k,
         spectral_radius=radius,
         max_control=u_max,
@@ -384,18 +385,22 @@ def _policy_map(P_bar, Z, stage, u, w, dt):
     return P_bar.T @ np.column_stack([Z[0], *held, accrued])
 
 
-def _policy_rows(Y, Z, part, w, dt, out):
-    """Policy rows u_k = -Z_m y_{m,k+1} / (2 w_m dt) into out[:len(Y)].
+def _policy_rows(Y, Z, part, penalty, dt, out):
+    """Policy rows u_k into out[:len(Y)], as :class:`ValueSolution` forms them.
 
     Row i of ``Y`` is y_{k+1} for the i-th step k of a block, counted
-    from its lowest; one GEMM per channel.
+    from its lowest.  Each row is one GEMV per channel, lam_m = Z_m y_m,
+    then the minimizer (:func:`_minimizer`), so it has the bits of
+    :meth:`ValueSolution.policy_row` at its step.
     """
-    for m in range(1, len(Z)):
-        u = np.matmul(Y[:, part[m]], Z[m].T, out=out[: len(Y), m - 1])
-        u /= -2.0 * w[m - 1] * dt
+    lam = out[: len(Y)]
+    for y, lam_k in zip(Y, lam):
+        for m in range(1, len(Z)):
+            np.dot(Z[m], y[part[m]], out=lam_k[m - 1])
+    _minimizer(lam, penalty, dt, out=lam)
 
 
-def _certified(Y, Z_S, part, w, dt, stop_tol) -> bool:
+def _certified(Y, Z_S, part, penalty, dt, stop_tol) -> bool:
     """Whether the stop rule's full scan would reject every step of a block.
 
     Row i of ``Y`` is y_{k+1} for the i-th step k of the block, counted
@@ -411,6 +416,8 @@ def _certified(Y, Z_S, part, w, dt, stop_tol) -> bool:
     gradual underflow, so two evaluations differ by at most
     2 gamma_K a + 2 K eta; the division by c adds u |d^| / |c| + eta to
     each.  Hence |u~ - u| <= (2 gamma_{K+1} a + 3 K eta) / |c| + eta.
+    Under a box both sides are then clipped to it, which is exact and
+    moves no two values further apart, so the bound holds as it stands.
     The margin, from one more product on absolute values a^ = |Z_S| |y_m|
     (a <= (a^ + K eta) / (1 - gamma_K), folded into gamma_{K+2}), is
     twice that bound,
@@ -426,17 +433,20 @@ def _certified(Y, Z_S, part, w, dt, stop_tol) -> bool:
     the rounding of the subtraction and of the sum on the right.  Then
     the full scan's rows differ there by at least stop_tol exactly, so
     by rounding's monotonicity its computed change is at least stop_tol
-    too (or NaN), and it rejects step k as well, whatever order its GEMM
+    too (or NaN), and it rejects step k as well, whatever order its GEMV
     sums in.  A non-finite side certifies nothing.
     """
     u, eta = 2.0**-53, 2.0**-1074
+    box = penalty.box
     certified = np.zeros(Y.shape[0] - 1, dtype=bool)
     for m, Zs in enumerate(Z_S, start=1):
-        c = -2.0 * w[m - 1] * dt
+        c = -2.0 * penalty.weights[m - 1] * dt
         K = Zs.shape[1]
         Ym = Y[:, part[m]]
         screened = Ym @ Zs.T
         screened /= c
+        if box is not None:
+            np.clip(screened, box.lo[m - 1], box.hi[m - 1], out=screened)
         b = np.abs(Ym) @ np.abs(Zs.T)
         b *= 4.0 * (K + 2) * u / (1.0 - (K + 2) * u) / abs(c)
         b += 8.0 * (K + 1) * eta * (1.0 + 1.0 / abs(c))
@@ -450,9 +460,9 @@ def _certified(Y, Z_S, part, w, dt, stop_tol) -> bool:
 def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
     """Fill y_k = P_bar^T v_k for k = H, ..., 0, a block of steps at a time.
 
-    A free step computes y_k from y_{k+1}.  Per point it expands v_k and
-    u_k on all N points (:func:`_expand`) and projects y_k = P_bar^T v_k;
-    in coordinates it is one GEMV on the pair products of [y_{k+1}; 1]
+    A free step computes y_k from y_{k+1}.  Per point it expands v_k on
+    all N points (:func:`_expand`) and projects y_k = P_bar^T v_k; in
+    coordinates it is one GEMV on the pair products of [y_{k+1}; 1]
     (:func:`_coordinate_map`).  After each block the highest non-finite
     y_k, if any, is the divergence step, unless the stop rule fired above
     it: then the policy row there is frozen and the steps below are
@@ -461,12 +471,13 @@ def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
     map (:func:`_policy_map`).
 
     The stop rule compares each policy row with the one above on all N
-    points.  In coordinates a block first screens it on the
-    ``_SCREEN_POINTS`` points S (:func:`_certified`); only a block with a
-    non-finite y_k or a step the screen cannot certify forms its policy
-    rows on all N points (:func:`_policy_rows`), with the lowest row of
-    the block above formed by that block's own GEMM, so the decision and
-    the frozen row are those of a full scan of every block.
+    points, and reads only the table of y_k, so it is the same on both
+    paths.  A block first screens it on the ``_SCREEN_POINTS`` points S
+    (:func:`_certified`); only a block with a non-finite y_k or a step
+    the screen cannot certify forms its policy rows, and the lowest row
+    of the block above, on all N points from the y_{k+1}
+    (:func:`_policy_rows`), so the decision and the frozen row are those
+    of a full scan of every block.
 
     Returns (coords, converged_at, frozen, diverged_at), the last None
     unless some y_k became non-finite.  A horizon whose table of y_k does
@@ -485,31 +496,22 @@ def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
         ) from None
     ys[:, D] = 1.0
     ys[H, :D] = 0.0
-    # Scratch for one block, allocated once: fresh block-sized
-    # temporaries would page-fault on every block.  us holds the block's
-    # policy rows and, after them, the lowest row of the block above.
-    # The coordinate path allocates both on its first full scan.
-    rows_max = min(H, _BLOCK_ROWS)
-    us = change = None
+    lam = np.empty((n_u, N))
     if coordinates:
         M, pair_a, pair_b = _coordinate_map(P_bar, Z, stage, w, dt)
-        S = np.linspace(0, N - 1, min(N, _SCREEN_POINTS)).astype(int)
-        Z_S = [Zm[S] for Zm in Z[1:]]
-    else:
-        lam = np.empty((n_u, N))
-        us = np.empty((rows_max + 1, n_u, N))
+    S = np.linspace(0, N - 1, min(N, _SCREEN_POINTS)).astype(int)
+    Z_S = [Zm[S] for Zm in Z[1:]]
+    # Scratch for the full scans, allocated on the first: fresh
+    # block-sized temporaries would page-fault on every scanned block.
+    us = change = None
     frozen: Optional[np.ndarray] = None
     converged_at: Optional[int] = None
     diverged_at: Optional[int] = None
     computed = checked = scanned = 0
-    # The y rows of the block above, and whether us holds its policy rows.
-    Y_above, formed = None, False
     k_hi = H - 1
     while k_hi >= 0:
         k_lo = max(k_hi - _BLOCK_ROWS + 1, 0)
         n = k_hi - k_lo + 1
-        if not coordinates:
-            us[n] = us[0]
         for k in range(k_hi, k_lo - 1, -1):
             x = ys[k + 1]
             if frozen is not None:
@@ -517,9 +519,7 @@ def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
             elif coordinates:
                 np.dot(M, x.take(pair_a) * x.take(pair_b), out=ys[k, :D])
             else:
-                v, us[k - k_lo] = _expand(
-                    Z, part, x[:D], stage, penalty, dt, None, lam
-                )
+                v, _ = _expand(Z, part, x[:D], stage, penalty, dt, None, lam)
                 ys[k, :D] = v @ P_bar
         computed += n
 
@@ -529,31 +529,23 @@ def _recursion(P_bar, Z, stage, penalty, dt, H, stop_tol, coordinates):
         k_stop = -1
         if frozen is None and stop_tol > 0:
             checked += 1
-            # Row k against row k + 1, for every k < H - 1 in the block.
+            # Row k against row k + 1, for every k < H - 1 in the block,
+            # from y_{k+1} for k = k_lo, ..., k_lo + rows.
             rows = min(n, H - 1 - k_lo)
-            Y = ys[k_lo + 1 : k_hi + 2]
-            scan = not coordinates or bad.size > 0 or not _certified(
-                ys[k_lo + 1 : k_lo + rows + 2], Z_S, part, w, dt, stop_tol
-            )
-            if scan:
+            Y = ys[k_lo + 1 : k_lo + rows + 2]
+            if bad.size or not _certified(Y, Z_S, part, penalty, dt, stop_tol):
                 scanned += 1
-                if change is None:
+                if us is None:
+                    rows_max = min(H, _BLOCK_ROWS)
+                    us = np.empty((rows_max + 1, n_u, N))
                     change = np.empty((rows_max, n_u, N))
-                if coordinates:
-                    if us is None:
-                        us = np.empty((rows_max + 1, n_u, N))
-                    if Y_above is not None:
-                        if not formed:
-                            _policy_rows(Y_above, Z, part, w, dt, us)
-                        us[n] = us[0]
-                    _policy_rows(Y, Z, part, w, dt, us)
+                _policy_rows(Y, Z, part, penalty, dt, us)
                 diff = np.subtract(
                     us[:rows], us[1 : rows + 1], out=change[:rows]
                 )
                 np.abs(diff, out=diff)
                 still = np.flatnonzero(diff.max(axis=(1, 2)) < stop_tol)
                 k_stop = k_lo + int(still[-1]) if still.size else -1
-            Y_above, formed = Y, scan
         if k_stop > k_bad:
             converged_at = k_stop
             frozen = us[k_stop - k_lo].copy()
@@ -594,14 +586,15 @@ def khjb_recursion(
     of N, under an unboxed penalty when the rank is low enough for N and
     the horizon long enough to repay building the coordinate maps
     (:func:`_use_coordinates`); otherwise it runs per point, O(N r)
-    through the same factors.  In coordinates the stop rule is screened
+    through the same factors.  On either path the stop rule is screened
     on a fixed set of a few training points, with a margin that bounds
     the rounding of the full N-point rows, so a block forms those rows
     only where the rule may fire (:func:`_certified`); the decision is
     the full scan's, and a coordinate step stays independent of N.
     Both kinds of step give the same rows up to rounding and fire the
     stop rule at the same step; below it every step, on either path, is
-    one D x (D + 1) product with the frozen map.  Both raise :class:`DivergenceError` at the same step too,
+    one D x (D + 1) product with the frozen map.  Both raise
+    :class:`DivergenceError` at the same step too,
     unless rounding is amplified in the steps just before a blow-up
     (s2 data seed 57: k = 4589 in coordinates, 4591 per point).  At
     debug level the ``kmeoc.hjb`` logger names the path with r, n_u and
@@ -644,9 +637,8 @@ def khjb_recursion(
         whose policy map has a finite D-square block, read from that
         block (inf when no row's is), and that row's largest control
         against the training controls'.  This usually signals an
-        unstable learned operator spectrum; enforcing the Markov
-        constraints (``enforce_markov``) or picking a different kernel
-        scale sigma are the usual remedies.
+        unstable learned operator spectrum; picking a different kernel
+        scale sigma is the usual remedy.
     """
     cost = np.asarray(cost, dtype=float).ravel()
     N = ops.N

@@ -255,15 +255,13 @@ class TestKhjbRecursion:
         assert err.max_training_control == np.max(np.abs(ops.dataset_ref.U))
         assert f"spectral radius {err.spectral_radius:.6g}" in str(err)
         assert f"max |U| = {err.max_training_control:.4g}" in str(err)
-        # A's columns sum to 2, so enforcing the Markov constraints is
-        # worth a try.
-        assert "try enforce_markov or a different sigma" in str(err)
+        # Every divergence gets the same advice, whatever A's column sums.
+        assert str(err).endswith("(try a different sigma)")
 
     def test_divergence_reads_a_row_whose_policy_map_is_finite(self):
         # Noisy s1 snapshots at gamma = 1e-4: the lowest finite policy row
         # (|u| near 1e306) overflows u_m * Z_m, so the radius is read
-        # from a row above it.  The bench fit enforces the Markov
-        # constraints, so the advice leaves enforce_markov out.
+        # from a row above it.
         cfg = bench_config(
             "s1", {"data_epsilon": 0.02, "epsilon": 0.0, "gamma": 1e-4}
         )
@@ -830,6 +828,23 @@ def _bench_case(name, seed, overrides=None):
     return ops, ds.cost / ds.dt, penalty, cfg["H"], cfg["stop_tol"]
 
 
+def _boxed_case(name, bound, overrides=None):
+    """_bench_case at data seed 0 with the control box [-bound, bound]."""
+    ops, cost, penalty, H, stop_tol = _bench_case(name, 0, overrides)
+    boxed = ControlPenalty(weights=penalty.weights, box=Box(-bound, bound))
+    return ops, cost, boxed, H, stop_tol
+
+
+def _doubling_case():
+    """(ops, cost, penalty, H, stop_tol): A = 2 I and B = 0, which diverge."""
+    cfg = KernelConfig(sigma=1.0, epsilon=0.0, dt=1e-2, gamma=1e-8)
+    ops = fit_krr(make_static_dataset(), cfg)
+    N = ops.N
+    ops = _ops_with(ops, 2.0 * np.eye(N), [np.zeros((N, N))])
+    penalty = ControlPenalty(weights=np.array([1.0]))
+    return ops, np.ones(N), penalty, 2000, 1e-6
+
+
 def _recurse(ops, cost, penalty, H, stop_tol):
     """khjb_recursion's solution, or the DivergenceError it raised."""
     try:
@@ -839,34 +854,56 @@ def _recurse(ops, cost, penalty, H, stop_tol):
 
 
 class TestStopRuleScreen:
-    """The coordinate path screens its stop rule on a few points."""
+    """Both paths screen their stop rule on a few points."""
 
     @pytest.mark.parametrize(
-        "case",
+        "case, coordinates",
         [
             pytest.param(
-                _block_boundary_case, id="s1-fires-at-a-block-boundary"
+                _block_boundary_case, True, id="s1-fires-at-a-block-boundary"
             ),
-            pytest.param(lambda: _bench_case("s2", 0), id="s2-seed0"),
+            pytest.param(lambda: _bench_case("s2", 0), True, id="s2-seed0"),
             pytest.param(
-                lambda: _bench_case("s2", 16), id="s2-seed16-diverges"
+                lambda: _bench_case("s2", 16), True, id="s2-seed16-diverges"
             ),
-            pytest.param(lambda: _bench_case("vdp", 0), id="vdp-seed0-fires"),
             pytest.param(
-                lambda: _bench_case("vdp", 1), id="vdp-seed1-diverges"
+                lambda: _bench_case("vdp", 0), True, id="vdp-seed0-fires"
             ),
-            pytest.param(_two_channel_case, id="two-channels"),
+            pytest.param(
+                lambda: _bench_case("vdp", 1), True, id="vdp-seed1-diverges"
+            ),
+            pytest.param(_two_channel_case, True, id="two-channels"),
             pytest.param(
                 lambda: _bench_case("s1", 0, {"stop_tol": 0.0}),
+                True,
                 id="s1-stop-tol-0",
             ),
+            # Per point, on the path each case takes by itself.
+            pytest.param(
+                lambda: _boxed_case("s1", 0.8, {"H": 1000}),
+                False,
+                id="s1-boxed-fires-at-42",
+            ),
+            pytest.param(
+                lambda: _boxed_case("s3", 1.0),
+                False,
+                id="s3-boxed-binds-at-screened-points",
+            ),
+            pytest.param(
+                lambda: _bench_case("s4", 0), False, id="s4-rank-above-N"
+            ),
+            pytest.param(_doubling_case, False, id="doubling-diverges"),
         ],
     )
-    def test_screening_changes_no_bit(self, monkeypatch, case):
+    def test_screening_changes_no_bit(self, monkeypatch, case, coordinates):
         args = case()[:5]
-        monkeypatch.setattr(
-            hjb, "_use_coordinates", lambda ops, penalty, H: True
-        )
+        if coordinates:
+            monkeypatch.setattr(
+                hjb, "_use_coordinates", lambda ops, penalty, H: True
+            )
+        else:
+            ops, _, penalty, H, _ = args
+            assert not hjb._use_coordinates(ops, penalty, H)
         screened = _recurse(*args)
         # A screen that certifies nothing scans every block in full.
         monkeypatch.setattr(hjb, "_certified", lambda *a: False)
@@ -885,8 +922,9 @@ class TestStopRuleScreen:
     def test_full_scan_below_a_screened_block(self, monkeypatch):
         # The rule fires at the first row of the third block, against the
         # last row of the second.  Let the screen pass the two blocks
-        # above, whose steps all change by more than the tolerance: that
-        # row is then formed again, by the second block's own GEMM.
+        # above, whose steps all change by more than the tolerance: the
+        # third block's scan then forms that row itself, from the table
+        # of y_k.
         ops, cost, penalty, H, tol, k = _block_boundary_case()
         monkeypatch.setattr(
             hjb, "_use_coordinates", lambda ops, penalty, H: True
@@ -907,14 +945,22 @@ class TestStopRuleScreen:
         assert np.array_equal(sol.coords, full.coords)
 
     def test_s2_scans_no_block_in_full(self, caplog):
-        ops, cost, penalty, H, stop_tol = _bench_case("s2", 0)
-        with caplog.at_level("DEBUG", logger="kmeoc.hjb"):
-            khjb_recursion(ops, cost, penalty, H, stop_tol=stop_tol)
-        blocks = -(-H // hjb._BLOCK_ROWS)
-        assert (
-            f"stop rule: 0 of {blocks} blocks scanned on all {ops.N} points"
-            in caplog.text
-        )
+        # s2 in coordinates and, per point, s2 under a box it never
+        # reaches (20 blocks each) and s4, whose rank exceeds what the
+        # coordinates repay (2 blocks).
+        for ops, cost, penalty, H, stop_tol in [
+            _bench_case("s2", 0),
+            _boxed_case("s2", 100.0),
+            _bench_case("s4", 0),
+        ]:
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="kmeoc.hjb"):
+                khjb_recursion(ops, cost, penalty, H, stop_tol=stop_tol)
+            blocks = -(-H // hjb._BLOCK_ROWS)
+            assert (
+                f"stop rule: 0 of {blocks} blocks scanned on all {ops.N} "
+                "points" in caplog.text
+            )
 
     def test_stop_tol_zero_forms_no_policy_row(self, monkeypatch, caplog):
         def never(*args):
