@@ -41,6 +41,7 @@ __all__ = [
     "control_gram_product",
     "cross_vector",
     "build_grams",
+    "right_factor",
     "CHOLESKY_TOL",
 ]
 
@@ -273,13 +274,34 @@ def _pivoted_cholesky(Z: np.ndarray, den: float) -> tuple:
     return rows[:r].T, d
 
 
+def _cross_factors(X: np.ndarray, Y: np.ndarray, cfg: KernelConfig) -> tuple:
+    """L_X, L_Y and pref of the diffused cross-Gram, pref * L_X @ L_Y.T.
+
+    One pivoted Cholesky of the diffused kernel on the joint points
+    ``[X Y]``; the same bits for the same X, Y and cfg.
+    """
+    den = cfg.diffused_denominator
+    L, _ = _pivoted_cholesky(np.hstack([X, Y]), den)
+    N = X.shape[1]
+    return (
+        np.ascontiguousarray(L[:N]),
+        np.ascontiguousarray(L[N:]),
+        (cfg.sigma**2 / den) ** (X.shape[0] / 2.0),
+    )
+
+
+def right_factor(X, Y, cfg: KernelConfig) -> np.ndarray:
+    """R = pref * L_Y, the right factor every fitted operator shares.
+
+    Built by the computation :func:`build_grams` runs, so it equals the
+    bundle's ``pref * L_Y`` for the same (X, Y, cfg) bit for bit.
+    """
+    _, L_Y, pref = _cross_factors(_as_states(X, "X"), _as_states(Y, "Y"), cfg)
+    return pref * L_Y
+
+
 def build_grams(X, U, Y, cfg: KernelConfig) -> GramBundle:
     """Factor the state Gram and the diffused cross-Gram in one call."""
-    if Y is None:
-        raise InputError(
-            "Y is None: a fit needs the training successors, which a "
-            "model restored from disk does not carry"
-        )
     X = _as_states(X, "X")
     U = _as_states(U, "U")
     Y = _as_states(Y, "Y")
@@ -288,13 +310,11 @@ def build_grams(X, U, Y, cfg: KernelConfig) -> GramBundle:
     if X.shape[0] != Y.shape[0]:
         raise InputError(f"shape mismatch: X {X.shape} vs Y {Y.shape}")
     F, gap = _pivoted_cholesky(X, cfg.sigma**2)
-    den = cfg.diffused_denominator
-    L, _ = _pivoted_cholesky(np.hstack([X, Y]), den)
-    N = X.shape[1]
+    L_X, L_Y, pref = _cross_factors(X, Y, cfg)
     return GramBundle(
         F=np.ascontiguousarray(F),
         gap_trace=float(np.maximum(gap, 0.0) @ (1.0 + np.sum(U * U, axis=0))),
-        L_X=np.ascontiguousarray(L[:N]),
-        L_Y=np.ascontiguousarray(L[N:]),
-        pref=(cfg.sigma**2 / den) ** (X.shape[0] / 2.0),
+        L_X=L_X,
+        L_Y=L_Y,
+        pref=pref,
     )

@@ -4,8 +4,14 @@ Models and value solutions are binary artifacts (:func:`save`,
 :func:`load`) with one framing: a 16-byte header (8-byte magic tag,
 little-endian u32 version, little-endian u32 kind), an 8-byte BLAKE2b
 checksum of the payload, then the payload itself.  The version is kept
-per kind (:data:`VERSIONS`); a model is stored as the thin factors of
-its operators, each distinct factor array once, and a value solution as
+per kind (:data:`VERSIONS`).  A model is stored as its training data
+(X, U, Y and cost) and the thin factors of its operators, each distinct
+factor array once; the fitted right factor R = pref * L_Y is not
+written but rebuilt on load by :func:`kmeoc.kernel.right_factor`, the
+fit's own code, so it reloads bit for bit on the machine that wrote it
+and to rounding elsewhere, like every BLAS result.  :func:`save` runs
+that rebuild and writes any factor it does not reproduce bit for bit
+(hand-built dense operators) as it is.  A value solution is stored as
 its coordinates y_k together with the right factors, stage cost and
 penalty that expand them into rows.  Payloads are little-endian float64
 streams in row-major order, so files transfer between machines
@@ -40,7 +46,7 @@ from .errors import (
 )
 from .estimator import EstimatedOperators, LowRank
 from .hjb import ValueSolution
-from .kernel import DIFFUSED_MODES, KernelConfig
+from .kernel import DIFFUSED_MODES, KernelConfig, right_factor
 from .systems import Box, ControlPenalty, Dataset
 
 __all__ = [
@@ -57,13 +63,14 @@ MAGIC = b"KMEOCART"
 _KIND_MODEL = 2
 _KIND_VALUE_SOLUTION = 3
 
-#: Format version per artifact kind.  Models are at 2: they hold
-#: factored operators; version 1 stored dense N x N matrices.  Value
-#: solutions are at 2: they hold the recursion's rank-r coordinates and
-#: the right factors that expand them; version 1 stored the value and
-#: policy tables.
+#: Format version per artifact kind.  Models are at 3: they hold the
+#: successors Y and leave out the right factor rebuilt from them;
+#: version 2 stored that factor and no Y, version 1 dense N x N
+#: matrices.  Value solutions are at 2: they hold the recursion's
+#: rank-r coordinates and the right factors that expand them; version 1
+#: stored the value and policy tables.
 VERSIONS = {
-    _KIND_MODEL: 2,
+    _KIND_MODEL: 3,
     _KIND_VALUE_SOLUTION: 2,
 }
 
@@ -98,12 +105,16 @@ class _Reader:
 
 
 def _distinct(arrays) -> tuple:
-    """Each distinct array of ``arrays`` once, and the index of each."""
+    """Each bitwise-distinct array of ``arrays`` once, and the index of each."""
     distinct: list = []
     index = []
     for arr in arrays:
         pos = next(
-            (k for k, f in enumerate(distinct) if np.array_equal(f, arr)), None
+            (
+                k for k, f in enumerate(distinct)
+                if f.shape == arr.shape and f.tobytes() == arr.tobytes()
+            ),
+            None,
         )
         if pos is None:
             pos = len(distinct)
@@ -114,17 +125,20 @@ def _distinct(arrays) -> tuple:
 
 def _encode_model(ops: EstimatedOperators) -> bytes:
     operators = [ops.A, *ops.B]
+    ds = ops.dataset_ref
+    cfg = ops.kernel_cfg
     # Operators share factor arrays (fitted B blocks reuse A's right
     # factor, hand-built dense ones one identity); each distinct array
-    # is written once and referenced by index.
+    # is written once and referenced by index.  Index 0 is the right
+    # factor rebuilt from the data, which is not written.
     factors, index = _distinct(
-        [arr for op in operators for arr in (op.left, op.right)]
+        [right_factor(ds.X, ds.Y, cfg)]
+        + [arr for op in operators for arr in (op.left, op.right)]
     )
+    factors, index = factors[1:], index[1:]
     N, r = ops.N, ops.A.rank
     if any(f.shape != (N, r) for f in factors):
         raise InputError("every operator factor must have shape (N, r)")
-    ds = ops.dataset_ref
-    cfg = ops.kernel_cfg
     mode_code = DIFFUSED_MODES.index(cfg.diffused_mode)
     parts = [
         _f64(
@@ -134,6 +148,7 @@ def _encode_model(ops: EstimatedOperators) -> bytes:
         ),
         _arr(ds.X),
         _arr(ds.U),
+        _arr(ds.Y),
         _arr(ds.cost),
     ]
     parts.extend(_arr(f) for f in factors)
@@ -158,28 +173,24 @@ def _decode_model(buf: bytes) -> EstimatedOperators:
         )
     X = r.floats(n_x * N).reshape(n_x, N)
     U = r.floats(n_u * N).reshape(n_u, N)
+    Y = r.floats(n_x * N).reshape(n_x, N)
     cost = r.floats(N)
-    factors = [r.floats(N * rank).reshape(N, rank) for _ in range(n_factors)]
+    stored = [r.floats(N * rank).reshape(N, rank) for _ in range(n_factors)]
     index = [r.intval() for _ in range(2 * (1 + n_u))]
     shifts = [r.floats(N) for _ in range(1 + n_u)]
-    if not all(0 <= k < n_factors for k in index):
+    if not all(0 <= k <= n_factors for k in index):
         raise InvariantError(
             "operator refers to a missing factor", invariant="valid factor index"
         )
-    if not all(np.all(np.isfinite(a)) for a in factors + shifts):
+    if not all(np.all(np.isfinite(a)) for a in stored + shifts):
         raise InvariantError(
             "operator factors contain non-finite entries",
             invariant="finite operators",
         )
-    operators = [
-        LowRank(factors[index[2 * i]], factors[index[2 * i + 1]], shifts[i])
-        for i in range(1 + n_u)
-    ]
-    # The successor snapshots are not persisted.
     ds = Dataset(
         X=X,
         U=U,
-        Y=None,
+        Y=Y,
         cost=cost,
         dt=ds_dt,
         epsilon=ds_epsilon,
@@ -192,6 +203,18 @@ def _decode_model(buf: bytes) -> EstimatedOperators:
         gamma=gamma,
         diffused_mode=DIFFUSED_MODES[mode_code],
     )
+    rebuilt = right_factor(X, Y, cfg) if 0 in index else None
+    if rebuilt is not None and rebuilt.shape != (N, rank):
+        raise InvariantError(
+            f"the right factor rebuilt from the data has rank "
+            f"{rebuilt.shape[1]}, the stored factors {rank}; refit the model",
+            invariant="rebuilt right factor of the stored rank",
+        )
+    factors = [rebuilt] + stored
+    operators = [
+        LowRank(factors[index[2 * i]], factors[index[2 * i + 1]], shifts[i])
+        for i in range(1 + n_u)
+    ]
     return EstimatedOperators(
         A=operators[0],
         B=operators[1:],
@@ -400,8 +423,6 @@ def _csv_header(n_x: int, n_u: int) -> list:
 
 def save_dataset_csv(ds: Dataset, path) -> None:
     """Write the one-row-per-sample CSV with a leading metadata line."""
-    if ds.Y is None:
-        raise InputError("a dataset without successors Y has no CSV form")
     _write_csv(
         path,
         _csv_header(ds.n_x, ds.n_u),

@@ -167,13 +167,12 @@ class Dataset:
     """One-step snapshot data (x^(i), u^(i)) -> x_+^(i) with stage costs.
 
     ``cost`` holds the pre-weighted products state_cost(x^(i)) * dt.
-    Every entry must be finite.  ``Y`` is None when the successors are
-    not carried, as in a model restored from disk.
+    Every entry must be finite.
     """
 
     X: np.ndarray
     U: np.ndarray
-    Y: Optional[np.ndarray]
+    Y: np.ndarray
     cost: np.ndarray
     dt: float
     epsilon: float
@@ -181,7 +180,7 @@ class Dataset:
     system: str = ""
 
     def __post_init__(self):
-        names = ("X", "U", "cost") if self.Y is None else ("X", "U", "Y", "cost")
+        names = ("X", "U", "Y", "cost")
         for name in names:
             object.__setattr__(
                 self, name, np.asarray(getattr(self, name), dtype=float)
@@ -189,7 +188,7 @@ class Dataset:
         N = self.X.shape[1]
         if self.U.shape[1] != N or self.cost.size != N:
             raise InputError("dataset arrays disagree on sample count")
-        if self.Y is not None and self.Y.shape != self.X.shape:
+        if self.Y.shape != self.X.shape:
             raise InputError("X and Y disagree on shape")
         for name in names:
             bad = ~np.isfinite(getattr(self, name))

@@ -809,6 +809,35 @@ class TestPredict:
         )
         assert rc == 0
 
+    def test_solution_of_another_model_exits_2_before_writing(
+        self, model_path, tmp_path, capsys
+    ):
+        # The same system and N from another data seed: the solution
+        # fits the model's shapes but not its factors.
+        other = tmp_path / "other"
+        stem = other / "s1_n400_seed4"
+        for argv in (
+            ["generate", "--system", "s1", "--n", "400", "--seed", "4",
+             "--epsilon", "0"],
+            ["identify", "--dataset", f"{stem}.csv", "--sigma", "1.2",
+             "--markov-enforce", "true"],
+            ["control", "--model", f"{stem}_model.bin", "--horizon", "50",
+             "--save-solution", "true"],
+        ):
+            assert main(argv + ["--out", str(other)]) == 0
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "predict", "--model", str(model_path), "--x0", "1.0",
+                "--policy", "learned",
+                "--solution", f"{stem}_model_solution.bin",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "not computed from this model" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_model_artifact_rejected_as_solution(
         self, model_path, tmp_path, capsys
     ):

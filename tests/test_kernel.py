@@ -22,6 +22,7 @@ from kmeoc import (
     control_gram_product,
     cross_vector,
     gram,
+    right_factor,
 )
 from kmeoc.bench import bench_config
 from kmeoc.kernel import CHOLESKY_TOL
@@ -352,6 +353,9 @@ class TestBuildGrams:
         eK_XY = bundle.pref * bundle.L_X @ bundle.L_Y.T
         err = np.abs(eK_XY - cross_gram_diffused(X, Y, cfg)).max()
         assert err <= bundle.pref * (CHOLESKY_TOL + r * 2.2e-16)
+        # The right factor a model file leaves out is rebuilt bit for bit.
+        R = bundle.pref * bundle.L_Y
+        assert right_factor(X, Y, cfg).tobytes() == R.tobytes()
 
     @pytest.mark.parametrize("name", ["s1", "s2", "s4", "vdp"])
     def test_factor_bound_on_benchmark_data(self, name):

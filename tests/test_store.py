@@ -90,8 +90,8 @@ class TestRoundTrips:
         assert np.array_equal(back.B_hat_blocks[0], ops.B_hat_blocks[0])
         assert back.kernel_cfg == ops.kernel_cfg
         assert back.jitter == ops.jitter
-        # Successors are deliberately dropped.
-        assert back.dataset_ref.Y is None
+        # The successors are stored with the other training data.
+        assert back.dataset_ref.Y.tobytes() == ops.dataset_ref.Y.tobytes()
         # The loaded model drives the backward recursion to the exact
         # same output as the in-memory one.
         penalty = ControlPenalty(weights=np.array([1.0]))
@@ -130,11 +130,47 @@ class TestRoundTrips:
         path = tmp_path / "model_v1.bin"
         save(static_ops_module, path)
         blob = bytearray(path.read_bytes())
-        assert struct.unpack("<II", blob[8:16]) == (2, 2)  # version, kind
+        assert struct.unpack("<II", blob[8:16]) == (3, 2)  # version, kind
         blob[8:12] = struct.pack("<I", 1)
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionError):
             load(path)
+
+    def test_version_2_model_is_refused(self, tmp_path, static_ops_module):
+        # Version 2 stored the fitted right factor and no successors.
+        path = tmp_path / "model_v2.bin"
+        save(static_ops_module, path)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = struct.pack("<I", 2)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(VersionError, match="version 2 not supported"):
+            load(path)
+
+    def test_s1_model_keeps_successors_not_right_factor(
+        self, tmp_path, s1_bench
+    ):
+        # s1 at bench settings, N = 1000: the loaded model carries the
+        # fitted Y bit for bit, and the file holds the successors
+        # (n_x x N) in place of the rebuilt right factor (N x r).
+        from kmeoc import build_grams, fit_residual
+
+        ops = s1_bench[0]
+        ds = ops.dataset_ref
+        path = tmp_path / "s1.bin"
+        save(ops, path)
+        back = load(path)
+        assert back.dataset_ref.Y.tobytes() == ds.Y.tobytes()
+        assert back.A.right.tobytes() == ops.A.right.tobytes()
+        grams = build_grams(ds.X, ds.U, ds.Y, ops.kernel_cfg)
+        assert fit_residual(back, grams) == fit_residual(ops, grams)
+        N, n_x, n_u, r = ops.N, ds.n_x, ops.n_u, ops.A.rank
+        # Version 2: header, 14 settings, X, U, cost, the 2 + n_u
+        # distinct factors, their indices and the 1 + n_u shifts.
+        v2_bytes = 24 + 8 * (
+            14 + (n_x + n_u + 1) * N + (2 + n_u) * N * r
+            + 2 * (1 + n_u) + (1 + n_u) * N
+        )
+        assert v2_bytes - path.stat().st_size == (r - n_x) * N * 8
 
     def test_s1_model_is_under_one_megabyte(self, tmp_path):
         from types import SimpleNamespace
@@ -151,6 +187,22 @@ class TestRoundTrips:
         path = tmp_path / "s1.bin"
         save(ops, path)
         assert path.stat().st_size < 1_000_000
+
+    def test_rebuild_of_another_rank_is_invariant_error(
+        self, tmp_path, static_ops_module, monkeypatch
+    ):
+        # A machine whose rounding stops the pivoted Cholesky one column
+        # later rebuilds a right factor the stored left factors cannot use.
+        import kmeoc.store
+
+        path = tmp_path / "model.bin"
+        save(static_ops_module, path)
+        N, r = static_ops_module.N, static_ops_module.A.rank
+        monkeypatch.setattr(
+            kmeoc.store, "right_factor", lambda X, Y, cfg: np.zeros((N, r + 1))
+        )
+        with pytest.raises(InvariantError, match="refit the model"):
+            load(path)
 
     def test_dense_operators_round_trip(self, tmp_path, static_ops_module):
         import dataclasses

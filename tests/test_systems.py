@@ -14,7 +14,6 @@ from kmeoc import (
     InputError,
     IntegrationError,
     KernelConfig,
-    build_grams,
     euler_maruyama_step,
     generate_dataset,
     make_system,
@@ -442,21 +441,15 @@ class TestDatasetValidation:
         with pytest.raises(InputError, match=f"{name} is not finite at sample 4"):
             Dataset(**arrays, dt=1e-2, epsilon=0.0, seed=0)
 
-    def test_missing_successors_are_none(self, tmp_path):
-        ds = Dataset(
-            X=np.zeros((1, 3)), U=np.zeros((1, 3)), Y=None, cost=np.zeros(3),
-            dt=1e-2, epsilon=0.0, seed=0,
-        )
-        assert ds.Y is None
-        with pytest.raises(InputError, match="successors"):
-            build_grams(ds.X, ds.U, ds.Y, KernelConfig(sigma=1.0))
-        with pytest.raises(InputError, match="successors"):
-            save_dataset_csv(ds, tmp_path / "none.csv")
+    def test_missing_successors_are_refused(self):
+        X, U, cost = np.zeros((1, 3)), np.zeros((1, 3)), np.zeros(3)
+        with pytest.raises(InputError, match="X and Y disagree on shape"):
+            Dataset(X=X, U=U, Y=None, cost=cost, dt=1e-2, epsilon=0.0, seed=0)
         # All-NaN successors are refused like any other non-finite entry.
         for value in [np.nan, np.inf]:
             with pytest.raises(InputError, match="Y is not finite at sample 0"):
                 Dataset(
-                    X=ds.X, U=ds.U, Y=np.full((1, 3), value), cost=ds.cost,
+                    X=X, U=U, Y=np.full((1, 3), value), cost=cost,
                     dt=1e-2, epsilon=0.0, seed=0,
                 )
 
