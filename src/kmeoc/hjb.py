@@ -104,6 +104,11 @@ class ValueSolution:
         None if the policy kept changing through step 0.
     frozen : ndarray, shape (n_u, N), or None
         The policy row at :attr:`converged_at`, held at every step below.
+    training : tuple (X, Y, KernelConfig), or None
+        The training states and successors and the kernel settings of
+        the operators, from which :func:`kmeoc.kernel.right_factor`
+        rebuilds their shared right factor; :mod:`kmeoc.store` writes
+        these in its place.  None for a hand-built solution.
     """
 
     coords: np.ndarray
@@ -113,6 +118,7 @@ class ValueSolution:
     dt: float
     converged_at: Optional[int] = None
     frozen: Optional[np.ndarray] = None
+    training: Optional[tuple] = None
     _interp_cache: dict = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -680,6 +686,7 @@ def khjb_recursion(
         dt=dt,
         converged_at=converged_at,
         frozen=frozen,
+        training=(ops.dataset_ref.X, ops.dataset_ref.Y, ops.kernel_cfg),
     )
     if diverged_at is not None:
         raise _diverged(ops, sol, P_bar, diverged_at)
@@ -758,7 +765,9 @@ def policy_interpolate(
     if not np.all(np.isfinite(Q)):
         raise InputError("the query has a non-finite entry")
     C = _coefficients_for_step(sol, ops, k)
-    K_q = np.stack([cross_vector(Q[:, j], X, sigma) for j in range(Q.shape[1])])
+    K_q = np.empty((Q.shape[1], ops.N))
+    for j in range(Q.shape[1]):
+        K_q[j] = cross_vector(Q[:, j], X, sigma)
     out = (K_q @ C).T  # (n_u, M)
     if sol.box is not None:
         out = np.clip(out, sol.box.lo[:, None], sol.box.hi[:, None])

@@ -68,6 +68,9 @@ _BLOCK_ROWS = 64
 #: Rows of K_X that :func:`control_gram_product` holds at a time.
 _PRODUCT_ROWS = 256
 
+#: Side of the square tiles :func:`gram` evaluates above its diagonal.
+_GRAM_TILE = 128
+
 
 def _scipy_linalg_getattr(namespace: dict, names):
     """A module ``__getattr__`` (PEP 562) for the scipy.linalg ``names``.
@@ -171,24 +174,31 @@ def _as_states(X, name: str) -> np.ndarray:
     return A
 
 
-def _exp_sq_dists(X: np.ndarray, Y: np.ndarray, den: float) -> np.ndarray:
+def _exp_sq_dists(
+    X: np.ndarray, Y: np.ndarray, den: float, out=None
+) -> np.ndarray:
     """exp(-||x_i - y_j||^2 / den) for the columns of X and Y.
 
     The squared distance is summed one coordinate at a time, in the
     order ``scipy.spatial.distance.cdist(..., "sqeuclidean")`` uses, so
     the result is bit-identical to exponentiating cdist's output; and
     since (x - y)^2 == (y - x)^2 exactly, a Gram matrix comes out
-    symmetric.
+    symmetric.  ``out``, of shape (X columns, Y columns), may be a view
+    of a larger array; each block's differences go through one scratch
+    block, so no other temporary is formed.
     """
-    out = np.empty((X.shape[1], Y.shape[1]))
+    if out is None:
+        out = np.empty((X.shape[1], Y.shape[1]))
+    scratch = np.empty((min(X.shape[1], _BLOCK_ROWS), Y.shape[1]))
     for i in range(0, X.shape[1], _BLOCK_ROWS):
         block = out[i : i + _BLOCK_ROWS]
+        diff = scratch[: block.shape[0]]
         for d in range(X.shape[0]):
-            diff = np.subtract.outer(X[d, i : i + _BLOCK_ROWS], Y[d])
-            if d == 0:
-                np.multiply(diff, diff, out=block)
-            else:
-                block += diff * diff
+            sq = block if d == 0 else diff
+            np.subtract(X[d, i : i + _BLOCK_ROWS, None], Y[d], out=sq)
+            np.multiply(sq, sq, out=sq)
+            if d:
+                block += diff
         np.divide(block, -den, out=block)
         np.exp(block, out=block)
     return out
@@ -197,12 +207,22 @@ def _exp_sq_dists(X: np.ndarray, Y: np.ndarray, den: float) -> np.ndarray:
 def gram(X, sigma: float) -> np.ndarray:
     """Pairwise RBF Gram matrix of the columns of ``X``.
 
-    Symmetric by construction; the diagonal is exactly 1.
+    Symmetric by construction; the diagonal is exactly 1.  Only the
+    tiles on and above the diagonal are evaluated; each one above is
+    copied, transposed, below it, which gives the same bits since
+    (x - y)^2 == (y - x)^2 exactly.
     """
     X = _as_states(X, "X")
     if not sigma > 0:
         raise InputError(f"sigma must be > 0, got {sigma}")
-    K = _exp_sq_dists(X, X, sigma**2)
+    N = X.shape[1]
+    K = np.empty((N, N))
+    for i in range(0, N, _GRAM_TILE):
+        rows = slice(i, i + _GRAM_TILE)
+        _exp_sq_dists(X[:, rows], X[:, i:], sigma**2, out=K[rows, i:])
+        for j in range(i + _GRAM_TILE, N, _GRAM_TILE):
+            cols = slice(j, j + _GRAM_TILE)
+            K[cols, rows] = K[rows, cols].T
     np.fill_diagonal(K, 1.0)
     return K
 
@@ -212,9 +232,10 @@ def control_gram_product(X, U, sigma: float, Z: np.ndarray) -> np.ndarray:
 
     K_U = K_X * (1 + U^T U) entrywise, with K_X = gram(X, sigma), so
     K_U Z = K_X Z + sum_m u_m * (K_X (u_m * Z)).  K_X is built
-    :data:`_PRODUCT_ROWS` rows at a time and multiplied into
-    [Z | u_1 * Z | ...] in one product, so a call evaluates each of the
-    N^2 kernel entries once and holds no N x N array.
+    :data:`_PRODUCT_ROWS` rows at a time, into one reused strip, and
+    multiplied into [Z | u_1 * Z | ...] in one product, so a call
+    evaluates each of the N^2 kernel entries once and holds no N x N
+    array.
     """
     X = _as_states(X, "X")
     U = _as_states(U, "U")
@@ -227,10 +248,12 @@ def control_gram_product(X, U, sigma: float, Z: np.ndarray) -> np.ndarray:
     k = Z.shape[1]
     stacked = np.hstack([Z] + [u_m[:, None] * Z for u_m in U])
     out = np.empty_like(Z)
+    strip = np.empty((min(N, _PRODUCT_ROWS), N))
     for i in range(0, N, _PRODUCT_ROWS):
         rows = slice(i, i + _PRODUCT_ROWS)
-        KZ = _exp_sq_dists(X[:, rows], X, sigma**2) @ stacked
         block = out[rows]
+        K = _exp_sq_dists(X[:, rows], X, sigma**2, out=strip[: len(block)])
+        KZ = K @ stacked
         block[:] = KZ[:, :k]
         for m, u_m in enumerate(U, start=1):
             block += u_m[rows, None] * KZ[:, m * k : (m + 1) * k]

@@ -13,15 +13,18 @@ and to rounding elsewhere, like every BLAS result.  :func:`save` runs
 that rebuild and writes any factor it does not reproduce bit for bit
 (hand-built dense operators) as it is.  A value solution is stored as
 its coordinates y_k together with the right factors, stage cost and
-penalty that expand them into rows.  Payloads are little-endian float64
-streams in row-major order, so files transfer between machines
-unchanged.  Artifacts are written to a temporary file in the
-destination directory and renamed into place, so readers never observe
-a half-written artifact.  Datasets, value/policy tables, forecasts,
-weights and query answers are CSV tables, all written by
-:func:`_write_csv`, and the fit, bench and sweep summaries are JSON,
-written by :func:`write_json`.  The CLI's ``--config`` settings file is
-flat ``key=value`` text, read by :func:`load_config`.
+penalty that expand them into rows; its shared right factor too is
+rebuilt, from the training states X and Y and the kernel settings it
+carries (:attr:`kmeoc.hjb.ValueSolution.training`), and only the right
+factors that rebuild does not reproduce bit for bit are written.
+Payloads are little-endian float64 streams in row-major order, so files
+transfer between machines unchanged.  Artifacts are written to a
+temporary file in the destination directory and renamed into place, so
+readers never observe a half-written artifact.  Datasets, value/policy
+tables, forecasts, weights and query answers are CSV tables, all
+written by :func:`_write_csv`, and the fit, bench and sweep summaries
+are JSON, written by :func:`write_json`.  The CLI's ``--config``
+settings file is flat ``key=value`` text, read by :func:`load_config`.
 """
 
 from __future__ import annotations
@@ -66,12 +69,13 @@ _KIND_VALUE_SOLUTION = 3
 #: Format version per artifact kind.  Models are at 3: they hold the
 #: successors Y and leave out the right factor rebuilt from them;
 #: version 2 stored that factor and no Y, version 1 dense N x N
-#: matrices.  Value solutions are at 2: they hold the recursion's
-#: rank-r coordinates and the right factors that expand them; version 1
-#: stored the value and policy tables.
+#: matrices.  Value solutions are at 3: they hold the recursion's
+#: rank-r coordinates, the training states X and Y and the kernel
+#: settings, and the right factors not rebuilt from those; version 2
+#: stored every right factor, version 1 the value and policy tables.
 VERSIONS = {
     _KIND_MODEL: 3,
-    _KIND_VALUE_SOLUTION: 2,
+    _KIND_VALUE_SOLUTION: 3,
 }
 
 Persistable = Union[EstimatedOperators, ValueSolution]
@@ -123,6 +127,45 @@ def _distinct(arrays) -> tuple:
     return distinct, index
 
 
+def _cfg_floats(cfg: KernelConfig) -> tuple:
+    """The kernel settings as the five floats :func:`_read_cfg` reads."""
+    mode_code = DIFFUSED_MODES.index(cfg.diffused_mode)
+    return cfg.sigma, cfg.epsilon, cfg.dt, cfg.gamma, mode_code
+
+
+def _read_cfg(r: _Reader) -> KernelConfig:
+    sigma, epsilon, dt, gamma = (r.scalar() for _ in range(4))
+    mode_code = r.intval()
+    if not 0 <= mode_code < len(DIFFUSED_MODES):
+        raise InvariantError(
+            f"unknown diffused-mode code {mode_code}",
+            invariant="valid kernel config",
+        )
+    return KernelConfig(
+        sigma=sigma,
+        epsilon=epsilon,
+        dt=dt,
+        gamma=gamma,
+        diffused_mode=DIFFUSED_MODES[mode_code],
+    )
+
+
+def _rebuilt_right(X, Y, cfg: KernelConfig, rank: int, remedy: str):
+    """The right factor rebuilt from (X, Y, cfg), which must have ``rank``.
+
+    A machine whose rounding stops the pivoted Cholesky at another
+    column rebuilds a factor the stored ones cannot use.
+    """
+    R = right_factor(X, Y, cfg)
+    if R.shape[1] != rank:
+        raise InvariantError(
+            f"the right factor rebuilt from the data has rank "
+            f"{R.shape[1]}, the stored factors {rank}; {remedy}",
+            invariant="rebuilt right factor of the stored rank",
+        )
+    return R
+
+
 def _encode_model(ops: EstimatedOperators) -> bytes:
     operators = [ops.A, *ops.B]
     ds = ops.dataset_ref
@@ -139,11 +182,9 @@ def _encode_model(ops: EstimatedOperators) -> bytes:
     N, r = ops.N, ops.A.rank
     if any(f.shape != (N, r) for f in factors):
         raise InputError("every operator factor must have shape (N, r)")
-    mode_code = DIFFUSED_MODES.index(cfg.diffused_mode)
     parts = [
         _f64(
-            N, ds.n_x, ds.n_u,
-            cfg.sigma, cfg.epsilon, cfg.dt, cfg.gamma, mode_code,
+            N, ds.n_x, ds.n_u, *_cfg_floats(cfg),
             ops.jitter, ds.dt, ds.epsilon, ds.seed, r, len(factors),
         ),
         _arr(ds.X),
@@ -160,17 +201,11 @@ def _encode_model(ops: EstimatedOperators) -> bytes:
 def _decode_model(buf: bytes) -> EstimatedOperators:
     r = _Reader(buf)
     N, n_x, n_u = r.intval(), r.intval(), r.intval()
-    sigma, epsilon, dt, gamma = (r.scalar() for _ in range(4))
-    mode_code = r.intval()
+    cfg = _read_cfg(r)
     jitter = r.scalar()
     ds_dt, ds_epsilon = r.scalar(), r.scalar()
     ds_seed = r.intval()
     rank, n_factors = r.intval(), r.intval()
-    if not 0 <= mode_code < len(DIFFUSED_MODES):
-        raise InvariantError(
-            f"unknown diffused-mode code {mode_code}",
-            invariant="valid kernel config",
-        )
     X = r.floats(n_x * N).reshape(n_x, N)
     U = r.floats(n_u * N).reshape(n_u, N)
     Y = r.floats(n_x * N).reshape(n_x, N)
@@ -196,20 +231,10 @@ def _decode_model(buf: bytes) -> EstimatedOperators:
         epsilon=ds_epsilon,
         seed=ds_seed,
     )
-    cfg = KernelConfig(
-        sigma=sigma,
-        epsilon=epsilon,
-        dt=dt,
-        gamma=gamma,
-        diffused_mode=DIFFUSED_MODES[mode_code],
+    rebuilt = (
+        _rebuilt_right(X, Y, cfg, rank, "refit the model")
+        if 0 in index else None
     )
-    rebuilt = right_factor(X, Y, cfg) if 0 in index else None
-    if rebuilt is not None and rebuilt.shape != (N, rank):
-        raise InvariantError(
-            f"the right factor rebuilt from the data has rank "
-            f"{rebuilt.shape[1]}, the stored factors {rank}; refit the model",
-            invariant="rebuilt right factor of the stored rank",
-        )
     factors = [rebuilt] + stored
     operators = [
         LowRank(factors[index[2 * i]], factors[index[2 * i + 1]], shifts[i])
@@ -228,20 +253,33 @@ def _decode_model(buf: bytes) -> EstimatedOperators:
 def _encode_value_solution(sol: ValueSolution) -> bytes:
     # The right factors R_j are written once per distinct array (fitted
     # B blocks share A's), then the shifts s_j of Z_j = [R_j s_j].
-    rights, index = _distinct([Zj[:, :-1] for Zj in sol.factors])
+    # Index 0 is the right factor rebuilt from the training data, which
+    # is not written; a hand-built solution has no such data, and its
+    # index 0 is an empty placeholder no factor equals.
+    if sol.training is None:
+        n_x, head, settings = 0, np.empty((0, 0)), []
+    else:
+        X, Y, cfg = sol.training
+        n_x, head = X.shape[0], right_factor(X, Y, cfg)
+        settings = [_f64(*_cfg_floats(cfg))]
+    rights, index = _distinct([head] + [Zj[:, :-1] for Zj in sol.factors])
+    index = index[1:]
     conv = -1 if sol.converged_at is None else sol.converged_at
     box = sol.box
     parts = [
         _f64(
             sol.horizon, sol.N, sol.n_u, sol.dt, conv,
-            0 if box is None else 1, len(rights),
+            0 if box is None else 1, len(rights) - 1, n_x,
         ),
+        *settings,
         _arr(sol.penalty.weights),
     ]
     if box is not None:
         parts += [_arr(box.lo), _arr(box.hi)]
     parts.append(_f64(*(R.shape[1] for R in rights), *index))
-    parts.extend(_arr(R) for R in rights)
+    if n_x:
+        parts += [_arr(X), _arr(Y)]
+    parts.extend(_arr(R) for R in rights[1:])
     parts.extend(_arr(Zj[:, -1]) for Zj in sol.factors)
     parts.append(_arr(sol.stage))
     if sol.converged_at is not None:
@@ -261,16 +299,29 @@ def _decode_value_solution(buf: bytes) -> ValueSolution:
             invariant="converged step within the horizon",
         )
     has_box = r.intval()
-    n_rights = r.intval()
+    n_rights, n_x = r.intval(), r.intval()
+    cfg = _read_cfg(r) if n_x else None
     weights = r.floats(n_u)
     box = Box(r.floats(n_u), r.floats(n_u)) if has_box else None
-    ranks = [r.intval() for _ in range(n_rights)]
+    ranks = [r.intval() for _ in range(1 + n_rights)]
     index = [r.intval() for _ in range(1 + n_u)]
-    if not all(0 <= k < n_rights for k in index):
+    # Index 0, the rebuilt factor, exists only with the training data.
+    if not all(0 < k <= n_rights or k == 0 < n_x for k in index):
         raise InvariantError(
             "operator refers to a missing factor", invariant="valid factor index"
         )
-    rights = [r.floats(N * rank).reshape(N, rank) for rank in ranks]
+    training = None
+    if n_x:
+        X = r.floats(n_x * N).reshape(n_x, N)
+        Y = r.floats(n_x * N).reshape(n_x, N)
+        training = (X, Y, cfg)
+    rebuilt = (
+        _rebuilt_right(X, Y, cfg, ranks[0], "rerun kmeoc control")
+        if 0 in index else None
+    )
+    rights = [rebuilt] + [
+        r.floats(N * rank).reshape(N, rank) for rank in ranks[1:]
+    ]
     factors = [np.column_stack([rights[k], r.floats(N)]) for k in index]
     stage = r.floats(N)
     frozen = r.floats(n_u * N).reshape(n_u, N) if conv >= 0 else None
@@ -288,6 +339,7 @@ def _decode_value_solution(buf: bytes) -> ValueSolution:
         dt=dt,
         converged_at=None if conv < 0 else conv,
         frozen=frozen,
+        training=training,
     )
 
 

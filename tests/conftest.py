@@ -12,6 +12,7 @@ from kmeoc import (
     Dataset,
     InputError,
     KernelConfig,
+    ValueSolution,
     fit_krr,
 )
 from kmeoc.bench import bench_config, fit_and_solve
@@ -97,6 +98,19 @@ def dense_departure(A) -> float:
         return 0.0
     gap = max(0.0, fro**2 - float(np.sum(np.abs(np.linalg.eigvals(A)) ** 2)))
     return float(np.sqrt(gap)) / fro
+
+
+def hand_built_solution(N, box=None, frozen=None) -> ValueSolution:
+    """A one-step solution from the zero terminal value: Z_j = [1]."""
+    return ValueSolution(
+        coords=np.zeros((2, 2)),
+        factors=[np.ones((N, 1)), np.ones((N, 1))],
+        stage=np.zeros(N),
+        penalty=ControlPenalty(weights=np.array([1.0]), box=box),
+        dt=1e-2,
+        converged_at=None if frozen is None else 0,
+        frozen=frozen,
+    )
 
 
 def value_rows(sol) -> np.ndarray:

@@ -34,7 +34,12 @@ from kmeoc.hjb import _fenchel_batch
 from kmeoc.store import export_value_policy_csv
 from kmeoc.systems import generate_dataset, make_system
 
-from conftest import make_static_dataset, policy_rows, value_rows
+from conftest import (
+    hand_built_solution,
+    make_static_dataset,
+    policy_rows,
+    value_rows,
+)
 
 lam_elems = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -976,19 +981,6 @@ class TestStopRuleScreen:
         assert "stop rule: 0 of 0 blocks scanned" in caplog.text
 
 
-def _hand_built(N, box=None, frozen=None):
-    """A one-step solution from the zero terminal value: Z_j = [1]."""
-    return ValueSolution(
-        coords=np.zeros((2, 2)),
-        factors=[np.ones((N, 1)), np.ones((N, 1))],
-        stage=np.zeros(N),
-        penalty=ControlPenalty(weights=np.array([1.0]), box=box),
-        dt=1e-2,
-        converged_at=None if frozen is None else 0,
-        frozen=frozen,
-    )
-
-
 class TestPolicyInterpolate:
     def test_reproduces_table_at_training_points(self):
         ds = make_static_dataset(N=40, seed=6)
@@ -1017,7 +1009,7 @@ class TestPolicyInterpolate:
     def test_clips_to_control_box(self, static_ops):
         # The stop rule "fired" at step 0 with a row of 10s, held as is.
         N = static_ops.N
-        sol = _hand_built(
+        sol = hand_built_solution(
             N, box=Box(-0.5, 0.5), frozen=np.full((1, N), 10.0)
         )
         out = policy_interpolate(
@@ -1028,7 +1020,7 @@ class TestPolicyInterpolate:
 
     def test_zero_table_gives_zero(self, static_ops):
         N = static_ops.N
-        sol = _hand_built(N)
+        sol = hand_built_solution(N)
         np.testing.assert_array_equal(sol.policy_row(0), np.zeros((1, N)))
         out = policy_interpolate(np.array([0.3]), sol, static_ops, k=0)
         np.testing.assert_array_equal(out, [0.0])

@@ -25,7 +25,7 @@ from kmeoc import (
     right_factor,
 )
 from kmeoc.bench import bench_config
-from kmeoc.kernel import CHOLESKY_TOL
+from kmeoc.kernel import CHOLESKY_TOL, _exp_sq_dists
 from kmeoc.systems import generate_dataset, make_system
 
 from conftest import (
@@ -135,6 +135,28 @@ class TestSquaredDistances:
             -cdist(ds.X.T, ds.Y.T, "sqeuclidean") / den
         )
         assert np.array_equal(cross_gram_diffused(ds.X, ds.Y, kcfg), expected)
+
+    @pytest.mark.parametrize("n_x", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 127, 128, 129, 300])
+    def test_tiled_gram_bits_equal_cdist_and_symmetric(self, N, n_x):
+        # N around gram's 128-column tile: less than one, one, one and a
+        # column, and two and a partial one.
+        X = np.random.default_rng(10 * N + n_x).normal(size=(n_x, N))
+        K = gram(X, 0.9)
+        expected = np.exp(-cdist(X.T, X.T, "sqeuclidean") / 0.9**2)
+        np.fill_diagonal(expected, 1.0)
+        assert K.tobytes() == expected.tobytes()
+        assert K.tobytes() == K.T.tobytes()
+
+    def test_out_view_bits_equal_a_fresh_call(self):
+        rng = np.random.default_rng(5)
+        X, Y = rng.normal(size=(2, 70)), rng.normal(size=(2, 150))
+        big = np.full((90, 200), np.nan)
+        view = big[10:80, 30:180]
+        assert _exp_sq_dists(X, Y, 1.7, out=view) is view
+        assert view.tobytes() == _exp_sq_dists(X, Y, 1.7).tobytes()
+        # Nothing outside the view is written.
+        assert np.isnan(big).sum() == 90 * 200 - 70 * 150
 
     def test_cli_import_leaves_scipy_spatial_out(self):
         # A fresh interpreter: this test module imports scipy.spatial itself.

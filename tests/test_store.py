@@ -24,7 +24,12 @@ from kmeoc import (
 from kmeoc.store import MAGIC
 from kmeoc.systems import generate_dataset, make_system
 
-from conftest import make_static_dataset, policy_rows, value_rows
+from conftest import (
+    hand_built_solution,
+    make_static_dataset,
+    policy_rows,
+    value_rows,
+)
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +254,87 @@ class TestRoundTrips:
             assert back.value_row(k).tobytes() == sol.value_row(k).tobytes()
             assert back.policy_row(k).tobytes() == sol.policy_row(k).tobytes()
 
+    def test_s1_solution_keeps_training_states_not_right_factor(
+        self, tmp_path, s1_bench
+    ):
+        # s1 at bench settings, N = 1000: the reloaded solution carries
+        # the fitted X, Y and kernel settings bit for bit, and rebuilds
+        # from them the in-memory right factor, which every operator
+        # shares.  The file holds X and Y (2 x n_x x N) and six header
+        # floats (n_x and the five settings) in place of it (N x r).
+        from kmeoc.kernel import right_factor
+
+        ops, sol = s1_bench
+        ds = ops.dataset_ref
+        path = tmp_path / "s1_sol.bin"
+        save(sol, path)
+        back = load(path)
+        X, Y, cfg = back.training
+        assert X.tobytes() == ds.X.tobytes()
+        assert Y.tobytes() == ds.Y.tobytes()
+        assert cfg == ops.kernel_cfg
+        R = ops.A.right
+        assert right_factor(X, Y, cfg).tobytes() == R.tobytes()
+        for Z, Z_back in zip(sol.factors, back.factors):
+            assert Z[:, :-1].tobytes() == R.tobytes()
+            assert Z_back.tobytes() == Z.tobytes()
+        N, n_x, n_u, r = ops.N, ds.n_x, ops.n_u, ops.A.rank
+        D = sum(Z.shape[1] for Z in sol.factors)
+        # Version 2: header, 7 counts and settings, the weights, the rank
+        # of the one distinct right factor and the 1 + n_u indices, that
+        # factor, the 1 + n_u shifts, stage, frozen row and coordinates.
+        v2_bytes = 24 + 8 * (
+            7 + n_u + 1 + (1 + n_u) + N * r + (1 + n_u) * N + N + n_u * N
+            + (sol.horizon + 1) * D
+        )
+        # 191 952 bytes at r = 26.
+        saved = (r * N - 2 * n_x * N - 6) * 8
+        assert v2_bytes - path.stat().st_size == saved
+
+    def test_hand_built_solution_writes_its_factors(self, tmp_path):
+        # No training data: the right factors are written as they are.
+        sol = hand_built_solution(
+            5, box=Box(-0.5, 0.5), frozen=np.full((1, 5), 0.25)
+        )
+        assert sol.training is None
+        path = tmp_path / "hand.bin"
+        save(sol, path)
+        back = load(path)
+        assert back.training is None
+        for Z_back, Z in zip(back.factors, sol.factors):
+            assert Z_back.tobytes() == Z.tobytes()
+        assert back.coords.tobytes() == sol.coords.tobytes()
+        assert (back.converged_at, back.dt) == (sol.converged_at, sol.dt)
+        assert value_rows(back).tobytes() == value_rows(sol).tobytes()
+        assert policy_rows(back).tobytes() == policy_rows(sol).tobytes()
+
+    def test_dense_operator_solution_writes_its_factors(
+        self, tmp_path, fired
+    ):
+        # A = I, B = 0 as hand-built dense operators: the factor rebuilt
+        # from the training data is not theirs, so both are written.
+        path = tmp_path / "dense_sol.bin"
+        save(fired, path)
+        back = load(path)
+        for Z_back, Z in zip(back.factors, fired.factors):
+            assert Z_back.tobytes() == Z.tobytes()
+        assert back.training[0].tobytes() == fired.training[0].tobytes()
+        assert policy_rows(back).tobytes() == policy_rows(fired).tobytes()
+
+    def test_solution_rebuild_of_another_rank_is_invariant_error(
+        self, tmp_path, solution, monkeypatch
+    ):
+        import kmeoc.store
+
+        path = tmp_path / "sol.bin"
+        save(solution, path)
+        N, r = solution.N, solution.factors[0].shape[1] - 1
+        monkeypatch.setattr(
+            kmeoc.store, "right_factor", lambda X, Y, cfg: np.zeros((N, r + 1))
+        )
+        with pytest.raises(InvariantError, match="rerun kmeoc control"):
+            load(path)
+
     def test_s1_solution_is_under_one_megabyte(self, tmp_path, s1_bench):
         # N = 1000, H = 500: the tables alone took 8 MB.
         ops, sol = s1_bench
@@ -339,10 +425,20 @@ class TestValidation:
         path = tmp_path / "ver.bin"
         save(solution, path)
         blob = bytearray(path.read_bytes())
-        assert struct.unpack("<II", blob[8:16]) == (2, 3)  # version, kind
+        assert struct.unpack("<II", blob[8:16]) == (3, 3)  # version, kind
         blob[8:12] = struct.pack("<I", 1)
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionError):
+            load(path)
+
+    def test_version_2_solution_is_refused(self, tmp_path, solution):
+        # Version 2 stored every right factor and no training states.
+        path = tmp_path / "ver2.bin"
+        save(solution, path)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = struct.pack("<I", 2)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(VersionError, match="version 2 not supported"):
             load(path)
 
     def test_corrupt_payload_byte(self, tmp_path, solution):
@@ -401,7 +497,7 @@ class TestValidation:
         # problem.
         payload = struct.pack("<d", 1e6) * 4
         checksum = hashlib.blake2b(payload, digest_size=8).digest()
-        blob = MAGIC + struct.pack("<II", 2, 3) + checksum + payload
+        blob = MAGIC + struct.pack("<II", 3, 3) + checksum + payload
         path = tmp_path / "garbage.bin"
         path.write_bytes(blob)
         with pytest.raises(InvariantError, match="malformed"):
