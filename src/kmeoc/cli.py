@@ -448,25 +448,6 @@ def cmd_control(settings: _Settings) -> int:
     return 0
 
 
-def _check_solution_of(sol: ValueSolution, ops: EstimatedOperators, path):
-    """Refuse a solution whose factors Z_j are not the model's [R_j s_j].
-
-    A model's right factor is rebuilt on load, so the factors agree to
-    rounding, not bit for bit: the relative Frobenius difference of each
-    must be at most 1e-8.
-    """
-    rights = [op.augmented()[1] for op in [ops.A, *ops.B]]
-    if len(sol.factors) != len(rights) or not all(
-        Z.shape == R.shape
-        and np.linalg.norm(Z - R) <= 1e-8 * np.linalg.norm(R)
-        for Z, R in zip(sol.factors, rights)
-    ):
-        raise InputError(
-            f"{path!r} was not computed from this model: its right "
-            "factors differ from the model's"
-        )
-
-
 def cmd_predict(settings: _Settings) -> int:
     ops = _load_model(settings)
     x0 = settings.get("x0")
@@ -493,7 +474,12 @@ def cmd_predict(settings: _Settings) -> int:
                 f"{sol_path!r} is a {type(sol).__name__} artifact, "
                 "not a value-solution"
             )
-        _check_solution_of(sol, ops, sol_path)
+        if sol.model_checksum != ops.checksum:
+            raise InputError(
+                f"{sol_path!r} was not computed from this model: it names "
+                f"the model file checksum {sol.model_checksum.hex()}, the "
+                f"model's is {ops.checksum.hex()}"
+            )
         table = sol.stationary_policy()
     else:
         raise InputError(

@@ -208,6 +208,11 @@ class EstimatedOperators:
     jitter : float
         The model's one ridge, for the fit and every state-Gram solve
         (equals ``kernel_cfg.gamma`` unless the fit had to escalate).
+    checksum : bytes or None
+        The 8-byte payload checksum of the model file these operators
+        were last saved to or loaded from (:mod:`kmeoc.store`), which a
+        value solution computed from them records; None before either,
+        and in every copy made with :func:`dataclasses.replace`.
     """
 
     A: LowRank
@@ -216,6 +221,9 @@ class EstimatedOperators:
     dataset_ref: Dataset
     kernel_cfg: KernelConfig
     jitter: float
+    checksum: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         # A hand-built dense N x N matrix M becomes LowRank(M, I, 0).

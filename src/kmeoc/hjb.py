@@ -86,15 +86,23 @@ class ValueSolution:
     with the frozen policy row in place of the minimizer at steps below
     :attr:`converged_at`.  No H x N table is kept.
 
+    A solution loaded from a file (:func:`kmeoc.store.load`) is the
+    horizon-1 stationary form: ``coords = [y*; 0]``, where y* are the
+    coordinates the stationary policy row was expanded from,
+    ``converged_at = 0`` and that row as :attr:`frozen`.  It holds no
+    factors or stage, so it gives its stationary policy row and no
+    other row.
+
     Attributes
     ----------
     coords : ndarray, shape (H+1, D)
         Row k holds y_k; row H is the zero terminal condition.
-    factors : list of ndarray
+    factors : list of ndarray, or None
         The right factors Z_j = [R_j s_j], shape (N, r_j + 1), of A and
-        then of each B block.
-    stage : ndarray, shape (N,)
-        Stage cost times dt at the training points.
+        then of each B block; None in a loaded solution.
+    stage : ndarray, shape (N,), or None
+        Stage cost times dt at the training points; None in a loaded
+        solution.
     penalty : ControlPenalty
         The penalty the recursion ran under; interpolated controls are
         clipped back to its box.
@@ -104,21 +112,22 @@ class ValueSolution:
         None if the policy kept changing through step 0.
     frozen : ndarray, shape (n_u, N), or None
         The policy row at :attr:`converged_at`, held at every step below.
-    training : tuple (X, Y, KernelConfig), or None
-        The training states and successors and the kernel settings of
-        the operators, from which :func:`kmeoc.kernel.right_factor`
-        rebuilds their shared right factor; :mod:`kmeoc.store` writes
-        these in its place.  None for a hand-built solution.
+    model_checksum : bytes or None
+        The 8-byte payload checksum of the model file the operators were
+        saved to or loaded from (:attr:`EstimatedOperators.checksum`).
+        :mod:`kmeoc.store` writes it in place of the model, and
+        ``kmeoc predict`` refuses a solution whose checksum is not its
+        model's.  None for operators never saved or loaded.
     """
 
     coords: np.ndarray
-    factors: list
-    stage: np.ndarray
+    factors: Optional[list]
+    stage: Optional[np.ndarray]
     penalty: ControlPenalty
     dt: float
     converged_at: Optional[int] = None
     frozen: Optional[np.ndarray] = None
-    training: Optional[tuple] = None
+    model_checksum: Optional[bytes] = None
     _interp_cache: dict = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -129,11 +138,11 @@ class ValueSolution:
 
     @property
     def N(self) -> int:
-        return self.stage.size
+        return self.frozen.shape[1] if self.stage is None else self.stage.size
 
     @property
     def n_u(self) -> int:
-        return len(self.factors) - 1
+        return self.penalty.n_u
 
     @property
     def box(self) -> Optional[Box]:
@@ -144,13 +153,21 @@ class ValueSolution:
         """The step whose policy row is the long-horizon law."""
         return self.converged_at if self.converged_at is not None else 0
 
-    def _check_step(self, k: int) -> None:
+    def _check_step(self, k: int, expand: bool = False) -> None:
+        """Refuse a step outside [0, H), or a row a loaded solution lacks:
+        any but its stationary policy row, which it holds unexpanded."""
+        if self.factors is None and (expand or k != self.stationary_step):
+            raise InputError(
+                f"step {k}: a value solution loaded from a file holds only "
+                "its stationary policy row; rerun kmeoc control to expand "
+                "other rows"
+            )
         if not 0 <= k < self.horizon:
             raise InputError(f"step {k} outside [0, {self.horizon})")
 
     def _row(self, k: int):
         """(v_k, u_k) expanded from y_{k+1}."""
-        self._check_step(k)
+        self._check_step(k, expand=True)
         held = self.converged_at is not None and k < self.converged_at
         lam = np.empty((self.n_u, self.N))
         return _expand(
@@ -161,7 +178,7 @@ class ValueSolution:
 
     def value_row(self, k: int) -> np.ndarray:
         """v_k at the training points, shape (N,); k = H gives zeros."""
-        if k == self.horizon:
+        if k == self.horizon and self.factors is not None:
             return np.zeros(self.N)
         return self._row(k)[0]
 
@@ -686,7 +703,7 @@ def khjb_recursion(
         dt=dt,
         converged_at=converged_at,
         frozen=frozen,
-        training=(ops.dataset_ref.X, ops.dataset_ref.Y, ops.kernel_cfg),
+        model_checksum=ops.checksum,
     )
     if diverged_at is not None:
         raise _diverged(ops, sol, P_bar, diverged_at)

@@ -12,13 +12,15 @@ fit's own code, so it reloads bit for bit on the machine that wrote it
 and to rounding elsewhere, like every BLAS result.  :func:`save` runs
 that rebuild and writes any factor it does not reproduce bit for bit
 (hand-built dense operators) as it is.  A value solution is stored as
-its coordinates y_k together with the right factors, stage cost and
-penalty that expand them into rows; its shared right factor too is
-rebuilt, from the training states X and Y and the kernel settings it
-carries (:attr:`kmeoc.hjb.ValueSolution.training`), and only the right
-factors that rebuild does not reproduce bit for bit are written.
-Payloads are little-endian float64 streams in row-major order, so files
-transfer between machines unchanged.  Artifacts are written to a
+its model's stationary law: the stationary policy row, the coordinates
+y* it was expanded from, the penalty and dt, after the payload checksum
+of the model file it was computed from
+(:attr:`kmeoc.hjb.ValueSolution.model_checksum`), which names that
+model in place of a copy of it.  It loads in the horizon-1 stationary
+form and expands no other row.  Payloads are little-endian float64
+streams in row-major order (the model checksum is 8 raw bytes), so
+files transfer between machines unchanged; a decoder reads its payload
+to the last byte.  Artifacts are written to a
 temporary file in the destination directory and renamed into place, so
 readers never observe a half-written artifact.  Datasets, value/policy
 tables, forecasts, weights and query answers are CSV tables, all
@@ -69,13 +71,14 @@ _KIND_VALUE_SOLUTION = 3
 #: Format version per artifact kind.  Models are at 3: they hold the
 #: successors Y and leave out the right factor rebuilt from them;
 #: version 2 stored that factor and no Y, version 1 dense N x N
-#: matrices.  Value solutions are at 3: they hold the recursion's
-#: rank-r coordinates, the training states X and Y and the kernel
-#: settings, and the right factors not rebuilt from those; version 2
-#: stored every right factor, version 1 the value and policy tables.
+#: matrices.  Value solutions are at 4: they hold the stationary
+#: policy row, its coordinates y* and their model's checksum; version 3
+#: held every step's coordinates, the training states X and Y and the
+#: kernel settings, version 2 every right factor, version 1 the value
+#: and policy tables.
 VERSIONS = {
     _KIND_MODEL: 3,
-    _KIND_VALUE_SOLUTION: 3,
+    _KIND_VALUE_SOLUTION: 4,
 }
 
 Persistable = Union[EstimatedOperators, ValueSolution]
@@ -97,6 +100,8 @@ class _Reader:
         self.off = 0
 
     def floats(self, n: int) -> np.ndarray:
+        if n < 0:  # numpy would read a count of -1 as "the rest"
+            raise ValueError(f"negative count {n}")
         out = np.frombuffer(self.buf, dtype="<f8", count=n, offset=self.off)
         self.off += 8 * n
         return out.copy()
@@ -127,45 +132,6 @@ def _distinct(arrays) -> tuple:
     return distinct, index
 
 
-def _cfg_floats(cfg: KernelConfig) -> tuple:
-    """The kernel settings as the five floats :func:`_read_cfg` reads."""
-    mode_code = DIFFUSED_MODES.index(cfg.diffused_mode)
-    return cfg.sigma, cfg.epsilon, cfg.dt, cfg.gamma, mode_code
-
-
-def _read_cfg(r: _Reader) -> KernelConfig:
-    sigma, epsilon, dt, gamma = (r.scalar() for _ in range(4))
-    mode_code = r.intval()
-    if not 0 <= mode_code < len(DIFFUSED_MODES):
-        raise InvariantError(
-            f"unknown diffused-mode code {mode_code}",
-            invariant="valid kernel config",
-        )
-    return KernelConfig(
-        sigma=sigma,
-        epsilon=epsilon,
-        dt=dt,
-        gamma=gamma,
-        diffused_mode=DIFFUSED_MODES[mode_code],
-    )
-
-
-def _rebuilt_right(X, Y, cfg: KernelConfig, rank: int, remedy: str):
-    """The right factor rebuilt from (X, Y, cfg), which must have ``rank``.
-
-    A machine whose rounding stops the pivoted Cholesky at another
-    column rebuilds a factor the stored ones cannot use.
-    """
-    R = right_factor(X, Y, cfg)
-    if R.shape[1] != rank:
-        raise InvariantError(
-            f"the right factor rebuilt from the data has rank "
-            f"{R.shape[1]}, the stored factors {rank}; {remedy}",
-            invariant="rebuilt right factor of the stored rank",
-        )
-    return R
-
-
 def _encode_model(ops: EstimatedOperators) -> bytes:
     operators = [ops.A, *ops.B]
     ds = ops.dataset_ref
@@ -182,9 +148,11 @@ def _encode_model(ops: EstimatedOperators) -> bytes:
     N, r = ops.N, ops.A.rank
     if any(f.shape != (N, r) for f in factors):
         raise InputError("every operator factor must have shape (N, r)")
+    mode_code = DIFFUSED_MODES.index(cfg.diffused_mode)
     parts = [
         _f64(
-            N, ds.n_x, ds.n_u, *_cfg_floats(cfg),
+            N, ds.n_x, ds.n_u,
+            cfg.sigma, cfg.epsilon, cfg.dt, cfg.gamma, mode_code,
             ops.jitter, ds.dt, ds.epsilon, ds.seed, r, len(factors),
         ),
         _arr(ds.X),
@@ -198,14 +166,19 @@ def _encode_model(ops: EstimatedOperators) -> bytes:
     return b"".join(parts)
 
 
-def _decode_model(buf: bytes) -> EstimatedOperators:
-    r = _Reader(buf)
+def _decode_model(r: _Reader) -> EstimatedOperators:
     N, n_x, n_u = r.intval(), r.intval(), r.intval()
-    cfg = _read_cfg(r)
+    sigma, epsilon, dt, gamma = (r.scalar() for _ in range(4))
+    mode_code = r.intval()
     jitter = r.scalar()
     ds_dt, ds_epsilon = r.scalar(), r.scalar()
     ds_seed = r.intval()
     rank, n_factors = r.intval(), r.intval()
+    if not 0 <= mode_code < len(DIFFUSED_MODES):
+        raise InvariantError(
+            f"unknown diffused-mode code {mode_code}",
+            invariant="valid kernel config",
+        )
     X = r.floats(n_x * N).reshape(n_x, N)
     U = r.floats(n_u * N).reshape(n_u, N)
     Y = r.floats(n_x * N).reshape(n_x, N)
@@ -231,10 +204,22 @@ def _decode_model(buf: bytes) -> EstimatedOperators:
         epsilon=ds_epsilon,
         seed=ds_seed,
     )
-    rebuilt = (
-        _rebuilt_right(X, Y, cfg, rank, "refit the model")
-        if 0 in index else None
+    cfg = KernelConfig(
+        sigma=sigma,
+        epsilon=epsilon,
+        dt=dt,
+        gamma=gamma,
+        diffused_mode=DIFFUSED_MODES[mode_code],
     )
+    # A machine whose rounding stops the pivoted Cholesky at another
+    # column rebuilds a factor the stored ones cannot use.
+    rebuilt = right_factor(X, Y, cfg) if 0 in index else None
+    if rebuilt is not None and rebuilt.shape != (N, rank):
+        raise InvariantError(
+            f"the right factor rebuilt from the data has rank "
+            f"{rebuilt.shape[1]}, the stored factors {rank}; refit the model",
+            invariant="rebuilt right factor of the stored rank",
+        )
     factors = [rebuilt] + stored
     operators = [
         LowRank(factors[index[2 * i]], factors[index[2 * i + 1]], shifts[i])
@@ -251,95 +236,51 @@ def _decode_model(buf: bytes) -> EstimatedOperators:
 
 
 def _encode_value_solution(sol: ValueSolution) -> bytes:
-    # The right factors R_j are written once per distinct array (fitted
-    # B blocks share A's), then the shifts s_j of Z_j = [R_j s_j].
-    # Index 0 is the right factor rebuilt from the training data, which
-    # is not written; a hand-built solution has no such data, and its
-    # index 0 is an empty placeholder no factor equals.
-    if sol.training is None:
-        n_x, head, settings = 0, np.empty((0, 0)), []
-    else:
-        X, Y, cfg = sol.training
-        n_x, head = X.shape[0], right_factor(X, Y, cfg)
-        settings = [_f64(*_cfg_floats(cfg))]
-    rights, index = _distinct([head] + [Zj[:, :-1] for Zj in sol.factors])
-    index = index[1:]
-    conv = -1 if sol.converged_at is None else sol.converged_at
+    if sol.model_checksum is None:
+        raise InputError(
+            "the value solution names no model file: save its model "
+            "(or load it from a file) before solving"
+        )
+    # y*: row k* + 1 of a recursion, row 0 of the stationary form a
+    # loaded solution is in.
+    y = sol.coords[0 if sol.factors is None else sol.stationary_step + 1]
     box = sol.box
     parts = [
-        _f64(
-            sol.horizon, sol.N, sol.n_u, sol.dt, conv,
-            0 if box is None else 1, len(rights) - 1, n_x,
-        ),
-        *settings,
+        sol.model_checksum,
+        _f64(sol.N, sol.n_u, y.size, sol.dt, box is not None),
         _arr(sol.penalty.weights),
     ]
     if box is not None:
         parts += [_arr(box.lo), _arr(box.hi)]
-    parts.append(_f64(*(R.shape[1] for R in rights), *index))
-    if n_x:
-        parts += [_arr(X), _arr(Y)]
-    parts.extend(_arr(R) for R in rights[1:])
-    parts.extend(_arr(Zj[:, -1]) for Zj in sol.factors)
-    parts.append(_arr(sol.stage))
-    if sol.converged_at is not None:
-        parts.append(_arr(sol.frozen))
-    parts.append(_arr(sol.coords))
+    parts += [_arr(sol.stationary_policy()), _arr(y)]
     return b"".join(parts)
 
 
-def _decode_value_solution(buf: bytes) -> ValueSolution:
-    r = _Reader(buf)
-    H, N, n_u = r.intval(), r.intval(), r.intval()
+def _decode_value_solution(r: _Reader) -> ValueSolution:
+    # The model checksum's 8 bytes, read as one float64 and back
+    # unchanged.
+    model_checksum = r.floats(1).tobytes()
+    N, n_u, D = r.intval(), r.intval(), r.intval()
     dt = r.scalar()
-    conv = r.intval()
-    if not -1 <= conv < H:
-        raise InvariantError(
-            f"converged step {conv} outside [0, {H})",
-            invariant="converged step within the horizon",
-        )
     has_box = r.intval()
-    n_rights, n_x = r.intval(), r.intval()
-    cfg = _read_cfg(r) if n_x else None
     weights = r.floats(n_u)
     box = Box(r.floats(n_u), r.floats(n_u)) if has_box else None
-    ranks = [r.intval() for _ in range(1 + n_rights)]
-    index = [r.intval() for _ in range(1 + n_u)]
-    # Index 0, the rebuilt factor, exists only with the training data.
-    if not all(0 < k <= n_rights or k == 0 < n_x for k in index):
+    frozen = r.floats(n_u * N).reshape(n_u, N)
+    y = r.floats(D)
+    if not np.all(np.isfinite(frozen)):
         raise InvariantError(
-            "operator refers to a missing factor", invariant="valid factor index"
-        )
-    training = None
-    if n_x:
-        X = r.floats(n_x * N).reshape(n_x, N)
-        Y = r.floats(n_x * N).reshape(n_x, N)
-        training = (X, Y, cfg)
-    rebuilt = (
-        _rebuilt_right(X, Y, cfg, ranks[0], "rerun kmeoc control")
-        if 0 in index else None
-    )
-    rights = [rebuilt] + [
-        r.floats(N * rank).reshape(N, rank) for rank in ranks[1:]
-    ]
-    factors = [np.column_stack([rights[k], r.floats(N)]) for k in index]
-    stage = r.floats(N)
-    frozen = r.floats(n_u * N).reshape(n_u, N) if conv >= 0 else None
-    D = sum(Zj.shape[1] for Zj in factors)
-    coords = r.floats((H + 1) * D).reshape(H + 1, D)
-    if not np.all(coords[H] == 0.0):
-        raise InvariantError(
-            "terminal value row is not zero", invariant="zero terminal value"
+            "the stationary policy row is not finite",
+            invariant="finite policy",
         )
     return ValueSolution(
-        coords=coords,
-        factors=factors,
-        stage=stage,
+        coords=np.vstack([y, np.zeros(D)]),
+        factors=None,
+        stage=None,
         penalty=ControlPenalty(weights=weights, box=box),
         dt=dt,
-        converged_at=None if conv < 0 else conv,
+        converged_at=0,
         frozen=frozen,
-        training=training,
+        model_checksum=model_checksum,
     )
 
 
@@ -357,10 +298,15 @@ _DECODERS = {
 def save(artifact: Persistable, path) -> None:
     """Atomically write an artifact file (temp file + rename).
 
+    A saved model records the file's payload checksum
+    (:attr:`~kmeoc.estimator.EstimatedOperators.checksum`), as a loaded
+    one does, and a value solution computed from it names that checksum.
+
     Raises
     ------
     InputError
-        Unsupported artifact type.
+        Unsupported artifact type, or a value solution that names no
+        model file.
     StorageError
         Filesystem failure; carries the path.
     """
@@ -390,6 +336,8 @@ def save(artifact: Persistable, path) -> None:
             raise
     except OSError as exc:
         raise StorageError(f"cannot write artifact to {path!r}: {exc}") from exc
+    if kind == _KIND_MODEL:
+        artifact.checksum = checksum
 
 
 def load(path) -> Persistable:
@@ -404,7 +352,8 @@ def load(path) -> Persistable:
     ChecksumError
         Payload bytes do not match the recorded checksum.
     InvariantError
-        Structurally valid payload describing an invalid object.
+        Structurally valid payload describing an invalid object, or
+        bytes after its last field.
     StorageError
         Filesystem failure.
     """
@@ -431,8 +380,9 @@ def load(path) -> Persistable:
     checksum, payload = blob[16:24], blob[24:]
     if hashlib.blake2b(payload, digest_size=8).digest() != checksum:
         raise ChecksumError(f"{path!r}: payload checksum mismatch")
+    reader = _Reader(payload)
     try:
-        return _DECODERS[kind](payload)
+        artifact = _DECODERS[kind](reader)
     except InvariantError:
         raise
     except InputError as exc:
@@ -442,6 +392,15 @@ def load(path) -> Persistable:
             f"{path!r}: malformed payload: {exc}",
             invariant="well-formed payload",
         ) from exc
+    if reader.off != len(payload):
+        raise InvariantError(
+            f"{path!r}: {len(payload) - reader.off} bytes after the "
+            "payload's last field",
+            invariant="payload read to its end",
+        )
+    if kind == _KIND_MODEL:
+        artifact.checksum = checksum
+    return artifact
 
 
 def _write_csv(path, header, blocks, int_cols=(), comment=None) -> None:

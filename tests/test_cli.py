@@ -493,14 +493,17 @@ class TestControl:
         out = capsys.readouterr().out
         assert "pi(1.0)" in out and "pi(-2.0)" in out
 
+        # The saved solution is the stationary law in the horizon-1 form.
         sol = load(work / "s1_n400_seed3_model_solution.bin")
-        assert sol.horizon == 200
+        assert (sol.horizon, sol.converged_at) == (1, 0)
 
         with open(work / "s1_n400_seed3_model_policy.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["k", "t", "i", "x1", "v", "u1"]
         assert len(rows) == 1 + 400  # stationary row only
-        assert all(r[0] == str(sol.stationary_step) for r in rows[1:])
+        assert len({r[0] for r in rows[1:]}) == 1
+        u = np.array([float(r[-1]) for r in rows[1:]])
+        assert u.tobytes() == sol.stationary_policy()[0].tobytes()
 
         with open(work / "s1_n400_seed3_model_queries.csv", newline="") as fh:
             qrows = list(csv.reader(fh))
@@ -808,6 +811,40 @@ class TestPredict:
             ]
         )
         assert rc == 0
+
+    def test_learned_forecast_is_the_in_memory_laws(
+        self, model_path, tmp_path
+    ):
+        # The forecast under a saved solution has the bytes of one under
+        # the stationary law of the same recursion held in memory.
+        from kmeoc import ControlPenalty, khjb_recursion
+
+        argv = ["--model", str(model_path), "--out", str(tmp_path)]
+        assert main(
+            ["control", "--horizon", "200", "--save-solution", "true", *argv]
+        ) == 0
+        assert main(
+            [
+                "predict", "--x0", "1.0", "--policy", "learned",
+                "--solution", str(tmp_path / "s1_n400_seed3_model_solution.bin"),
+                "--steps", "20", *argv,
+            ]
+        ) == 0
+        ops = load(model_path)
+        ds = ops.dataset_ref
+        sol = khjb_recursion(
+            ops, ds.cost / ds.dt, ControlPenalty(weights=np.array([1.0])), 200,
+            stop_tol=1e-6,
+        )
+        values = forecast_observable_path(
+            ops, embed_initial(ops, np.array([[1.0]])),
+            sol.stationary_policy(), 20, ds.X[0] ** 2,
+        )
+        expected = tmp_path / "expected.csv"
+        export_forecast_csv(values, ops.kernel_cfg.dt, expected)
+        assert (tmp_path / "s1_n400_seed3_model_forecast.csv").read_bytes() == (
+            expected.read_bytes()
+        )
 
     def test_solution_of_another_model_exits_2_before_writing(
         self, model_path, tmp_path, capsys

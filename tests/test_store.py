@@ -21,30 +21,34 @@ from kmeoc import (
     load,
     save,
 )
-from kmeoc.store import MAGIC
+from kmeoc.store import MAGIC, VERSIONS
 from kmeoc.systems import generate_dataset, make_system
 
-from conftest import (
-    hand_built_solution,
-    make_static_dataset,
-    policy_rows,
-    value_rows,
-)
+from conftest import make_static_dataset, policy_rows, value_rows
 
 
 @pytest.fixture(scope="module")
-def solution(static_ops_module):
+def solution(static_ops_module, tmp_path_factory):
+    """A boxed H = 12 solution of a saved model, so it can be saved too."""
+    save(static_ops_module, tmp_path_factory.mktemp("model") / "model.bin")
     penalty = ControlPenalty(weights=np.array([1.0]), box=Box(-1.0, 1.0))
     ds = static_ops_module.dataset_ref
     return khjb_recursion(static_ops_module, ds.cost / ds.dt, penalty, H=12)
 
 
 @pytest.fixture(scope="module")
-def s1_bench():
-    """(ops, sol) of s1 at bench settings, N = 1000 and H = 500."""
+def s1_bench(tmp_path_factory):
+    """(ops, sol) of s1 at bench settings, N = 1000 and H = 500.
+
+    The model is saved, and the solution names its file's checksum.
+    """
     from kmeoc.bench import bench_config, fit_and_solve
 
-    return fit_and_solve(make_system("s1"), bench_config("s1"), data_seed=0)
+    ops, sol = fit_and_solve(
+        make_system("s1"), bench_config("s1"), data_seed=0
+    )
+    save(ops, tmp_path_factory.mktemp("s1") / "model.bin")
+    return ops, dataclasses.replace(sol, model_checksum=ops.checksum)
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +213,26 @@ class TestRoundTrips:
         with pytest.raises(InvariantError, match="refit the model"):
             load(path)
 
+    def test_model_records_its_file_checksum(self, tmp_path):
+        from kmeoc import enforce_markov, fit_krr
+
+        ops = fit_krr(
+            make_static_dataset(N=20, seed=31),
+            KernelConfig(sigma=1.0, epsilon=0.0),
+        )
+        assert ops.checksum is None
+        path = tmp_path / "model.bin"
+        save(ops, path)
+        recorded = path.read_bytes()[16:24]
+        assert ops.checksum == load(path).checksum == recorded
+        # A changed copy is not that file's model.
+        assert enforce_markov(ops).checksum is None
+        # A solution names the checksum of the model it was computed from.
+        penalty = ControlPenalty(weights=np.array([1.0]))
+        cost = ops.dataset_ref.cost / ops.dataset_ref.dt
+        sol = khjb_recursion(ops, cost, penalty, H=3)
+        assert sol.model_checksum == recorded
+
     def test_dense_operators_round_trip(self, tmp_path, static_ops_module):
         import dataclasses
 
@@ -223,142 +247,112 @@ class TestRoundTrips:
         assert np.array_equal(back.B_hat_blocks[0], np.zeros((N, N)))
 
     def test_value_solution_round_trip(self, tmp_path, solution):
+        # A boxed solution reloads in the horizon-1 stationary form: its
+        # stationary law bit for bit, the coordinates that law was
+        # expanded from, and the checksum of its model's file.
         path = tmp_path / "sol.bin"
         save(solution, path)
         back = load(path)
-        assert back.coords.tobytes() == solution.coords.tobytes()
-        assert value_rows(back).tobytes() == value_rows(solution).tobytes()
-        assert policy_rows(back).tobytes() == policy_rows(solution).tobytes()
-        assert back.horizon == solution.horizon
-        assert back.dt == solution.dt
-        assert back.converged_at == solution.converged_at
+        assert back.stationary_policy().tobytes() == (
+            solution.stationary_policy().tobytes()
+        )
+        assert (back.horizon, back.converged_at) == (1, 0)
+        k = solution.stationary_step
+        assert back.coords[0].tobytes() == solution.coords[k + 1].tobytes()
+        assert not back.coords[1].any()
+        assert (back.N, back.n_u, back.dt) == (solution.N, 1, solution.dt)
+        assert back.model_checksum == solution.model_checksum
         np.testing.assert_array_equal(back.box.lo, solution.box.lo)
         np.testing.assert_array_equal(back.box.hi, solution.box.hi)
+        # Saved again, it writes the same bytes.
+        save(back, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
     def test_coordinate_solution_round_trip(self, tmp_path, s1_bench):
         # s1 at bench settings: coordinate path, the stop rule fires.
-        sol = s1_bench[1]
+        from kmeoc import policy_interpolate
+
+        ops, sol = s1_bench
         assert sol.converged_at is not None
         path = tmp_path / "s1_sol.bin"
         save(sol, path)
         back = load(path)
-        assert back.coords.tobytes() == sol.coords.tobytes()
-        for a, b in zip(back.factors, sol.factors):
-            assert a.tobytes() == b.tobytes()
-        assert back.stage.tobytes() == sol.stage.tobytes()
-        assert back.frozen.tobytes() == sol.frozen.tobytes()
+        assert back.stationary_policy().tobytes() == (
+            sol.stationary_policy().tobytes()
+        )
+        assert back.coords[0].tobytes() == (
+            sol.coords[sol.converged_at + 1].tobytes()
+        )
         assert back.penalty.box is None
         assert np.array_equal(back.penalty.weights, sol.penalty.weights)
-        assert (back.converged_at, back.dt) == (sol.converged_at, sol.dt)
-        for k in (0, sol.converged_at, sol.converged_at + 1, sol.horizon - 1):
-            assert back.value_row(k).tobytes() == sol.value_row(k).tobytes()
-            assert back.policy_row(k).tobytes() == sol.policy_row(k).tobytes()
-
-    def test_s1_solution_keeps_training_states_not_right_factor(
-        self, tmp_path, s1_bench
-    ):
-        # s1 at bench settings, N = 1000: the reloaded solution carries
-        # the fitted X, Y and kernel settings bit for bit, and rebuilds
-        # from them the in-memory right factor, which every operator
-        # shares.  The file holds X and Y (2 x n_x x N) and six header
-        # floats (n_x and the five settings) in place of it (N x r).
-        from kmeoc.kernel import right_factor
-
-        ops, sol = s1_bench
-        ds = ops.dataset_ref
-        path = tmp_path / "s1_sol.bin"
-        save(sol, path)
-        back = load(path)
-        X, Y, cfg = back.training
-        assert X.tobytes() == ds.X.tobytes()
-        assert Y.tobytes() == ds.Y.tobytes()
-        assert cfg == ops.kernel_cfg
-        R = ops.A.right
-        assert right_factor(X, Y, cfg).tobytes() == R.tobytes()
-        for Z, Z_back in zip(sol.factors, back.factors):
-            assert Z[:, :-1].tobytes() == R.tobytes()
-            assert Z_back.tobytes() == Z.tobytes()
-        N, n_x, n_u, r = ops.N, ds.n_x, ops.n_u, ops.A.rank
-        D = sum(Z.shape[1] for Z in sol.factors)
-        # Version 2: header, 7 counts and settings, the weights, the rank
-        # of the one distinct right factor and the 1 + n_u indices, that
-        # factor, the 1 + n_u shifts, stage, frozen row and coordinates.
-        v2_bytes = 24 + 8 * (
-            7 + n_u + 1 + (1 + n_u) + N * r + (1 + n_u) * N + N + n_u * N
-            + (sol.horizon + 1) * D
+        # With the model's operators it gives the same law off the data.
+        query = np.linspace(-2.0, 2.0, 11)[None, :]
+        assert policy_interpolate(query, back, ops).tobytes() == (
+            policy_interpolate(query, sol, ops).tobytes()
         )
-        # 191 952 bytes at r = 26.
-        saved = (r * N - 2 * n_x * N - 6) * 8
-        assert v2_bytes - path.stat().st_size == saved
 
-    def test_hand_built_solution_writes_its_factors(self, tmp_path):
-        # No training data: the right factors are written as they are.
-        sol = hand_built_solution(
-            5, box=Box(-0.5, 0.5), frozen=np.full((1, 5), 0.25)
-        )
-        assert sol.training is None
-        path = tmp_path / "hand.bin"
-        save(sol, path)
-        back = load(path)
-        assert back.training is None
-        for Z_back, Z in zip(back.factors, sol.factors):
-            assert Z_back.tobytes() == Z.tobytes()
-        assert back.coords.tobytes() == sol.coords.tobytes()
-        assert (back.converged_at, back.dt) == (sol.converged_at, sol.dt)
-        assert value_rows(back).tobytes() == value_rows(sol).tobytes()
-        assert policy_rows(back).tobytes() == policy_rows(sol).tobytes()
-
-    def test_dense_operator_solution_writes_its_factors(
-        self, tmp_path, fired
-    ):
-        # A = I, B = 0 as hand-built dense operators: the factor rebuilt
-        # from the training data is not theirs, so both are written.
-        path = tmp_path / "dense_sol.bin"
-        save(fired, path)
-        back = load(path)
-        for Z_back, Z in zip(back.factors, fired.factors):
-            assert Z_back.tobytes() == Z.tobytes()
-        assert back.training[0].tobytes() == fired.training[0].tobytes()
-        assert policy_rows(back).tobytes() == policy_rows(fired).tobytes()
-
-    def test_solution_rebuild_of_another_rank_is_invariant_error(
-        self, tmp_path, solution, monkeypatch
-    ):
-        import kmeoc.store
-
-        path = tmp_path / "sol.bin"
-        save(solution, path)
-        N, r = solution.N, solution.factors[0].shape[1] - 1
-        monkeypatch.setattr(
-            kmeoc.store, "right_factor", lambda X, Y, cfg: np.zeros((N, r + 1))
-        )
-        with pytest.raises(InvariantError, match="rerun kmeoc control"):
-            load(path)
-
-    def test_s1_solution_is_under_one_megabyte(self, tmp_path, s1_bench):
-        # N = 1000, H = 500: the tables alone took 8 MB.
-        ops, sol = s1_bench
-        assert (ops.N, sol.horizon) == (1000, 500)
-        path = tmp_path / "s1_sol.bin"
-        save(sol, path)
-        assert path.stat().st_size < 1_000_000
-
-    def test_unconverged_flag_survives(self, tmp_path, static_ops_module):
+    def test_unconverged_solution_round_trip(self, tmp_path, static_ops_module):
+        # The stop rule never fires: the law is row 0, expanded from y_1.
         ds = static_ops_module.dataset_ref
         penalty = ControlPenalty(weights=np.array([1.0]))
+        save(static_ops_module, tmp_path / "model.bin")
         sol = khjb_recursion(
             static_ops_module, ds.cost / ds.dt, penalty, H=5, stop_tol=0.0
         )
         assert sol.converged_at is None
         path = tmp_path / "sol2.bin"
         save(sol, path)
-        assert load(path).converged_at is None
+        back = load(path)
+        assert back.stationary_policy().tobytes() == (
+            sol.stationary_policy().tobytes()
+        )
+        assert back.coords[0].tobytes() == sol.coords[1].tobytes()
+        assert (back.horizon, back.converged_at) == (1, 0)
+
+    def test_loaded_solution_expands_no_other_row(self, tmp_path, solution):
+        path = tmp_path / "sol.bin"
+        save(solution, path)
+        back = load(path)
+        assert back.factors is None and back.stage is None
+        rows = [back.value_row] * 3 + [back.policy_row] * 2
+        for row, k in zip(rows, [0, 1, 5, 1, 5]):
+            with pytest.raises(InputError, match="rerun kmeoc control"):
+                row(k)
+
+    def test_solution_of_unsaved_model_is_refused(
+        self, tmp_path, static_ops_module
+    ):
+        # Operators never saved or loaded have no file to name.
+        ops = dataclasses.replace(static_ops_module)
+        ds = ops.dataset_ref
+        sol = khjb_recursion(
+            ops, ds.cost / ds.dt, ControlPenalty(weights=np.array([1.0])), H=2
+        )
+        path = tmp_path / "orphan.bin"
+        with pytest.raises(InputError, match="names no model file"):
+            save(sol, path)
+        assert not path.exists()
+
+    def test_s1_solution_is_under_one_megabyte(self, tmp_path, s1_bench):
+        # N = 1000, H = 500: the tables alone took 8 MB, format 3 264 592
+        # bytes.  Format 4 holds the header, the model checksum, five
+        # counts and settings, the weights, the stationary policy row and
+        # its D coordinates: 8 512 bytes.
+        ops, sol = s1_bench
+        assert (ops.N, sol.horizon) == (1000, 500)
+        path = tmp_path / "s1_sol.bin"
+        save(sol, path)
+        n_u, D = ops.n_u, sol.coords.shape[1]
+        assert path.stat().st_size == 24 + 8 + 8 * (5 + n_u + n_u * ops.N + D)
+        assert path.stat().st_size == 8512
 
     def test_atomic_overwrite(self, tmp_path, solution):
         path = tmp_path / "same.bin"
         save(solution, path)
         save(solution, path)  # second write replaces, not appends
-        assert np.array_equal(value_rows(load(path)), value_rows(solution))
+        assert np.array_equal(
+            load(path).stationary_policy(), solution.stationary_policy()
+        )
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 
@@ -425,7 +419,7 @@ class TestValidation:
         path = tmp_path / "ver.bin"
         save(solution, path)
         blob = bytearray(path.read_bytes())
-        assert struct.unpack("<II", blob[8:16]) == (3, 3)  # version, kind
+        assert struct.unpack("<II", blob[8:16]) == (4, 3)  # version, kind
         blob[8:12] = struct.pack("<I", 1)
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionError):
@@ -441,6 +435,30 @@ class TestValidation:
         with pytest.raises(VersionError, match="version 2 not supported"):
             load(path)
 
+    def test_version_3_solution_is_refused(self, tmp_path, solution):
+        # Version 3 held every step's coordinates and the training states.
+        path = tmp_path / "ver3.bin"
+        save(solution, path)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = struct.pack("<I", 3)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(VersionError, match="version 3 not supported"):
+            load(path)
+
+    @pytest.mark.parametrize("artifact", ["model", "solution"])
+    def test_bytes_after_the_payload_are_invariant_error(
+        self, tmp_path, static_ops_module, solution, artifact
+    ):
+        # 800 zero bytes appended under a recomputed checksum.
+        path = tmp_path / "long.bin"
+        save(static_ops_module if artifact == "model" else solution, path)
+        blob = path.read_bytes()
+        payload = blob[24:] + bytes(800)
+        checksum = hashlib.blake2b(payload, digest_size=8).digest()
+        path.write_bytes(blob[:16] + checksum + payload)
+        with pytest.raises(InvariantError, match="800 bytes after"):
+            load(path)
+
     def test_corrupt_payload_byte(self, tmp_path, solution):
         path = tmp_path / "corrupt.bin"
         save(solution, path)
@@ -450,39 +468,21 @@ class TestValidation:
         with pytest.raises(ChecksumError):
             load(path)
 
-    def test_tampered_terminal_row_is_invariant_error(
+    def test_non_finite_policy_row_is_invariant_error(
         self, tmp_path, solution
     ):
-        # Flip a terminal-row value and *recompute* the checksum, so the
+        # Set a policy entry to NaN and *recompute* the checksum, so the
         # file is well-formed but describes an impossible solution.
         path = tmp_path / "tamper.bin"
         save(solution, path)
-        blob = bytearray(path.read_bytes())
+        blob = path.read_bytes()
+        # The payload opens with the model checksum, five counts and
+        # settings, the weight and the box; the policy row follows.
         payload = bytearray(blob[24:])
-        # The payload ends with the coordinate rows, so its last float
-        # belongs to the terminal row H.
-        payload[-8:] = struct.pack("<d", 1.0)
+        payload[72:80] = struct.pack("<d", float("nan"))
         checksum = hashlib.blake2b(bytes(payload), digest_size=8).digest()
-        path.write_bytes(bytes(blob[:16]) + checksum + bytes(payload))
-        with pytest.raises(InvariantError, match="terminal"):
-            load(path)
-
-    @pytest.mark.parametrize("conv", [-2, 3, 10])
-    def test_converged_step_outside_horizon_is_invariant_error(
-        self, tmp_path, fired, conv
-    ):
-        # A checksummed file whose stop-rule step lies outside [0, H)
-        # would hold the frozen row at steps the recursion never had.
-        path = tmp_path / "conv.bin"
-        save(fired, path)
-        blob = bytearray(path.read_bytes())
-        payload = bytearray(blob[24:])
-        # The payload opens with H, N, n_u, dt and the converged step.
-        assert struct.unpack("<d", payload[32:40]) == (1.0,)
-        payload[32:40] = struct.pack("<d", float(conv))
-        checksum = hashlib.blake2b(bytes(payload), digest_size=8).digest()
-        path.write_bytes(bytes(blob[:16]) + checksum + bytes(payload))
-        with pytest.raises(InvariantError, match="converged step"):
+        path.write_bytes(blob[:16] + checksum + bytes(payload))
+        with pytest.raises(InvariantError, match="not finite"):
             load(path)
 
     def test_policy_row_checks_the_step_before_the_frozen_row(self, fired):
@@ -497,7 +497,7 @@ class TestValidation:
         # problem.
         payload = struct.pack("<d", 1e6) * 4
         checksum = hashlib.blake2b(payload, digest_size=8).digest()
-        blob = MAGIC + struct.pack("<II", 3, 3) + checksum + payload
+        blob = MAGIC + struct.pack("<II", VERSIONS[3], 3) + checksum + payload
         path = tmp_path / "garbage.bin"
         path.write_bytes(blob)
         with pytest.raises(InvariantError, match="malformed"):
@@ -517,6 +517,19 @@ class TestValidation:
         checksum = hashlib.blake2b(payload, digest_size=8).digest()
         path.write_bytes(blob[:16] + checksum + payload)
         with pytest.raises(InvariantError, match="malformed"):
+            load(path)
+
+    def test_negative_count_is_invariant_error(self, tmp_path):
+        # A checksummed solution whose N is -1: numpy would read the
+        # count as "the rest" and step the cursor back, so a D chosen to
+        # match would load a solution of six points.
+        payload = bytes(8) + struct.pack("<12d", -1, 1, 7, 0.01, 0, *[1.0] * 7)
+        checksum = hashlib.blake2b(payload, digest_size=8).digest()
+        path = tmp_path / "negative.bin"
+        path.write_bytes(
+            MAGIC + struct.pack("<II", VERSIONS[3], 3) + checksum + payload
+        )
+        with pytest.raises(InvariantError, match="negative count"):
             load(path)
 
     def test_missing_file_is_storage_error(self, tmp_path):
