@@ -4,25 +4,27 @@ Models and value solutions are binary artifacts (:func:`save`,
 :func:`load`) with one framing: a 16-byte header (8-byte magic tag,
 little-endian u32 version, little-endian u32 kind), an 8-byte BLAKE2b
 checksum of the payload, then the payload itself.  The version is kept
-per kind (:data:`VERSIONS`).  A model is stored as its training data
-(X, U, Y and cost) and the thin factors of its operators, each distinct
-factor array once; the fitted right factor R = pref * L_Y is not
-written but rebuilt on load by :func:`kmeoc.kernel.right_factor`, the
-fit's own code, so it reloads bit for bit on the machine that wrote it
-and to rounding elsewhere, like every BLAS result.  :func:`save` runs
-that rebuild and writes any factor it does not reproduce bit for bit
-(hand-built dense operators) as it is.  A value solution is stored as
-its model's stationary law: the stationary policy row, the coordinates
-y* it was expanded from, the penalty and dt, after the payload checksum
-of the model file it was computed from
+per kind (:data:`VERSIONS`).  A model is stored in one fixed layout:
+its settings, its training data (X, U, Y and cost), the rank r, then
+the left factor P_j (N x r) and the shift s_j of each of its 1 + n_u
+operators.  The fitted right factor R = pref * L_Y, which every
+operator shares, is not written but rebuilt once on load by
+:func:`kmeoc.kernel.right_factor`, the fit's own code, so it reloads
+bit for bit on the machine that wrote it and to rounding elsewhere,
+like every BLAS result.  :func:`save` runs that rebuild and refuses a
+model whose operators do not all have that right factor bit for bit
+(hand-built operators, which work in memory only).  A value solution
+is stored as its model's stationary law: the stationary policy row,
+the coordinates y* it was expanded from, the penalty and dt, after the
+payload checksum of the model file it was computed from
 (:attr:`kmeoc.hjb.ValueSolution.model_checksum`), which names that
 model in place of a copy of it.  It loads in the horizon-1 stationary
 form and expands no other row.  Payloads are little-endian float64
 streams in row-major order (the model checksum is 8 raw bytes), so
 files transfer between machines unchanged; a decoder reads its payload
-to the last byte.  Artifacts are written to a
-temporary file in the destination directory and renamed into place, so
-readers never observe a half-written artifact.  Datasets, value/policy
+to the last byte.  Artifacts are written to a temporary file in the
+destination directory and renamed into place, so readers never
+observe a half-written artifact.  Datasets, value/policy
 tables, forecasts, weights and query answers are CSV tables, all
 written by :func:`_write_csv`, and the fit, bench and sweep summaries
 are JSON, written by :func:`write_json`.  The CLI's ``--config``
@@ -68,16 +70,17 @@ MAGIC = b"KMEOCART"
 _KIND_MODEL = 2
 _KIND_VALUE_SOLUTION = 3
 
-#: Format version per artifact kind.  Models are at 3: they hold the
-#: successors Y and leave out the right factor rebuilt from them;
-#: version 2 stored that factor and no Y, version 1 dense N x N
-#: matrices.  Value solutions are at 4: they hold the stationary
-#: policy row, its coordinates y* and their model's checksum; version 3
-#: held every step's coordinates, the training states X and Y and the
-#: kernel settings, version 2 every right factor, version 1 the value
-#: and policy tables.
+#: Format version per artifact kind.  Models are at 4: they hold the
+#: successors Y and each operator's left factor and shift, and leave
+#: out the right factor rebuilt from Y; version 3 also wrote a factor
+#: count and a factor index table, version 2 that right factor and no
+#: Y, version 1 dense N x N matrices.  Value solutions are at 4: they
+#: hold the stationary policy row, its coordinates y* and their model's
+#: checksum; version 3 held every step's coordinates, the training
+#: states X and Y and the kernel settings, version 2 every right
+#: factor, version 1 the value and policy tables.
 VERSIONS = {
-    _KIND_MODEL: 3,
+    _KIND_MODEL: 4,
     _KIND_VALUE_SOLUTION: 4,
 }
 
@@ -113,55 +116,36 @@ class _Reader:
         return int(round(self.scalar()))
 
 
-def _distinct(arrays) -> tuple:
-    """Each bitwise-distinct array of ``arrays`` once, and the index of each."""
-    distinct: list = []
-    index = []
-    for arr in arrays:
-        pos = next(
-            (
-                k for k, f in enumerate(distinct)
-                if f.shape == arr.shape and f.tobytes() == arr.tobytes()
-            ),
-            None,
-        )
-        if pos is None:
-            pos = len(distinct)
-            distinct.append(arr)
-        index.append(pos)
-    return distinct, index
-
-
 def _encode_model(ops: EstimatedOperators) -> bytes:
     operators = [ops.A, *ops.B]
     ds = ops.dataset_ref
     cfg = ops.kernel_cfg
-    # Operators share factor arrays (fitted B blocks reuse A's right
-    # factor, hand-built dense ones one identity); each distinct array
-    # is written once and referenced by index.  Index 0 is the right
-    # factor rebuilt from the data, which is not written.
-    factors, index = _distinct(
-        [right_factor(ds.X, ds.Y, cfg)]
-        + [arr for op in operators for arr in (op.left, op.right)]
-    )
-    factors, index = factors[1:], index[1:]
-    N, r = ops.N, ops.A.rank
-    if any(f.shape != (N, r) for f in factors):
-        raise InputError("every operator factor must have shape (N, r)")
+    # Only the left factors and shifts are written: every operator's
+    # right factor is the one rebuilt from the data on load.
+    R = right_factor(ds.X, ds.Y, cfg)
+    R_bytes = R.tobytes()
+    if not all(
+        op.right.shape == R.shape and op.right.tobytes() == R_bytes
+        for op in operators
+    ):
+        raise InputError(
+            "only fitted operators can be saved: an operator's right "
+            "factor is not the one rebuilt from the model's data"
+        )
     mode_code = DIFFUSED_MODES.index(cfg.diffused_mode)
     parts = [
         _f64(
-            N, ds.n_x, ds.n_u,
+            ops.N, ds.n_x, ds.n_u,
             cfg.sigma, cfg.epsilon, cfg.dt, cfg.gamma, mode_code,
-            ops.jitter, ds.dt, ds.epsilon, ds.seed, r, len(factors),
+            ops.jitter, ds.dt, ds.epsilon, ds.seed,
         ),
         _arr(ds.X),
         _arr(ds.U),
         _arr(ds.Y),
         _arr(ds.cost),
+        _f64(R.shape[1]),
     ]
-    parts.extend(_arr(f) for f in factors)
-    parts.append(_f64(*index))
+    parts.extend(_arr(op.left) for op in operators)
     parts.extend(_arr(op.shift) for op in operators)
     return b"".join(parts)
 
@@ -173,7 +157,6 @@ def _decode_model(r: _Reader) -> EstimatedOperators:
     jitter = r.scalar()
     ds_dt, ds_epsilon = r.scalar(), r.scalar()
     ds_seed = r.intval()
-    rank, n_factors = r.intval(), r.intval()
     if not 0 <= mode_code < len(DIFFUSED_MODES):
         raise InvariantError(
             f"unknown diffused-mode code {mode_code}",
@@ -183,14 +166,10 @@ def _decode_model(r: _Reader) -> EstimatedOperators:
     U = r.floats(n_u * N).reshape(n_u, N)
     Y = r.floats(n_x * N).reshape(n_x, N)
     cost = r.floats(N)
-    stored = [r.floats(N * rank).reshape(N, rank) for _ in range(n_factors)]
-    index = [r.intval() for _ in range(2 * (1 + n_u))]
+    rank = r.intval()
+    lefts = [r.floats(N * rank).reshape(N, rank) for _ in range(1 + n_u)]
     shifts = [r.floats(N) for _ in range(1 + n_u)]
-    if not all(0 <= k <= n_factors for k in index):
-        raise InvariantError(
-            "operator refers to a missing factor", invariant="valid factor index"
-        )
-    if not all(np.all(np.isfinite(a)) for a in stored + shifts):
+    if not all(np.all(np.isfinite(a)) for a in lefts + shifts):
         raise InvariantError(
             "operator factors contain non-finite entries",
             invariant="finite operators",
@@ -213,18 +192,14 @@ def _decode_model(r: _Reader) -> EstimatedOperators:
     )
     # A machine whose rounding stops the pivoted Cholesky at another
     # column rebuilds a factor the stored ones cannot use.
-    rebuilt = right_factor(X, Y, cfg) if 0 in index else None
-    if rebuilt is not None and rebuilt.shape != (N, rank):
+    R = right_factor(X, Y, cfg)
+    if R.shape[1] != rank:
         raise InvariantError(
             f"the right factor rebuilt from the data has rank "
-            f"{rebuilt.shape[1]}, the stored factors {rank}; refit the model",
+            f"{R.shape[1]}, the stored factors {rank}; refit the model",
             invariant="rebuilt right factor of the stored rank",
         )
-    factors = [rebuilt] + stored
-    operators = [
-        LowRank(factors[index[2 * i]], factors[index[2 * i + 1]], shifts[i])
-        for i in range(1 + n_u)
-    ]
+    operators = [LowRank(P, R, s) for P, s in zip(lefts, shifts)]
     return EstimatedOperators(
         A=operators[0],
         B=operators[1:],
@@ -305,8 +280,9 @@ def save(artifact: Persistable, path) -> None:
     Raises
     ------
     InputError
-        Unsupported artifact type, or a value solution that names no
-        model file.
+        Unsupported artifact type, a model of hand-built operators
+        (whose right factor is not the one rebuilt from its data), or a
+        value solution that names no model file.
     StorageError
         Filesystem failure; carries the path.
     """
@@ -432,12 +408,20 @@ def _csv_header(n_x: int, n_u: int) -> list:
     return _names("x", n_x) + _names("u", n_u) + _names("y", n_x) + ["cost"]
 
 
+#: Rows of a dataset CSV formatted at a time.
+_CSV_ROWS = 4096
+
+
 def save_dataset_csv(ds: Dataset, path) -> None:
     """Write the one-row-per-sample CSV with a leading metadata line."""
+    blocks = (
+        np.vstack([ds.X[:, c], ds.U[:, c], ds.Y[:, c], ds.cost[c]]).T
+        for c in (slice(i, i + _CSV_ROWS) for i in range(0, ds.N, _CSV_ROWS))
+    )
     _write_csv(
         path,
         _csv_header(ds.n_x, ds.n_u),
-        [np.vstack([ds.X, ds.U, ds.Y, ds.cost]).T],
+        blocks,
         comment=(
             f"dt={ds.dt:.17g} epsilon={ds.epsilon:.17g} "
             f"seed={ds.seed} system={ds.system}"

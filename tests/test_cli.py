@@ -533,14 +533,13 @@ class TestControl:
 
     def test_unstable_model_exits_3(self, model_path, tmp_path, capsys):
         ops = load(model_path)
-        N = ops.N
-        # Only factored operators are persisted: A = 10 I and B = 0 as
-        # rank-N factor pairs.
-        eye, zero = np.eye(N), np.zeros(N)
+        # Only operators over the fitted right factor are persisted:
+        # A = 10 times the fitted one and B = 0.
+        P, R, s = ops.A.left, ops.A.right, ops.A.shift
         bad = dataclasses.replace(
             ops,
-            A=LowRank(10.0 * eye, eye, zero),
-            B=[LowRank(0.0 * eye, eye, zero)],
+            A=LowRank(10.0 * P, R, s),
+            B=[LowRank(0.0 * P, R, 0.0 * s)],
         )
         bad_path = tmp_path / "unstable_model.bin"
         save(bad, bad_path)

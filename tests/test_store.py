@@ -21,6 +21,7 @@ from kmeoc import (
     load,
     save,
 )
+from kmeoc.estimator import LowRank
 from kmeoc.store import MAGIC, VERSIONS
 from kmeoc.systems import generate_dataset, make_system
 
@@ -139,7 +140,7 @@ class TestRoundTrips:
         path = tmp_path / "model_v1.bin"
         save(static_ops_module, path)
         blob = bytearray(path.read_bytes())
-        assert struct.unpack("<II", blob[8:16]) == (3, 2)  # version, kind
+        assert struct.unpack("<II", blob[8:16]) == (4, 2)  # version, kind
         blob[8:12] = struct.pack("<I", 1)
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionError):
@@ -153,6 +154,16 @@ class TestRoundTrips:
         blob[8:12] = struct.pack("<I", 2)
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionError, match="version 2 not supported"):
+            load(path)
+
+    def test_version_3_model_is_refused(self, tmp_path, static_ops_module):
+        # Version 3 also wrote a factor count and a factor index table.
+        path = tmp_path / "model_v3.bin"
+        save(static_ops_module, path)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = struct.pack("<I", 3)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(VersionError, match="version 3 not supported"):
             load(path)
 
     def test_s1_model_keeps_successors_not_right_factor(
@@ -173,13 +184,12 @@ class TestRoundTrips:
         grams = build_grams(ds.X, ds.U, ds.Y, ops.kernel_cfg)
         assert fit_residual(back, grams) == fit_residual(ops, grams)
         N, n_x, n_u, r = ops.N, ds.n_x, ops.n_u, ops.A.rank
-        # Version 2: header, 14 settings, X, U, cost, the 2 + n_u
-        # distinct factors, their indices and the 1 + n_u shifts.
-        v2_bytes = 24 + 8 * (
-            14 + (n_x + n_u + 1) * N + (2 + n_u) * N * r
-            + 2 * (1 + n_u) + (1 + n_u) * N
+        # Header and checksum, 12 settings and the rank, X, U, Y and
+        # cost, then a left factor and a shift per operator.
+        size = 24 + 8 * (
+            13 + (2 * n_x + n_u + 1) * N + (1 + n_u) * (r + 1) * N
         )
-        assert v2_bytes - path.stat().st_size == (r - n_x) * N * 8
+        assert path.stat().st_size == size == 464_128
 
     def test_s1_model_is_under_one_megabyte(self, tmp_path):
         from types import SimpleNamespace
@@ -233,18 +243,25 @@ class TestRoundTrips:
         sol = khjb_recursion(ops, cost, penalty, H=3)
         assert sol.model_checksum == recorded
 
-    def test_dense_operators_round_trip(self, tmp_path, static_ops_module):
-        import dataclasses
-
+    def test_dense_operators_are_refused(self, tmp_path, static_ops_module):
+        # Hand-built dense operators work in memory, as LowRank(M, I, 0),
+        # but their right factor is not the one rebuilt from the data.
         N = static_ops_module.N
         M = np.random.default_rng(4).normal(size=(N, N))
         dense = dataclasses.replace(
             static_ops_module, A=M, B=[np.zeros((N, N))]
         )
-        save(dense, tmp_path / "dense.bin")
-        back = load(tmp_path / "dense.bin")
-        assert np.array_equal(back.A_hat, M)
-        assert np.array_equal(back.B_hat_blocks[0], np.zeros((N, N)))
+        assert np.array_equal(dense.A_hat, M)
+        # So is a fitted operator whose right factor is one ulp off.
+        A = static_ops_module.A
+        nudged = dataclasses.replace(
+            static_ops_module,
+            A=LowRank(A.left, np.nextafter(A.right, np.inf), A.shift),
+        )
+        for ops in (dense, nudged):
+            with pytest.raises(InputError, match="only fitted operators"):
+                save(ops, tmp_path / "hand_built.bin")
+        assert not any(tmp_path.iterdir())
 
     def test_value_solution_round_trip(self, tmp_path, solution):
         # A boxed solution reloads in the horizon-1 stationary form: its

@@ -480,6 +480,33 @@ class TestCsvRoundTrip:
         back = load_dataset_csv(path)
         assert np.array_equal(ds.Y, back.Y) and back.system == "vdp"
 
+    def test_written_in_row_blocks(self, tmp_path, monkeypatch):
+        # At N = 10^5 the rows are formatted a block at a time, so the
+        # traced peak stays far below the 8 MB file, and the bytes are
+        # those of one block holding every row.
+        import tracemalloc
+
+        import kmeoc.store
+
+        N = 100_000
+        rng = np.random.default_rng(5)
+        ds = Dataset(
+            X=rng.normal(size=(1, N)), U=rng.normal(size=(1, N)),
+            Y=rng.normal(size=(1, N)), cost=rng.random(N),
+            dt=1e-2, epsilon=0.0, seed=0, system="s1",
+        )
+        tracemalloc.start()
+        try:
+            save_dataset_csv(ds, tmp_path / "blocks.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        monkeypatch.setattr(kmeoc.store, "_CSV_ROWS", N)
+        save_dataset_csv(ds, tmp_path / "whole.csv")
+        blocks = (tmp_path / "blocks.csv").read_bytes()
+        assert blocks == (tmp_path / "whole.csv").read_bytes()
+
     def test_missing_metadata_rejected(self, tmp_path):
         path = tmp_path / "bare.csv"
         path.write_text("x1,u1,y1,cost\n0.0,0.0,0.0,0.0\n")
