@@ -27,7 +27,9 @@ the exact Gram.  That step contracts the error by at most
 rho = trace(G - W W^T) / ridge, so the result matches a dense solve to
 within rho^2 plus rounding; a zero ridge or rho >= 1 fails, and the fit
 raises its ridge until rho <= 0.1.  A fit costs O(N r^2) plus one pass
-over the N^2 kernel entries, and no model holds an N x N array.
+over the N^2 kernel entries, and no model holds an N x N array.  Its
+diagnostics, rho and the relative residual before refinement, come from
+the solve itself (a debug log line); no second pass checks the fit.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import numpy as np
 
 from .errors import EstimationError, InputError, ScoringError
 from .kernel import (
-    GramBundle,
     KernelConfig,
     _pivoted_cholesky,
     _scipy_linalg_getattr,
@@ -57,7 +58,6 @@ __all__ = [
     "fit_krr",
     "enforce_markov",
     "departure_from_normality",
-    "fit_residual",
 ]
 
 log = logging.getLogger(__name__)
@@ -297,7 +297,6 @@ def fit_krr(
     dataset: Dataset,
     cfg: KernelConfig,
     b_block_orientation: str = "row",
-    grams: Optional[GramBundle] = None,
 ) -> EstimatedOperators:
     """Fit the transition operators by kernel ridge regression.
 
@@ -332,15 +331,8 @@ def fit_krr(
             f"b_block_orientation {b_block_orientation!r} is not supported; "
             'only "row" remains'
         )
-    if grams is None:
-        bundle = build_grams(dataset.X, dataset.U, dataset.Y, cfg)
-    elif grams.N != dataset.N:
-        raise InputError(
-            f"the Grams are for N = {grams.N}, the dataset has N = {dataset.N}"
-        )
-    else:
-        bundle = grams
-    N = bundle.N
+    bundle = build_grams(dataset.X, dataset.U, dataset.Y, cfg)
+    N = dataset.N
 
     U = dataset.U
     W = np.hstack([bundle.F] + [u_m[:, None] * bundle.F for u_m in U])
@@ -448,23 +440,3 @@ def departure_from_normality(A: LowRank) -> float:
     gap = max(0.0, fro**2 - float(np.sum(np.abs(eig) ** 2)))
     return float(np.sqrt(gap)) / fro
 
-
-def fit_residual(ops: EstimatedOperators, bundle: GramBundle) -> float:
-    """||(K_U + jitter I) A_hat - eK_XY||_F for operators fitted from bundle.
-
-    A fitted A_hat = P R^T + 1 s^T shares R = pref L_Y with
-    eK_XY = L_X R^T, so the residual is [reg(P) - L_X, reg(1)] [R, s]^T,
-    reg = (K_U + jitter I), applied by
-    :func:`~kmeoc.kernel.control_gram_product`: O(N^2 r), and no N x N
-    array.  Raises InputError for operators whose right factor is not
-    the bundle's R.
-    """
-    A = ops.A
-    if not np.array_equal(A.right, bundle.pref * bundle.L_Y):
-        raise InputError("the operators were not fitted from this GramBundle")
-    ds = ops.dataset_ref
-    Z = np.column_stack([A.left, np.ones(ops.N)])
-    left = control_gram_product(ds.X, ds.U, ops.kernel_cfg.sigma, Z)
-    left += ops.jitter * Z
-    left[:, :-1] -= bundle.L_X
-    return _fro_norm(left, np.column_stack([A.right, A.shift]))

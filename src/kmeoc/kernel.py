@@ -27,7 +27,7 @@ builds the whole K_X only for one such solve's refinement step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,10 +158,6 @@ class GramBundle:
     L_X: np.ndarray
     L_Y: np.ndarray
     pref: float
-    N: int = field(default=0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "N", self.F.shape[0])
 
 
 def _as_states(X, name: str) -> np.ndarray:

@@ -44,7 +44,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box, lo <= x <= hi per coordinate."""
+    """Axis-aligned box, lo <= x <= hi per coordinate, with finite bounds."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -54,6 +54,8 @@ class Box:
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise InputError("box bounds must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise InputError("box bounds must be finite")
         if not np.all(lo < hi):
             raise InputError("box must satisfy lo < hi per coordinate")
         object.__setattr__(self, "lo", lo)
@@ -83,7 +85,7 @@ class ControlPenalty:
     Parameters
     ----------
     weights : array_like
-        Strictly positive diagonal of the quadratic form, length n_u.
+        Finite, strictly positive diagonal of the quadratic form, length n_u.
     box : Box, optional
         Control bounds of dimension n_u.  The box must contain 0, so
         that the conjugate at lam = 0 is exactly 0, matching the zero
@@ -95,8 +97,10 @@ class ControlPenalty:
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if w.ndim != 1 or w.size == 0 or not np.all(w > 0):
-            raise InputError("penalty weights must be strictly positive")
+        if w.ndim != 1 or w.size == 0 or not np.all((w > 0) & (w < np.inf)):
+            raise InputError(
+                "penalty weights must be finite and strictly positive"
+            )
         object.__setattr__(self, "weights", w)
         if self.box is not None:
             if self.box.dim != w.size:

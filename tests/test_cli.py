@@ -122,37 +122,35 @@ class TestIdentify:
         summary = json.loads((work / "s1_n400_seed3_fit.json").read_text())
         assert summary["sigma"] == 1.2
         assert summary["markov_enforced"] is True
-        assert np.isfinite(summary["fit_residual_fro"])
+        assert "fit_residual_fro" not in summary
         assert np.isfinite(summary["departure_from_normality"])
 
     def test_grams_built_once(self, work, tmp_path, monkeypatch):
+        # One Gram build and one pass over the N^2 entries of K_U.
         import kmeoc.estimator
-        from kmeoc import KernelConfig, enforce_markov, fit_krr, fit_residual
-        from kmeoc.kernel import build_grams
+        from kmeoc.kernel import build_grams, control_gram_product
 
-        calls = []
+        calls = {"build_grams": 0, "control_gram_product": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return build_grams(*args, **kwargs)
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(kmeoc.cli, "build_grams", counted)
-        monkeypatch.setattr(kmeoc.estimator, "build_grams", counted)
-        dataset = work / "s1_n400_seed3.csv"
+        for module in (kmeoc.cli, kmeoc.estimator):
+            monkeypatch.setattr(module, "build_grams", counted(build_grams))
+        monkeypatch.setattr(
+            kmeoc.estimator, "control_gram_product",
+            counted(control_gram_product),
+        )
         argv = [
-            "identify", "--dataset", str(dataset), "--sigma", "1.2",
-            "--markov-enforce", "true", "--out", str(tmp_path),
+            "identify", "--dataset", str(work / "s1_n400_seed3.csv"),
+            "--sigma", "1.2", "--markov-enforce", "true",
+            "--out", str(tmp_path),
         ]
         assert main(argv) == 0
-        assert len(calls) == 1
-        # The residual is the one of Grams built anew for the check.
-        monkeypatch.undo()
-        ds = load_dataset_csv(dataset)
-        cfg = KernelConfig(sigma=1.2, epsilon=0.02, dt=ds.dt)
-        ops = enforce_markov(fit_krr(ds, cfg))
-        summary = json.loads((tmp_path / "s1_n400_seed3_fit.json").read_text())
-        expected = fit_residual(ops, build_grams(ds.X, ds.U, ds.Y, cfg))
-        assert summary["fit_residual_fro"] == expected
+        assert calls == {"build_grams": 1, "control_gram_product": 1}
 
     def test_summary_does_not_depend_on_the_out_root(self, work, tmp_path):
         # Paths in the summary are relative to its own directory.
@@ -479,6 +477,18 @@ class TestControl:
         )
         assert rc == 2
         assert "H = 100000000000 steps" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag", ["--penalty-weights=inf", "--penalty-box=-inf,inf"]
+    )
+    def test_non_finite_penalty_exits_2_before_writing(
+        self, model_path, tmp_path, capsys, flag
+    ):
+        out = tmp_path / "out"
+        rc = main(["control", "--model", str(model_path), flag, "--out", str(out)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_policy_table_and_solution(self, work, model_path, capsys):
@@ -994,11 +1004,16 @@ class TestBench:
         data = json.loads((tmp_path / "bench_s1.json").read_text())
         assert data["reps"] == 2 and data["N"] == 150
 
-    def test_zero_reps_exits_2(self, tmp_path):
-        rc = main(
-            ["bench", "--system", "s1", "--reps", "0", "--out", str(tmp_path)]
-        )
+    @pytest.mark.parametrize(
+        "argv", [["bench"], ["sweep", "--n-grid", "20,40"]],
+        ids=["bench", "sweep"],
+    )
+    def test_zero_reps_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = main(argv + ["--system", "s1", "--reps", "0", "--out", str(out)])
         assert rc == 2
+        assert "reps must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNegativeSeed:

@@ -19,7 +19,6 @@ from kmeoc import (
     departure_from_normality,
     enforce_markov,
     fit_krr,
-    fit_residual,
     gram,
 )
 from kmeoc.bench import bench_config, fit_and_solve
@@ -52,26 +51,6 @@ class TestFitKrr:
         z = np.full(ds.N, 1.0 / ds.N)
         assert np.sum(np.abs(CL @ z - z)) <= 1e-5
 
-    def test_given_grams_fit_the_same_operators(self, static_ops):
-        ds = static_ops.dataset_ref
-        cfg = static_ops.kernel_cfg
-        grams = build_grams(ds.X, ds.U, ds.Y, cfg)
-        F, L_X = grams.F.copy(), grams.L_X.copy()
-        ops = fit_krr(ds, cfg, grams=grams)
-        for a, b in zip([ops.A, *ops.B], [static_ops.A, *static_ops.B]):
-            assert a.left.tobytes() == b.left.tobytes()
-            assert a.right.tobytes() == b.right.tobytes()
-        # Left for fit_residual, which checks against the dense K_U.
-        assert grams.F.tobytes() == F.tobytes()
-        assert grams.L_X.tobytes() == L_X.tobytes()
-        K_U = control_gram(gram(ds.X, cfg.sigma), ds.U)
-        reg = K_U + ops.jitter * np.eye(ds.N)
-        target = cross_gram_diffused(ds.X, ds.Y, cfg)
-        dense = np.linalg.norm(reg @ ops.A_hat - target, "fro")
-        assert fit_residual(ops, grams) == pytest.approx(dense, abs=1e-8)
-        with pytest.raises(InputError, match="N = "):
-            fit_krr(make_static_dataset(N=30), cfg, grams=grams)
-
     @pytest.mark.parametrize("name", ["s1", "s3"])
     def test_matches_the_dense_solve_at_bench_size(self, name):
         # The low-rank solve plus one refinement step against the exact
@@ -86,12 +65,12 @@ class TestFitKrr:
             sigma=cfg["sigma"], epsilon=cfg["epsilon"], dt=cfg["dt"],
             gamma=cfg["gamma"],
         )
-        grams = build_grams(ds.X, ds.U, ds.Y, kcfg)
-        ops = fit_krr(ds, kcfg, grams=grams)
+        ops = fit_krr(ds, kcfg)
         assert ops.jitter == kcfg.gamma
+        L_X = build_grams(ds.X, ds.U, ds.Y, kcfg).L_X
         K_U = control_gram(gram(ds.X, kcfg.sigma), ds.U)
         reg = K_U + kcfg.gamma * np.eye(ds.N)
-        dense = cho_solve(cho_factor(reg), grams.L_X)
+        dense = cho_solve(cho_factor(reg), L_X)
         rel = np.linalg.norm(ops.A.left - dense) / np.linalg.norm(dense)
         assert rel <= 1e-5
 
@@ -296,16 +275,6 @@ class TestFactoredDiagnostics:
         assert departure_from_normality(ops.A) == pytest.approx(
             dense, abs=1e-8
         )
-
-    def test_fit_residual_matches_dense_product(self, ops):
-        ds, cfg = ops.dataset_ref, ops.kernel_cfg
-        target = cross_gram_diffused(ds.X, ds.Y, cfg)
-        bundle = build_grams(ds.X, ds.U, ds.Y, cfg)
-        K_U = control_gram(gram(ds.X, cfg.sigma), ds.U)
-        reg = K_U + ops.jitter * np.eye(ops.N)
-        dense = np.linalg.norm(reg @ ops.A_hat - target, "fro")
-        got = fit_residual(ops, bundle)
-        assert got == pytest.approx(dense, abs=1e-8)
 
 
 def _arrays(value):

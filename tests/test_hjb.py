@@ -72,6 +72,13 @@ class TestControlPenalty:
                 kwargs = dict(kwargs, box=Box(*kwargs["box"]))
             ControlPenalty(**kwargs)
 
+    @pytest.mark.parametrize(
+        "weights", [[np.inf], [1.0, np.inf], [np.nan]], ids=str
+    )
+    def test_rejects_non_finite_weights(self, weights):
+        with pytest.raises(InputError, match="finite"):
+            ControlPenalty(weights=np.array(weights))
+
     def test_box_is_kept_as_given(self):
         box = Box(np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
         p = ControlPenalty(weights=np.array([1.0, 0.5]), box=box)

@@ -357,7 +357,6 @@ class TestBuildGrams:
         Y = rng.normal(size=(2, 12))
         cfg = KernelConfig(sigma=1.0)
         bundle = build_grams(X, U, Y, cfg)
-        assert bundle.N == 12
         r_X = bundle.F.shape[1]
         assert bundle.F.shape == (12, r_X)
         r = bundle.L_X.shape[1]

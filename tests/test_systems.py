@@ -38,6 +38,15 @@ class TestBox:
         with pytest.raises(InputError):
             Box(lo=np.array([1.0]), hi=np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-np.inf, np.inf), (-np.inf, 1.0), (-1.0, np.inf), (np.nan, 1.0)],
+        ids=str,
+    )
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        with pytest.raises(InputError, match="finite"):
+            Box(lo, hi)
+
 
 class TestRegistry:
     def test_exactly_five_systems(self):
